@@ -8,15 +8,11 @@
 # recover from a mid-run CPU fail-stop to the fault-free answer, under
 # asan, with the spp::check oracles attached.
 #
-# A non-gating bench-smoke leg (--bench-smoke) builds Release with the
-# fiber backend and runs sppsim-bench --smoke under BOTH conductor
-# backends: it fails only on simulated-time or counter-digest divergence
-# (docs/PERFORMANCE.md), never on wall-clock numbers.  The bench set
-# includes the trace-memoization acceptance pairs (ppm/ppm_memo,
-# fem/fem_inner and friends); sppsim-bench itself cross-checks each
-# <name>_memo digest against its <name> base, so a memo-on run that
-# diverges from full execution fails this leg even before --check
-# compares against the committed bench/baselines.
+# A gating bench-smoke leg (--bench-smoke) builds Release with the fiber
+# backend and runs sppsim-bench --smoke under every conductor backend: it
+# fails only on simulated-time or counter-digest divergence between
+# backends or from the committed bench/baselines (docs/PERFORMANCE.md),
+# never on wall-clock numbers.
 #
 # The sanitized leg also runs a kill-resume smoke (docs/RECOVERY.md):
 # nbody runs with durable on-disk checkpoints (--ckpt-dir), is SIGKILLed
@@ -46,16 +42,7 @@
 # shard count resumes bit-exact at another, and runs the PDES tests under
 # ThreadSanitizer so the shard queues' memory ordering is machine-checked.
 #
-# A gating --memo-smoke leg covers trace memoization (spp::memo,
-# docs/PERFORMANCE.md "Trace memoization"): the full tier-1 suite runs
-# with SPP_MEMO=verify under AddressSanitizer -- every Nth memo replay
-# re-executes its ops and asserts bit-exact counter deltas, so a learned
-# trace that drifts from real execution aborts the suite -- and then the
-# suite runs again with SPP_MEMO=on under the sharded PDES engine at 4
-# workers, the configuration where replay, fusion parks, and cross-shard
-# invalidation interact.
-#
-# Usage: ci/run_tests.sh [--plain-only|--sanitize-only|--tsan-only|--werror-only|--survive-only|--bench-smoke|--lint-only|--analyze-only|--pdes-smoke|--memo-smoke]
+# Usage: ci/run_tests.sh [--plain-only|--sanitize-only|--tsan-only|--werror-only|--survive-only|--bench-smoke|--lint-only|--analyze-only|--pdes-smoke]
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -273,32 +260,10 @@ if [[ "$MODE" == "--pdes-smoke" ]]; then
   SPP_CONDUCTOR=pdes SPP_SHARDS=4 build-tsan/tests/test_pdes
 fi
 
-# Gating: trace memoization under its two hardest configurations.  Verify
-# mode re-executes every Nth replay and cross-checks counter deltas
-# bit-exactly (throwing memo::VerifyError on drift), so running the whole
-# suite under it turns every test into a replay-fidelity check; asan
-# additionally catches any stale-pointer use in the trace buffers.  The
-# second half runs the suite with plain memoization under the sharded
-# engine, exercising the fusion-park and cross-shard invalidation paths
-# the fiber backend never takes.
-if [[ "$MODE" == "--memo-smoke" ]]; then
-  echo "=== memo-smoke: tier-1 under SPP_MEMO=verify + asan ==="
-  cmake -B build-asan -S . \
-    -DSPP_SANITIZE=address,undefined \
-    -DCMAKE_BUILD_TYPE=RelWithDebInfo
-  cmake --build build-asan -j "$JOBS"
-  SPP_MEMO=verify ctest --test-dir build-asan --output-on-failure -j "$JOBS"
-
-  echo "=== memo-smoke: tier-1 under SPP_MEMO=on, pdes @ 4 shards ==="
-  cmake -B build -S .
-  cmake --build build -j "$JOBS"
-  SPP_MEMO=on SPP_CONDUCTOR=pdes SPP_SHARDS=4 \
-    ctest --test-dir build --output-on-failure -j "$JOBS"
-fi
-
-# Not part of "all": wall-clock numbers are host-dependent, so this leg is
-# opt-in for CI's non-gating bench job.  Divergence of sim time or digest
-# between the two backends is still a hard failure.
+# Not part of "all": it needs its own Release build, so CI runs it as the
+# separate bench-smoke job.  It gates on sim time and digest only (between
+# backends and against bench/baselines); wall-clock numbers are recorded,
+# never compared.
 if [[ "$MODE" == "--bench-smoke" ]]; then
   echo "=== bench-smoke: Release fibers build, both backends ==="
   cmake -B build-bench -S . \

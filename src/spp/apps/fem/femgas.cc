@@ -22,14 +22,6 @@ struct Prim {
   double rho, vx, vy, p;
 };
 
-// Trace-memoization regions (docs/PERFORMANCE.md "Trace memoization"): each
-// per-step phase walks a fixed per-thread address range, so one region per
-// phase suffices -- region slots are per simulated thread.
-constexpr std::uint32_t kRegionWave = 0x01000000;
-constexpr std::uint32_t kRegionElement = 0x02000000;
-constexpr std::uint32_t kRegionCopy = 0x03000000;
-constexpr std::uint32_t kRegionPoint = 0x04000000;
-
 Prim primitives(const std::array<double, 4>& u, double gamma) {
   Prim w;
   w.rho = u[0];
@@ -118,7 +110,6 @@ std::array<double, 4> FemGas::state(std::size_t p) const {
 
 double FemGas::wave_speed_phase(unsigned tid, unsigned nthreads) {
   const auto [pb, pe] = split(mesh_.num_points(), nthreads, tid);
-  rt_.memo_mark(kRegionWave);
   double lmax = 1e-12;
   for (std::size_t p = pb; p < pe; ++p) {
     std::array<double, 4> u;
@@ -128,7 +119,6 @@ double FemGas::wave_speed_phase(unsigned tid, unsigned nthreads) {
     lmax = std::max(lmax, std::hypot(w.vx, w.vy) + cs);
     rt_.work_flops(14);
   }
-  rt_.memo_close();
   // Class-1 global communication: max reduction through shared memory.
   reduce_->write(tid, lmax);
   barrier_->wait();
@@ -182,7 +172,6 @@ std::array<double, 4> FemGas::element_residual(std::size_t e, int k,
 
 void FemGas::element_phase(unsigned tid, unsigned nthreads) {
   const auto [eb, ee] = split(mesh_.num_elements(), nthreads, tid);
-  rt_.memo_mark(kRegionElement);
   for (std::size_t e = eb; e < ee; ++e) {
     for (int k = 0; k < 3; ++k) {
       const auto r = element_residual(e, k, /*charged=*/true);
@@ -192,23 +181,19 @@ void FemGas::element_phase(unsigned tid, unsigned nthreads) {
       rt_.write(res_->vaddr(12 * e + 4 * k), 4 * sizeof(double));
     }
   }
-  rt_.memo_close();
 }
 
 void FemGas::copy_state_phase(unsigned tid, unsigned nthreads) {
   const auto [pb, pe] = split(mesh_.num_points(), nthreads, tid);
-  rt_.memo_mark(kRegionCopy);
   for (std::size_t p = pb; p < pe; ++p) {
     for (int c = 0; c < 4; ++c) uold_->raw(4 * p + c) = u_->raw(4 * p + c);
   }
   u_->touch_range(4 * pb, 4 * (pe - pb), false);
   uold_->touch_range(4 * pb, 4 * (pe - pb), true);
-  rt_.memo_close();
 }
 
 void FemGas::point_phase(unsigned tid, unsigned nthreads, double dt) {
   const auto [pb, pe] = split(mesh_.num_points(), nthreads, tid);
-  rt_.memo_mark(kRegionPoint);
   for (std::size_t p = pb; p < pe; ++p) {
     std::array<double, 4> acc{0, 0, 0, 0};
     const std::int32_t lo = mesh_.p2e_off[p], hi = mesh_.p2e_off[p + 1];
@@ -234,7 +219,6 @@ void FemGas::point_phase(unsigned tid, unsigned nthreads, double dt) {
     }
     rt_.work_flops(9);
   }
-  rt_.memo_close();
 }
 
 FemDiagnostics FemGas::diagnostics() const {

@@ -18,14 +18,6 @@ constexpr double kInteractFlops = 22;  // r^2, sqrt, 3 force components.
 constexpr double kNodeVisitFlops = 8;  // distance + opening test.
 constexpr double kPushFlops = 18;
 
-// Trace-memoization regions (docs/PERFORMANCE.md "Trace memoization").  The
-// push phase walks fixed per-thread particle ranges, so its charge sequence
-// repeats every step; the force phase's traversal is data-dependent, and the
-// memo engine's key-hash warmup retires its slot on its own when the
-// sequence refuses to stabilize.
-constexpr std::uint32_t kRegionForce = 0x01000000;
-constexpr std::uint32_t kRegionPush = 0x02000000;
-
 std::pair<std::size_t, std::size_t> split(std::size_t n, unsigned parts,
                                           unsigned p) {
   const std::size_t base = n / parts, rem = n % parts;
@@ -327,7 +319,6 @@ std::array<double, 3> NbodyShared::direct_force(std::size_t i) const {
 
 void NbodyShared::force_phase(unsigned tid, unsigned nthreads) {
   const auto [pb, pe] = split(cfg_.n, nthreads, tid);
-  rt_.memo_mark(kRegionForce);
   for (std::size_t i = pb; i < pe; ++i) {
     // Read own position (charged), compute, store force (charged).
     rt_.read(px_->vaddr(i));
@@ -338,12 +329,10 @@ void NbodyShared::force_phase(unsigned tid, unsigned nthreads) {
     fy_->write(i, f[1]);
     fz_->write(i, f[2]);
   }
-  rt_.memo_close();
 }
 
 void NbodyShared::push_phase(unsigned tid, unsigned nthreads) {
   const auto [pb, pe] = split(cfg_.n, nthreads, tid);
-  rt_.memo_mark(kRegionPush);
   for (std::size_t i = pb; i < pe; ++i) {
     vx_->write(i, vx_->read(i) + cfg_.dt * fx_->read(i));
     vy_->write(i, vy_->read(i) + cfg_.dt * fy_->read(i));
@@ -353,7 +342,6 @@ void NbodyShared::push_phase(unsigned tid, unsigned nthreads) {
     pz_->write(i, pz_->read(i) + cfg_.dt * vz_->raw(i));
     rt_.work_flops(kPushFlops);
   }
-  rt_.memo_close();
 }
 
 NbodyDiagnostics NbodyShared::diagnostics() const {

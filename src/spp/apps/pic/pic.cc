@@ -26,19 +26,6 @@ constexpr double kPushFlops = 70;     // gather interpolation + leapfrog.
 constexpr double kReduceFlopsPerTerm = 1;
 constexpr double kFieldFlopsPerCell = 16;  // spectral divide + gradient.
 
-// Trace-memoization regions (docs/PERFORMANCE.md "Trace memoization").  The
-// field-solve phases walk fixed grid strides per thread, so their charge
-// sequences repeat exactly every step; the particle phases' cell indices
-// drift with the particles, and their slots retire on their own when the
-// key hash refuses to stabilize.  Regions close before every barrier so a
-// trace never spans a synchronization point.
-constexpr std::uint32_t kRegionDeposit = 0x01000000;
-constexpr std::uint32_t kRegionCopyRho = 0x02000000;
-constexpr std::uint32_t kRegionFft = 0x03000000;  // + axis + 3 * (sign > 0).
-constexpr std::uint32_t kRegionPoisson = 0x04000000;
-constexpr std::uint32_t kRegionGrad = 0x05000000;
-constexpr std::uint32_t kRegionPush = 0x06000000;
-
 }  // namespace
 
 double flops_per_step(const PicConfig& cfg) {
@@ -131,7 +118,6 @@ void PicShared::deposit(unsigned tid, unsigned nthreads) {
   const auto [pb, pe] = split(cfg_.particles(), nthreads, tid);
   const std::size_t nc = cfg_.cells();
   const std::size_t base = tid * nc;
-  rt_.memo_mark(kRegionDeposit);
 
   // Clear this thread's private slice (stays Modified in our cache).
   for (std::size_t c = 0; c < nc; ++c) stage_->raw(base + c) = 0.0;
@@ -167,7 +153,6 @@ void PicShared::deposit(unsigned tid, unsigned nthreads) {
     }
     rt_.work_flops(kDepositFlops);
   }
-  rt_.memo_close();
 }
 
 void PicShared::reduce_charge(unsigned tid, unsigned nthreads) {
@@ -223,12 +208,10 @@ void PicShared::solve_fields(unsigned tid, unsigned nthreads) {
   // Copy rho into the complex workspace.
   {
     const auto [cb, ce] = split(nc, nthreads, tid);
-    rt_.memo_mark(kRegionCopyRho);
     for (std::size_t c = cb; c < ce; ++c) {
       work_[c] = Complex(rho_->read(c), 0.0);
     }
     phik_->touch_range(cb, ce - cb, /*write=*/true);
-    rt_.memo_close();
   }
   barrier_->wait();
 
@@ -236,8 +219,6 @@ void PicShared::solve_fields(unsigned tid, unsigned nthreads) {
     // Pencil decomposition along `axis`; threads take contiguous pencil
     // ranges.  Contiguous x-pencils use bulk charging; strided passes charge
     // per element (their lines do not coalesce).
-    rt_.memo_mark(kRegionFft + static_cast<std::uint32_t>(axis) +
-                  (sign > 0 ? 3u : 0u));
     if (axis == 0) {
       const auto [qb, qe] = split(ny * nz, nthreads, tid);
       for (std::size_t q = qb; q < qe; ++q) {
@@ -272,7 +253,6 @@ void PicShared::solve_fields(unsigned tid, unsigned nthreads) {
         rt_.work_flops(fft::flops_1d(nz));
       }
     }
-    rt_.memo_close();
     barrier_->wait();
   };
 
@@ -287,7 +267,6 @@ void PicShared::solve_fields(unsigned tid, unsigned nthreads) {
   {
     const auto [cb, ce] = split(nc, nthreads, tid);
     const double two_pi = 2.0 * std::numbers::pi;
-    rt_.memo_mark(kRegionPoisson);
     for (std::size_t c = cb; c < ce; ++c) {
       const std::size_t x = c % nx;
       const std::size_t y = (c / nx) % ny;
@@ -304,7 +283,6 @@ void PicShared::solve_fields(unsigned tid, unsigned nthreads) {
       rt_.write(phik_->vaddr(c), sizeof(Complex));
       rt_.work_flops(kFieldFlopsPerCell * 0.5);
     }
-    rt_.memo_close();
     (void)two_pi;
   }
   barrier_->wait();
@@ -324,7 +302,6 @@ void PicShared::solve_fields(unsigned tid, unsigned nthreads) {
   // E = -grad(phi), central differences, periodic.
   {
     const auto [cb, ce] = split(nc, nthreads, tid);
-    rt_.memo_mark(kRegionGrad);
     auto phi = [&](std::size_t ix, std::size_t iy, std::size_t iz) {
       const std::size_t idx = cell_index(ix, iy, iz);
       rt_.read(phik_->vaddr(idx), sizeof(Complex));
@@ -342,7 +319,6 @@ void PicShared::solve_fields(unsigned tid, unsigned nthreads) {
       ez_->write(c, -0.5 * (phi(x, y, zp) - phi(x, y, zm)));
       rt_.work_flops(kFieldFlopsPerCell * 0.5);
     }
-    rt_.memo_close();
   }
   barrier_->wait();
 }
@@ -355,7 +331,6 @@ void PicShared::gather_push(unsigned tid, unsigned nthreads) {
   const double ly = static_cast<double>(cfg_.ny);
   const double lz = static_cast<double>(cfg_.nz);
 
-  rt_.memo_mark(kRegionPush);
   for (std::size_t p = pb; p < pe; ++p) {
     const double x = px_->read(p);
     const double y = py_->read(p);
@@ -409,7 +384,6 @@ void PicShared::gather_push(unsigned tid, unsigned nthreads) {
     pz_->write(p, nz_pos);
     rt_.work_flops(kPushFlops);
   }
-  rt_.memo_close();
 }
 
 PicDiagnostics PicShared::diagnostics() const {

@@ -21,16 +21,6 @@ std::pair<std::size_t, std::size_t> split(std::size_t n, unsigned parts,
 constexpr double kRhoFloor = 1e-10;
 constexpr double kPFloor = 1e-12;
 
-// Trace-memoization regions (docs/PERFORMANCE.md "Trace memoization").  The
-// per-step phases walk fixed address sequences per tile, so each (phase,
-// tile) pair is one region: iteration k+1 of the step loop replays the
-// charges iteration k recorded.  Region ids only need to be stable and
-// distinct per call site within a thread.
-constexpr std::uint32_t kRegionWave = 0x01000000;
-constexpr std::uint32_t kRegionGhost = 0x02000000;
-constexpr std::uint32_t kRegionSweepX = 0x03000000;
-constexpr std::uint32_t kRegionSweepY = 0x04000000;
-
 /// PPM edge values + Colella-Woodward monotonization for one variable.
 /// `v` has length L; writes parabola edges vl/vr for cells [2, L-2).
 void reconstruct(const std::vector<double>& v, std::vector<double>& vl,
@@ -213,8 +203,6 @@ void PpmTiled::tag_two_fluids() {
 }
 
 double PpmTiled::wave_speed_tile(const Tile& t, bool charged) const {
-  const auto tile_id = static_cast<std::uint32_t>(&t - tiles_.data());
-  if (charged) rt_.memo_mark(kRegionWave + tile_id);
   double lmax = 1e-12;
   for (std::size_t j = kGhost; j < t.h + kGhost; ++j) {
     for (std::size_t i = kGhost; i < t.w + kGhost; ++i) {
@@ -236,14 +224,11 @@ double PpmTiled::wave_speed_tile(const Tile& t, bool charged) const {
   }
   if (charged) {
     rt_.work_flops(12.0 * static_cast<double>(t.w * t.h));
-    rt_.memo_close();
   }
   return lmax;
 }
 
 void PpmTiled::exchange_ghosts(const Tile& t) {
-  rt_.memo_mark(kRegionGhost +
-                static_cast<std::uint32_t>(&t - tiles_.data()));
   // Fill the whole frame (edges + corners) from the owning tiles.
   const auto nxg = static_cast<std::int64_t>(cfg_.nx);
   const auto nyg = static_cast<std::int64_t>(cfg_.ny);
@@ -274,7 +259,6 @@ void PpmTiled::exchange_ghosts(const Tile& t) {
       }
     }
   }
-  rt_.memo_close();
 }
 
 namespace {
@@ -379,8 +363,6 @@ void pencil_update(std::array<std::vector<double>, 4>& cons,
 }  // namespace
 
 void PpmTiled::sweep_x(Tile& t, double dt) {
-  rt_.memo_mark(kRegionSweepX +
-                static_cast<std::uint32_t>(&t - tiles_.data()));
   const std::size_t L = t.stride();
   const unsigned ns = cfg_.nspecies;
   std::array<std::vector<double>, 4> cons;
@@ -416,12 +398,9 @@ void PpmTiled::sweep_x(Tile& t, double dt) {
     rt_.work_flops((kFlopsPerZoneSweep + 40.0 * ns) *
                    static_cast<double>(L - 7));
   }
-  rt_.memo_close();
 }
 
 void PpmTiled::sweep_y(Tile& t, double dt) {
-  rt_.memo_mark(kRegionSweepY +
-                static_cast<std::uint32_t>(&t - tiles_.data()));
   const std::size_t L = t.rows();
   const unsigned ns = cfg_.nspecies;
   std::array<std::vector<double>, 4> cons;
@@ -457,7 +436,6 @@ void PpmTiled::sweep_y(Tile& t, double dt) {
     rt_.work_flops((kFlopsPerZoneSweep + 40.0 * ns) *
                    static_cast<double>(t.h));
   }
-  rt_.memo_close();
 }
 
 PpmDiagnostics PpmTiled::diagnostics() const {

@@ -31,26 +31,9 @@ Machine::Machine(Topology topo, CostModel cm)
   }
   directory_.resize(topo_.nodes);
   for (auto& dir : directory_) dir.reserve((1u << 16) / topo_.nodes + 1);
-  memo_scratch_.assign(topo_.num_cpus(), nullptr);
-}
-
-void Machine::apply_memo_delta(unsigned cpu, const MemoDelta& d) {
-  CpuCounters& c = perf_.cpu[cpu];
-  c.loads += d.loads;
-  c.stores += d.stores;
-  c.l1_hits += d.l1_hits;
-  c.compute += d.compute;
-  c.flops += d.flops;
-  c.memo_hits += d.memo_hits;
-  c.memo_misses += d.memo_misses;
-  c.memo_invalidations += d.memo_invalidations;
-  c.memo_cycles_saved += d.memo_cycles_saved;
 }
 
 void Machine::power_cycle() {
-  // Every memo's end-state summary describes caches this wipe is about to
-  // clear; drop them all before touching anything.
-  memo_global_disturb();
   for (L1Cache& l1 : l1_) l1.clear();
   for (sci::GCache& g : gcaches_) g.clear();
   for (auto& dir : directory_) dir.clear();
@@ -163,17 +146,11 @@ sim::Time Machine::access_at(unsigned cpu, VAddr va, PAddr pa, bool write,
   }
 
   sim::Time done;
-  bool memo_quiet = false;
   if (st == LineState::kModified || st == LineState::kExclusive ||
       (st == LineState::kShared && !write)) {
     if (write && st == LineState::kExclusive) {
       // Exclusive-clean: silent upgrade, no coherence transaction.
       l1_[cpu].install(line, LineState::kModified);
-    } else {
-      // A pure hit with zero protocol transitions: the only access kind the
-      // memo recorder may mark replayable (the E->M silent upgrade above
-      // mutates L1 state, so it records as a hole and re-executes).
-      memo_quiet = true;
     }
     ++c.l1_hits;
     done = now + sim::cycles(cm_.l1_hit);
@@ -189,10 +166,6 @@ sim::Time Machine::access_at(unsigned cpu, VAddr va, PAddr pa, bool write,
       done = miss_fill(cpu, pa, write, now);
     }
     c.mem_stall += done - now;
-  }
-
-  if (MemoScratch* ms = memo_scratch_[cpu]) {
-    ms->touches.push_back(MemoTouch{line, memo_quiet});
   }
 
   if (observer_ != nullptr) {
@@ -270,7 +243,6 @@ sim::Time Machine::local_fill(unsigned cpu, PAddr pa, bool write,
   if (e.owner_cpu >= 0 && e.owner_cpu != static_cast<int>(cpu)) {
     t += sim::cycles(cm_.cache2cache);
     const unsigned owner = static_cast<unsigned>(e.owner_cpu);
-    memo_disturb(owner, line);
     ++perf_.cpu[owner].invals_received;
     const bool was_dirty =
         l1_[owner].state_of(line) == LineState::kModified;
@@ -354,7 +326,6 @@ sim::Time Machine::invalidate_local(LineAddr line, HomeEntry& e,
   for (unsigned k = 0; k < kCpusPerNode; ++k) {
     if (!(victims & bit(k))) continue;
     const unsigned victim_cpu = home_node * kCpusPerNode + k;
-    memo_disturb(victim_cpu, line);
     // Test-only planted bug: the invalidation message is lost, leaving the
     // victim's stale copy behind while the directory believes it is gone.
     if (!mutation_.skip_local_invalidate) l1_[victim_cpu].invalidate(line);
@@ -403,7 +374,6 @@ sim::Time Machine::remote_fill(unsigned cpu, PAddr pa, bool write,
       for (unsigned k = 0; k < kCpusPerNode; ++k) {
         if (k == cpu_in_node || !(ge.cpu_sharers & bit(k))) continue;
         const unsigned victim = my_node * kCpusPerNode + k;
-        memo_disturb(victim, line);
         l1_[victim].invalidate(line);
         ++perf_.cpu[victim].invals_received;
         if (gate_ != nullptr) {
@@ -424,7 +394,6 @@ sim::Time Machine::remote_fill(unsigned cpu, PAddr pa, bool write,
           const unsigned sib = my_node * kCpusPerNode + k;
           const LineState sst = l1_[sib].state_of(line);
           if (sst == LineState::kModified || sst == LineState::kExclusive) {
-            memo_disturb(sib, line);
             l1_[sib].downgrade(line);
             if (sst == LineState::kModified) ++perf_.cpu[sib].writebacks;
             t += sim::cycles(cm_.cache2cache);
@@ -464,7 +433,6 @@ sim::Time Machine::remote_fill(unsigned cpu, PAddr pa, bool write,
   // Exclusive/dirty at home node's L1s: pull it down to memory first.
   if (e.owner_cpu >= 0) {
     const unsigned owner = static_cast<unsigned>(e.owner_cpu);
-    memo_disturb(owner, line);
     t += sim::cycles(cm_.cache2cache);
     if (l1_[owner].state_of(line) == LineState::kModified) {
       ++perf_.cpu[owner].writebacks;
@@ -569,7 +537,6 @@ sim::Time Machine::remote_upgrade(unsigned cpu, PAddr pa, sim::Time t) {
   for (unsigned k = 0; k < kCpusPerNode; ++k) {
     if (k == cpu_in_node || !(ge.cpu_sharers & bit(k))) continue;
     const unsigned victim = my_node * kCpusPerNode + k;
-    memo_disturb(victim, line);
     l1_[victim].invalidate(line);
     ++perf_.cpu[victim].invals_received;
     if (gate_ != nullptr) {
@@ -646,7 +613,6 @@ sim::Time Machine::recall_remote_dirty(LineAddr line, HomeEntry& e,
       // The owner node's L1 copy (if any) is downgraded to Shared.
       for (unsigned k = 0; k < kCpusPerNode; ++k) {
         if (ge.cpu_sharers & bit(k)) {
-          memo_disturb(owner * kCpusPerNode + k, line);
           l1_[owner * kCpusPerNode + k].downgrade(line);
         }
       }
@@ -671,9 +637,6 @@ sim::Time Machine::recall_remote_dirty(LineAddr line, HomeEntry& e,
 void Machine::evict_l1_entry(unsigned cpu, L1Cache::Entry& entry,
                              sim::Time now) {
   const LineAddr victim = entry.line;
-  // Self-conflict evictions disturb too: a replay in flight must not
-  // fast-forward a "hit" on a line its own hole ops just pushed out.
-  memo_disturb(cpu, victim);
   const PAddr pa = line_base(victim);
   const unsigned home_fu = home_fu_of(pa);
   const unsigned home_node = topo_.node_of_fu(home_fu);
@@ -721,7 +684,6 @@ void Machine::invalidate_gcache_backed_l1(unsigned node,
   for (unsigned k = 0; k < kCpusPerNode; ++k) {
     if (!(ge.cpu_sharers & bit(k))) continue;
     const unsigned cpu = node * kCpusPerNode + k;
-    memo_disturb(cpu, ge.line);
     l1_[cpu].invalidate(ge.line);
     ++perf_.cpu[cpu].invals_received;
   }
@@ -900,10 +862,7 @@ Machine::DirView Machine::dir_view(LineAddr line) const {
 }
 
 bool Machine::check_line_invariants(VAddr va) const {
-  return check_line_invariants_line(line_of(vm_.translate(va, 0)));
-}
-
-bool Machine::check_line_invariants_line(LineAddr line) const {
+  const LineAddr line = line_of(vm_.translate(va, 0));
   const PAddr pa = line_base(line);
   const unsigned home_fu = home_fu_of(pa);
   const unsigned home_node = topo_.node_of_fu(home_fu);

@@ -46,55 +46,6 @@ class CrossGate {
   virtual void on_cross() = 0;
 };
 
-/// Sink for trace-memoization quiescence events (rt/spp::memo).  The memo
-/// engine promotes a per-thread trace to a replayable memo only while every
-/// line it touches stays in a stable L1 state; the machine reports the two
-/// ways that can stop being true.  on_line_disturbed fires whenever the
-/// protocol invalidates or downgrades `cpu`'s L1 copy of `line` (eviction,
-/// invalidation receipt, directory steal, recall) -- synchronously, before
-/// the transaction completes, so a replay in flight demotes the affected
-/// ops before it can fast-forward past them.  on_global_disturb fires when
-/// a machine-wide precondition changes (power_cycle, observer attach,
-/// test-mutation arming) and drops every live memo.
-class MemoSink {
- public:
-  virtual ~MemoSink() = default;
-  virtual void on_line_disturbed(unsigned cpu, LineAddr line) = 0;
-  virtual void on_global_disturb() = 0;
-};
-
-/// Per-line record appended to an attached MemoScratch by every cached
-/// access the CPU performs.  `quiet` means the access hit L1 with no
-/// protocol transition at all (read hit M/E/S or write hit M), i.e. the
-/// charge was exactly one l1_hit cycle and replaying it needs no machine
-/// state change.
-struct MemoTouch {
-  LineAddr line = 0;
-  bool quiet = false;
-};
-
-/// Recording buffer the memo engine attaches per CPU while capturing a
-/// trace.  One pointer test per line access when detached.
-struct MemoScratch {
-  std::vector<MemoTouch> touches;
-  void clear() { touches.clear(); }
-};
-
-/// The one sanctioned way memo code mutates the machine: the exact counter
-/// deltas a replayed iteration's full execution would have produced, applied
-/// in bulk (spp-lint check `memo-no-uncharged-mutation` enforces this).
-struct MemoDelta {
-  std::uint64_t loads = 0;
-  std::uint64_t stores = 0;
-  std::uint64_t l1_hits = 0;
-  sim::Time compute = 0;
-  double flops = 0;
-  std::uint64_t memo_hits = 0;
-  std::uint64_t memo_misses = 0;
-  std::uint64_t memo_invalidations = 0;
-  sim::Time memo_cycles_saved = 0;
-};
-
 class Machine {
  public:
   explicit Machine(Topology topo, CostModel cm = CostModel{});
@@ -140,27 +91,8 @@ class Machine {
 
   /// Attaches (or clears, with nullptr) a transaction observer.  One pointer
   /// test per access when null; observers never alter timing or state.
-  /// Attaching one is a memo global disturb: an observer must see every
-  /// transaction, so no iteration may fast-forward past it.
-  void set_observer(MemObserver* observer) {
-    observer_ = observer;
-    if (observer != nullptr) memo_global_disturb();
-  }
+  void set_observer(MemObserver* observer) { observer_ = observer; }
   MemObserver* observer() const { return observer_; }
-
-  /// Attaches (or clears, with nullptr) the memo engine's quiescence sink.
-  void set_memo_sink(MemoSink* sink) { memo_sink_ = sink; }
-  MemoSink* memo_sink() const { return memo_sink_; }
-
-  /// Attaches (or clears, with nullptr) `cpu`'s trace-recording scratch.
-  void set_memo_scratch(unsigned cpu, MemoScratch* scratch) {
-    memo_scratch_[cpu] = scratch;
-  }
-
-  /// Applies a replayed iteration's bulk counter delta to `cpu`.  The ONLY
-  /// Machine mutation src/spp/memo/ may perform (spp-lint
-  /// `memo-no-uncharged-mutation`).
-  void apply_memo_delta(unsigned cpu, const MemoDelta& d);
 
   /// Attaches (or clears, with nullptr) the PDES engine's cross-shard gate.
   /// While attached, the handful of node-unattributed counters route to
@@ -195,15 +127,7 @@ class Machine {
     /// back-pointer update in the distributed list were dropped.
     bool drop_sci_back_pointer = false;
   };
-  void set_test_mutation(const TestMutation& m) {
-    mutation_ = m;
-    if (test_mutation_active()) memo_global_disturb();
-  }
-  /// True while any deliberate protocol bug is armed; memoization refuses to
-  /// engage (a mutated protocol is by definition not quiescent).
-  bool test_mutation_active() const {
-    return mutation_.skip_local_invalidate || mutation_.drop_sci_back_pointer;
-  }
+  void set_test_mutation(const TestMutation& m) { mutation_ = m; }
 
   // --- introspection for tests ---------------------------------------------
   LineState l1_state(unsigned cpu, VAddr va) const;
@@ -214,9 +138,6 @@ class Machine {
   /// excludes all other copies, and every L1 copy of a remote line is backed
   /// by its node's gcache.
   bool check_line_invariants(VAddr va) const;
-  /// Same invariants, keyed by physical line (the memo verify-mode audit
-  /// holds line addresses, not virtual ones).
-  bool check_line_invariants_line(LineAddr line) const;
 
   /// Read-only copy of the home directory entry for `line` (empty-state view
   /// when the line has no entry).  For checkers and tests.
@@ -276,16 +197,6 @@ class Machine {
   }
   sci::GCache& gcache_for(unsigned node, unsigned ring) {
     return gcaches_[node * kNumRings + ring];
-  }
-
-  /// Reports a protocol transition on `cpu`'s L1 copy of `line` to the memo
-  /// engine.  Call sites are every place a copy is invalidated or downgraded
-  /// by anything other than the owning CPU's own quiet access.
-  void memo_disturb(unsigned cpu, LineAddr line) {
-    if (memo_sink_ != nullptr) memo_sink_->on_line_disturbed(cpu, line);
-  }
-  void memo_global_disturb() {
-    if (memo_sink_ != nullptr) memo_sink_->on_global_disturb();
   }
 
   /// The protocol walk shared by access() and access_block(), after address
@@ -350,8 +261,6 @@ class Machine {
   std::vector<TranslateMru> mru_;  ///< per-CPU translation fast path.
   MemObserver* observer_ = nullptr;
   CrossGate* gate_ = nullptr;  ///< PDES cross-shard gate, when attached.
-  MemoSink* memo_sink_ = nullptr;  ///< memo quiescence sink, when attached.
-  std::vector<MemoScratch*> memo_scratch_;  ///< per-CPU recording scratch.
   /// Per-shard slots for the two counters whose bump sites are not
   /// per-CPU: written by at most one phase worker each (the home/owning
   /// node's), folded serially by fold_shard_counters().  Used only while a

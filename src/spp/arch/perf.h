@@ -29,17 +29,10 @@ struct CpuCounters {
   sim::Time compute = 0;             ///< total ns of charged compute work.
   double flops = 0;                  ///< charged floating point operations.
 
-  // --- trace memoization (spp::memo) ----------------------------------------
-  // All zero unless SPP_MEMO is on; see docs/PERFORMANCE.md "Trace
-  // memoization".  These describe the *accelerator*, not the simulated
-  // machine: a memo hit applies the exact counters the full pipeline would
-  // have produced, so whether an iteration replayed or re-executed must not
-  // change any digest.  Excluded from digest() (like io_*) by design.
-  std::uint64_t memo_hits = 0;          ///< replays completed (incl. verify).
-  std::uint64_t memo_misses = 0;        ///< replays abandoned mid-iteration.
-  std::uint64_t memo_invalidations = 0; ///< memos dropped/demoted by events.
-  sim::Time memo_cycles_saved = 0;      ///< sim-ns applied without re-walking
-                                        ///< the memory pipeline.
+  // Always zero and outside digest()/total(): perfbench/ still reads them.
+  std::uint64_t memo_hits = 0;
+  std::uint64_t memo_misses = 0;
+  std::uint64_t memo_invalidations = 0;
 
   std::uint64_t accesses() const { return loads + stores; }
   std::uint64_t misses() const {
@@ -123,10 +116,6 @@ struct PerfCounters {
       t.mem_stall += c.mem_stall;
       t.compute += c.compute;
       t.flops += c.flops;
-      t.memo_hits += c.memo_hits;
-      t.memo_misses += c.memo_misses;
-      t.memo_invalidations += c.memo_invalidations;
-      t.memo_cycles_saved += c.memo_cycles_saved;
     }
     return t;
   }

@@ -9,7 +9,6 @@
 #include <set>
 #include <stdexcept>
 
-#include "spp/memo/memo.h"
 #include "spp/pdes/window.h"
 #include "spp/rt/sharded.h"
 #include "spp/sim/log.h"
@@ -625,10 +624,6 @@ void Conductor::defer_cross() {
     q.reserve(q.capacity() * 2 + 8);
   }
   q.push({pdes::EventKey{me.clock_, n, park_seq_[n]++}, &me});
-  // A fusion park means this region is not coherence-quiet: abandon any
-  // in-flight memo recording and flag an in-flight replay for divergence
-  // (the runtime retires the memo once the parked op completes).
-  if (me.memo_state_ != nullptr) memo::on_gate_park(*me.memo_state_);
   me.reason_ = BlockReason{BlockReason::Kind::kFusion, nullptr,
                            "cross-shard gate", {}};
   me.hand_back(SThread::State::kBlocked);

@@ -77,10 +77,6 @@
 #include "spp/rt/host_mutex.h"
 #include "spp/sim/time.h"
 
-namespace spp::memo {
-struct ThreadState;
-}
-
 namespace spp::rt {
 
 class Conductor;
@@ -179,12 +175,6 @@ class SThread {
 
   Conductor& conductor() { return *conductor_; }
 
-  /// Trace-memoization state (spp::memo), attached by rt::Runtime while
-  /// memoization is enabled for this thread; null otherwise, so the charged
-  /// op fast paths pay one pointer test.
-  memo::ThreadState* memo_state() { return memo_state_; }
-  void set_memo_state(memo::ThreadState* s) { memo_state_ = s; }
-
  private:
   friend class Conductor;
   friend class FusionScope;
@@ -209,7 +199,6 @@ class SThread {
   State state_ = State::kReady;
   BlockReason reason_;  ///< wait-for edge while Blocked.
   std::function<void()> fn_;
-  memo::ThreadState* memo_state_ = nullptr;  ///< set by rt::Runtime.
 
   // PDES engine state.  Both fields are touched only by the thread itself
   // or by whoever is about to resume it, never concurrently.
@@ -281,8 +270,8 @@ class Conductor : public arch::CrossGate {
            sim::Time start = 0);
 
   /// The currently running simulated thread (valid only while inside one).
-  /// Inline (a single thread-local load) because every charged operation --
-  /// including the memo replay fast path -- starts here.
+  /// Inline (a single thread-local load) because every charged operation
+  /// starts here.
   static SThread& self() {
     assert(detail::tls_current != nullptr && "not inside a simulated thread");
     return *detail::tls_current;
@@ -310,13 +299,7 @@ class Conductor : public arch::CrossGate {
   /// concurrent threads interleave at a few-microsecond granularity without
   /// a kernel round trip per memory access.
   void quantum_yield(sim::Time quantum = 400 * sim::kNanosecond) {
-    quantum_yield_at(self(), quantum);
-  }
-  /// Same, for callers that already hold the running thread (the memo replay
-  /// fast path performs this exact check per fast-forwarded op, so replay
-  /// preserves the full pipeline's deterministic schedule bit-for-bit).
-  void quantum_yield_at(SThread& me,
-                        sim::Time quantum = 400 * sim::kNanosecond) {
+    const SThread& me = self();
     if (me.clock_ - me.last_yield_ >= quantum) {
       yield(4 * sim::kMicrosecond);
     }

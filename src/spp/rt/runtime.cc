@@ -1,11 +1,8 @@
 #include "spp/rt/runtime.h"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <stdexcept>
-
-#include "spp/memo/memo.h"
 
 namespace spp::rt {
 
@@ -29,9 +26,7 @@ struct AsyncGroup::State {
 
 Runtime::Runtime(arch::Topology topo, arch::CostModel cm,
                  ConductorBackend backend)
-    : machine_(topo, cm), conductor_(machine_, backend) {
-  set_memo_mode(memo::mode_from_env());
-}
+    : machine_(topo, cm), conductor_(machine_, backend) {}
 
 Runtime::~Runtime() {
   if (active_ == this) active_ = prev_active_;
@@ -49,7 +44,6 @@ void Runtime::run(const std::function<void()>& fn) {
   conductor_.run(
       [&] {
         fn();
-        memo_thread_end();
         final_clock = Conductor::self().clock();
       },
       /*cpu=*/0, /*start=*/end_time_);
@@ -86,7 +80,8 @@ unsigned Runtime::surviving_cpu(unsigned cpu) const {
   throw std::runtime_error("fault: every CPU has fail-stopped");
 }
 
-void Runtime::work_flops_full(SThread& me, double n) {
+void Runtime::work_flops(double n) {
+  SThread& me = Conductor::self();
   conductor_.quantum_yield();
   poll_faults(me);
   me.advance(sim::cycles(machine_.cost().flop_cycles(n)));
@@ -95,7 +90,8 @@ void Runtime::work_flops_full(SThread& me, double n) {
   c.compute += sim::cycles(machine_.cost().flop_cycles(n));
 }
 
-void Runtime::work_ops_full(SThread& me, double n) {
+void Runtime::work_ops(double n) {
+  SThread& me = Conductor::self();
   conductor_.quantum_yield();
   poll_faults(me);
   const sim::Time dt = sim::cycles(machine_.cost().intop_cycles(n));
@@ -103,184 +99,14 @@ void Runtime::work_ops_full(SThread& me, double n) {
   machine_.perf().cpu[me.cpu()].compute += dt;
 }
 
-void Runtime::mem_full(SThread& me, arch::VAddr va, std::uint64_t bytes,
-                       bool is_write) {
+void Runtime::mem(arch::VAddr va, std::uint64_t bytes, bool is_write) {
+  SThread& me = Conductor::self();
   conductor_.quantum_yield();
   poll_faults(me);
   me.set_clock(
       machine_.access_block(me.cpu(), va, bytes, is_write, me.clock()));
   if (sync_observer_ != nullptr) {
     sync_observer_->on_data_access(me.tid(), me.cpu(), va, bytes, is_write);
-  }
-}
-
-void Runtime::set_memo_mode(memo::Mode mode) {
-  memo_mode_ = mode;
-  memo_engine_.reset();
-  if (mode != memo::Mode::kOff) {
-    memo_engine_ = std::make_unique<memo::Engine>(machine_, mode);
-  }
-}
-
-bool Runtime::memo_eligible() const {
-  return memo_engine_ != nullptr && fault_hook_ == nullptr &&
-         sync_observer_ == nullptr && fail_stop_policy_ == nullptr &&
-         machine_.observer() == nullptr && !machine_.test_mutation_active();
-}
-
-void Runtime::memo_hooks_changed() {
-  if (memo_engine_ != nullptr) memo_engine_->on_global_disturb();
-}
-
-void Runtime::memo_thread_end() {
-  SThread& me = Conductor::self();
-  if (memo::ThreadState* ms = me.memo_state()) {
-    memo_engine_->close_region(*ms);
-    me.set_memo_state(nullptr);
-  }
-}
-
-void Runtime::memo_mark(std::uint32_t region) {
-  SThread& me = Conductor::self();
-  if (!memo_eligible()) {
-    // Off or suppressed: shed any state so every charged op is back to the
-    // single pointer test.
-    if (me.memo_state() != nullptr) memo_thread_end();
-    return;
-  }
-  memo::ThreadState* ms = me.memo_state();
-  if (ms == nullptr) {
-    ms = &memo_engine_->state_for(
-        me.tid(), machine_.topo().node_of_cpu(me.cpu()), me.cpu());
-    me.set_memo_state(ms);
-  }
-  memo_engine_->mark(*ms, region, me.cpu());
-}
-
-void Runtime::memo_close() {
-  SThread& me = Conductor::self();
-  if (me.memo_state() != nullptr) memo_thread_end();
-}
-
-void Runtime::memo_mem_op(SThread& me, memo::ThreadState& ms, arch::VAddr va,
-                          std::uint64_t bytes, bool is_write) {
-  const memo::OpKind kind =
-      is_write ? memo::OpKind::kWrite : memo::OpKind::kRead;
-  if (ms.phase == memo::Phase::kReplay) {
-    // The header fast path owns the cursor; re-derive the index it reached
-    // before touching anything indexed.  (This path sees a replay only for
-    // holes, verify mode, and divergence -- a quiet match was already
-    // fast-forwarded inline.)
-    if (ms.cur != nullptr) {
-      ms.idx = static_cast<std::uint32_t>(ms.cur - ms.ops);
-    }
-    const memo::TraceOp& op = ms.ops[ms.idx];
-    const bool match = op.key1 == va &&
-                       (op.key2 & ~memo::kHoleKeyBit) ==
-                           memo::op_key2(kind, bytes);
-    if (match && ms.verify) {
-      // Verify replay: run the op through the full pipeline and assert it
-      // reproduces the recorded outcome bit-for-bit.  Counters charge
-      // natively, so the running sums stay zero.
-      const memo::TraceOp rec = op;  // demotion may mutate it mid-access.
-      ms.scratch.clear();
-      conductor_.quantum_yield_at(me);
-      poll_faults(me);
-      const sim::Time before = me.clock();
-      me.set_clock(
-          machine_.access_block(me.cpu(), va, bytes, is_write, me.clock()));
-      ++ms.idx;
-      if (!rec.hole) {
-        if (me.clock() - before != rec.delta ||
-            ms.scratch.touches.size() != rec.lines) {
-          throw memo::VerifyError(
-              "spp::memo verify: memoized op re-executed with a different "
-              "delta or line count");
-        }
-        for (const arch::MemoTouch& t : ms.scratch.touches) {
-          if (!t.quiet) {
-            throw memo::VerifyError(
-                "spp::memo verify: memoized op was not coherence-quiet on "
-                "re-execution");
-          }
-        }
-      }
-      if (ms.gate_parked) memo_engine_->diverge(ms, /*kill_memo=*/true);
-      return;
-    }
-    if (match) {
-      // Hole: contention, gating, and protocol transitions simulate live.
-      conductor_.quantum_yield_at(me);
-      poll_faults(me);
-      me.set_clock(
-          machine_.access_block(me.cpu(), va, bytes, is_write, me.clock()));
-      ++ms.idx;
-      if (ms.cur != nullptr) ms.cur = ms.ops + ms.idx;
-      // A PDES fusion park inside the op means this shard's phase fused
-      // mid-region: cross-shard effects may now be pending, so the memo is
-      // no longer trustworthy at all.
-      if (ms.gate_parked) memo_engine_->diverge(ms, /*kill_memo=*/true);
-      return;
-    }
-    // Key mismatch (or the sentinel): this iteration stopped following the
-    // trace.  The sums applied so far are exact; fall through to the full
-    // pipeline for this op and the rest of the region.
-    memo_engine_->diverge(ms, /*kill_memo=*/false);
-  }
-  conductor_.quantum_yield();
-  poll_faults(me);
-  const bool rec = ms.phase == memo::Phase::kRecord && ms.rec_valid;
-  if (rec) ms.scratch.clear();
-  const sim::Time before = me.clock();
-  me.set_clock(
-      machine_.access_block(me.cpu(), va, bytes, is_write, me.clock()));
-  if (rec) memo::record_op(ms, kind, va, bytes, me.clock() - before);
-  if (sync_observer_ != nullptr) {
-    sync_observer_->on_data_access(me.tid(), me.cpu(), va, bytes, is_write);
-  }
-}
-
-void Runtime::memo_work_op(SThread& me, memo::ThreadState& ms, double n,
-                           bool is_flops) {
-  const memo::OpKind kind =
-      is_flops ? memo::OpKind::kFlops : memo::OpKind::kOps;
-  const std::uint64_t key1 = std::bit_cast<std::uint64_t>(n);
-  if (ms.phase == memo::Phase::kReplay) {
-    if (ms.cur != nullptr) {
-      ms.idx = static_cast<std::uint32_t>(ms.cur - ms.ops);
-    }
-    const memo::TraceOp& op = ms.ops[ms.idx];
-    const bool match = op.key1 == key1 && op.key2 == memo::op_key2(kind, 0);
-    if (match) {  // verify: recompute the charge and assert it.
-      conductor_.quantum_yield_at(me);
-      poll_faults(me);
-      const sim::Time dt =
-          is_flops ? sim::cycles(machine_.cost().flop_cycles(n))
-                   : sim::cycles(machine_.cost().intop_cycles(n));
-      if (dt != op.delta) {
-        throw memo::VerifyError(
-            "spp::memo verify: work op re-charged a different delta");
-      }
-      me.advance(dt);
-      auto& c = machine_.perf().cpu[me.cpu()];
-      if (is_flops) c.flops += n;
-      c.compute += dt;
-      ++ms.idx;
-      return;
-    }
-    memo_engine_->diverge(ms, /*kill_memo=*/false);
-  }
-  conductor_.quantum_yield();
-  poll_faults(me);
-  const sim::Time dt = is_flops
-                           ? sim::cycles(machine_.cost().flop_cycles(n))
-                           : sim::cycles(machine_.cost().intop_cycles(n));
-  me.advance(dt);
-  auto& c = machine_.perf().cpu[me.cpu()];
-  if (is_flops) c.flops += n;
-  c.compute += dt;
-  if (ms.phase == memo::Phase::kRecord && ms.rec_valid) {
-    memo::record_op(ms, kind, key1, 0, dt);
   }
 }
 
@@ -362,9 +188,6 @@ std::vector<SThread*> Runtime::spawn_group(
     kids.push_back(conductor_.spawn(
         [st, body, i, n, cond, this] {
           body(i, n);
-          // Close any memo region the child left open and detach its state
-          // before the completion bookkeeping below.
-          memo_thread_end();
           // PDES: a cross-node group's shared completion record (and the
           // possible wake of a joiner on another shard) serializes at the
           // fusion rendezvous.

@@ -15,7 +15,6 @@
 //   // runtime.elapsed() is the simulated time of the whole program.
 #pragma once
 
-#include <bit>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -26,10 +25,14 @@
 #include "spp/arch/machine.h"
 #include "spp/arch/topology.h"
 #include "spp/arch/vmem.h"
-#include "spp/memo/memo.h"
 #include "spp/rt/conductor.h"
 #include "spp/rt/observer.h"
 #include "spp/sim/time.h"
+
+// perfbench/ still reads this enum through Runtime::memo_mode().
+namespace spp::memo {
+enum class Mode : std::uint8_t { kOff, kOn, kVerify };
+}  // namespace spp::memo
 
 namespace spp::rt {
 
@@ -121,78 +124,20 @@ class Runtime {
   sim::Time now() const { return Conductor::self().clock(); }
   unsigned cpu() const { return Conductor::self().cpu(); }
 
-  // The four charged-op entry points are defined here so the memo replay
-  // fast path inlines into application call sites: for a fast-forwarded op
-  // the whole charge is a key compare, the quantum-yield check, and a clock
-  // advance -- no function call at all.  Everything else (full pipeline,
-  // recording, holes, verify, divergence) stays out of line.
-
   /// Charges `n` floating point operations of compute work.
-  void work_flops(double n) {
-    SThread& me = Conductor::self();
-    if (memo::ThreadState* ms = me.memo_state()) {
-      if (memo_fast_op(me, *ms, std::bit_cast<std::uint64_t>(n),
-                       memo::op_key2(memo::OpKind::kFlops, 0))) {
-        return;
-      }
-      memo_work_op(me, *ms, n, /*is_flops=*/true);
-      return;
-    }
-    work_flops_full(me, n);
-  }
+  void work_flops(double n);
   /// Charges `n` integer/bookkeeping operations.
-  void work_ops(double n) {
-    SThread& me = Conductor::self();
-    if (memo::ThreadState* ms = me.memo_state()) {
-      if (memo_fast_op(me, *ms, std::bit_cast<std::uint64_t>(n),
-                       memo::op_key2(memo::OpKind::kOps, 0))) {
-        return;
-      }
-      memo_work_op(me, *ms, n, /*is_flops=*/false);
-      return;
-    }
-    work_ops_full(me, n);
-  }
+  void work_ops(double n);
   /// Advances local time by `ns` (fixed software delays).
   void delay(sim::Time ns) { Conductor::self().advance(ns); }
 
   /// Charged cached memory access at `va` covering `bytes`.
   void read(arch::VAddr va, std::uint64_t bytes = 8) {
-    SThread& me = Conductor::self();
-    if (memo::ThreadState* ms = me.memo_state()) {
-      if (memo_fast_op(me, *ms, va,
-                       memo::op_key2(memo::OpKind::kRead, bytes))) {
-        return;
-      }
-      memo_mem_op(me, *ms, va, bytes, /*is_write=*/false);
-      return;
-    }
-    mem_full(me, va, bytes, /*is_write=*/false);
+    mem(va, bytes, /*is_write=*/false);
   }
   void write(arch::VAddr va, std::uint64_t bytes = 8) {
-    SThread& me = Conductor::self();
-    if (memo::ThreadState* ms = me.memo_state()) {
-      if (memo_fast_op(me, *ms, va,
-                       memo::op_key2(memo::OpKind::kWrite, bytes))) {
-        return;
-      }
-      memo_mem_op(me, *ms, va, bytes, /*is_write=*/true);
-      return;
-    }
-    mem_full(me, va, bytes, /*is_write=*/true);
+    mem(va, bytes, /*is_write=*/true);
   }
-
-  /// Back-edge mark for trace memoization (spp::memo; docs/PERFORMANCE.md
-  /// "Trace memoization").  Apps place one at the top of each inner-loop
-  /// iteration: `region` names the loop construct (any stable constant) and
-  /// the mark closes the previous iteration's region and opens the next, so
-  /// the memo engine can learn and fast-forward coherence-quiet iterations.
-  /// A no-op (beyond one pointer test) when memoization is off or currently
-  /// ineligible (fault hook, observer, checker, or test mutation armed).
-  void memo_mark(std::uint32_t region);
-  /// Closes the calling thread's open memo region without opening another
-  /// (call after the marked loop so epilogue ops never record or replay).
-  void memo_close();
 
   /// Allocates simulated memory (no host storage; see GlobalArray for typed
   /// storage-backed allocation).
@@ -222,19 +167,14 @@ class Runtime {
   /// Blocks until an async group has finished and charges reap costs.
   void join(AsyncGroup& group);
 
-  /// Overrides the SPP_MEMO-derived memoization mode (used by sppsim-bench
-  /// for the memo-on variants and by tests).  Must be called outside run():
-  /// it rebuilds the memo engine, invalidating every learned trace.
-  void set_memo_mode(memo::Mode mode);
-  memo::Mode memo_mode() const { return memo_mode_; }
-  memo::Engine* memo_engine() const { return memo_engine_.get(); }
+  /// Always kOff; perfbench/ still reads it.
+  memo::Mode memo_mode() const { return memo::Mode::kOff; }
 
   /// Installs (or clears, with nullptr) the fault hook.  The hook must
   /// outlive every run() that executes under it.
   void set_fault_hook(FaultHook* hook) {
     fault_hook_ = hook;
     update_serial_override();
-    memo_hooks_changed();
   }
   FaultHook* fault_hook() const { return fault_hook_; }
 
@@ -245,7 +185,6 @@ class Runtime {
   void set_sync_observer(SyncObserver* obs) {
     sync_observer_ = obs;
     update_serial_override();
-    memo_hooks_changed();
   }
   SyncObserver* sync_observer() const { return sync_observer_; }
 
@@ -255,7 +194,6 @@ class Runtime {
   void set_fail_stop_policy(FailStopPolicy* p) {
     fail_stop_policy_ = p;
     update_serial_override();
-    memo_hooks_changed();
   }
   FailStopPolicy* fail_stop_policy() const { return fail_stop_policy_; }
 
@@ -274,47 +212,8 @@ class Runtime {
   /// Deterministic surviving CPU for a thread found on failed `cpu`.
   unsigned surviving_cpu(unsigned cpu) const;
 
-  /// True when charged ops may record or replay: memoization is on and no
-  /// hook/observer/mutation that must see every access is armed.
-  bool memo_eligible() const;
-  /// Installing or clearing any rt hook is a memo global disturb (a hook
-  /// must observe every op from its first moment, so no replay may
-  /// fast-forward past it).
-  void memo_hooks_changed();
-  /// Closes the calling thread's memo region and detaches its state
-  /// (thread teardown in spawn_group / run).
-  void memo_thread_end();
-  /// The charged-op bodies for a thread carrying memo state: replay
-  /// fast-forward, hole/verify execution, divergence, or full path plus
-  /// recording, depending on the thread's phase.
-  void memo_mem_op(SThread& me, memo::ThreadState& ms, arch::VAddr va,
-                   std::uint64_t bytes, bool is_write);
-  void memo_work_op(SThread& me, memo::ThreadState& ms, double n,
-                    bool is_flops);
-  /// The full (non-memo) charged-op bodies.
-  void mem_full(SThread& me, arch::VAddr va, std::uint64_t bytes,
-                bool is_write);
-  void work_flops_full(SThread& me, double n);
-  void work_ops_full(SThread& me, double n);
-
-  /// Replay fast path for a charged op: true if the op matched the trace
-  /// and was fast-forwarded.  `ms.cur` is non-null exactly while a
-  /// non-verify replay is live, and a hole's key2 carries kHoleKeyBit, so
-  /// the two key compares are the *entire* eligibility check; counters are
-  /// not touched per op (the engine folds them from the trace at the next
-  /// slow-path boundary).  On false (hole, verify, mismatch, not replaying)
-  /// the out-of-line slow path re-derives the index from the cursor and
-  /// takes over.  A fault poll is not needed here -- arming a fault hook is
-  /// a global disturb, so no memo can be live under one.
-  bool memo_fast_op(SThread& me, memo::ThreadState& ms, std::uint64_t key1,
-                    std::uint64_t key2) {
-    const memo::TraceOp* op = ms.cur;
-    if (op == nullptr || op->key1 != key1 || op->key2 != key2) return false;
-    conductor_.quantum_yield_at(me);
-    me.advance(op->delta);
-    ms.cur = op + 1;
-    return true;
-  }
+  /// The charged cached-access body shared by read() and write().
+  void mem(arch::VAddr va, std::uint64_t bytes, bool is_write);
 
   arch::Machine machine_;
   Conductor conductor_;
@@ -323,8 +222,6 @@ class Runtime {
   FaultHook* fault_hook_ = nullptr;
   SyncObserver* sync_observer_ = nullptr;
   FailStopPolicy* fail_stop_policy_ = nullptr;
-  std::unique_ptr<memo::Engine> memo_engine_;
-  memo::Mode memo_mode_{};  ///< zero-initialized == Mode::kOff.
 
   static Runtime* active_;
 

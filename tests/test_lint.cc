@@ -66,7 +66,6 @@ TEST(Lint, SelfTestFlagsEveryFixture) {
   EXPECT_NE(r.out.find("arch_mutation.cc"), std::string::npos) << r.out;
   EXPECT_NE(r.out.find("digest_iter.cc"), std::string::npos) << r.out;
   EXPECT_NE(r.out.find("cross_shard.cc"), std::string::npos) << r.out;
-  EXPECT_NE(r.out.find("memo_mutation.cc"), std::string::npos) << r.out;
 }
 
 TEST(Lint, TreeIsClean) {

@@ -2,7 +2,8 @@
 // the FlatMap backing the home directory, the fiber conductor backend's
 // bit-exactness against the OS-thread backend, and the pvm message buffer
 // pre-sizing.  None of these may change simulated time or counters; the
-// digest comparisons here are the oracle that they do not.
+// digest comparisons here are the oracle that they do not.  The oracle
+// itself, PerfCounters::digest, is pinned to a constant below.
 #include <algorithm>
 #include <cstdint>
 #include <unordered_map>
@@ -209,6 +210,119 @@ TEST(Conductor, RepeatRunsDigestIdentically) {
   const RunDigest b = sync_micro(rt::default_conductor_backend());
   EXPECT_EQ(a.elapsed, b.elapsed);
   EXPECT_EQ(a.digest, b.digest);
+}
+
+// ---------------------------------------------------------------------------
+// PerfCounters::digest pinned
+// ---------------------------------------------------------------------------
+// Every committed bench baseline and durable epoch rests on this function's
+// exact field order.  The fault, ckpt and check counters are zero in every
+// bench, so only this pin covers their place in it.
+
+/// A 2-CPU PerfCounters with a distinct value in every field, digest-
+/// excluded ones included.
+arch::PerfCounters populated_counters() {
+  arch::PerfCounters p(2);
+  std::uint64_t k = 0;
+  const auto next = [&k] { return ++k * 0x9E3779B97F4A7C15ull; };
+  for (arch::CpuCounters& c : p.cpu) {
+    c.loads = next();
+    c.stores = next();
+    c.l1_hits = next();
+    c.upgrades = next();
+    c.miss_fu_local = next();
+    c.miss_node = next();
+    c.miss_gcache = next();
+    c.miss_remote = next();
+    c.writebacks = next();
+    c.uncached_ops = next();
+    c.atomic_ops = next();
+    c.invals_received = next();
+    c.mem_stall = next();
+    c.compute = next();
+    c.flops = static_cast<double>(next() >> 11);
+    c.memo_hits = next();
+    c.memo_misses = next();
+    c.memo_invalidations = next();
+  }
+  p.ring_packets = next();
+  p.sci_purges = next();
+  p.sci_purge_targets = next();
+  p.invals_sent = next();
+  p.gcache_evictions = next();
+  p.l1_evictions = next();
+  p.faults_injected = next();
+  p.pvm_msgs_dropped = next();
+  p.pvm_msgs_duplicated = next();
+  p.pvm_msgs_delayed = next();
+  p.pvm_retries = next();
+  p.pvm_retransmitted_bytes = next();
+  p.ring_reroutes = next();
+  p.ring_reroute_hops = next();
+  p.cpu_recoveries = next();
+  p.recovery_ns = next();
+  p.checkpoints_taken = next();
+  p.ckpt_bytes = next();
+  p.rollbacks = next();
+  p.tasks_failed = next();
+  p.task_notifications = next();
+  p.ckpt_ns = next();
+  p.rollback_ns = next();
+  p.check_events = next();
+  p.check_violations = next();
+  p.races_detected = next();
+  p.deadlock_cycles = next();
+  p.deadlock_reports = next();
+  p.io_faults_injected = next();
+  p.io_transient_errors = next();
+  p.io_permanent_errors = next();
+  p.io_retries = next();
+  p.io_commit_failures = next();
+  p.io_degradations = next();
+  p.io_memory_only_epochs = next();
+  p.io_epochs_skipped = next();
+  return p;
+}
+
+constexpr sim::Time kPinElapsed = 123456789;
+
+TEST(PerfDigest, PinnedForFullyPopulatedCounters) {
+  EXPECT_EQ(populated_counters().digest(kPinElapsed), 0xfabcdbea8a416025ull);
+}
+
+TEST(PerfDigest, IgnoresFlopsMemoAndIoCounters) {
+  const arch::PerfCounters base = populated_counters();
+  const std::uint64_t want = base.digest(kPinElapsed);
+  for (unsigned cpu = 0; cpu < base.cpu.size(); ++cpu) {
+    arch::PerfCounters p = base;
+    p.cpu[cpu].flops *= 3;
+    EXPECT_EQ(p.digest(kPinElapsed), want) << "flops, cpu " << cpu;
+    for (std::uint64_t arch::CpuCounters::*f :
+         {&arch::CpuCounters::memo_hits, &arch::CpuCounters::memo_misses,
+          &arch::CpuCounters::memo_invalidations}) {
+      p = base;
+      p.cpu[cpu].*f += 1;
+      EXPECT_EQ(p.digest(kPinElapsed), want) << "memo_* counter, cpu " << cpu;
+    }
+  }
+  unsigned i = 0;
+  for (std::uint64_t arch::PerfCounters::*f :
+       {&arch::PerfCounters::io_faults_injected,
+        &arch::PerfCounters::io_transient_errors,
+        &arch::PerfCounters::io_permanent_errors,
+        &arch::PerfCounters::io_retries,
+        &arch::PerfCounters::io_commit_failures,
+        &arch::PerfCounters::io_degradations,
+        &arch::PerfCounters::io_memory_only_epochs,
+        &arch::PerfCounters::io_epochs_skipped}) {
+    arch::PerfCounters p = base;
+    p.*f += 1;
+    EXPECT_EQ(p.digest(kPinElapsed), want) << "io counter #" << i++;
+  }
+  // Control: a digested counter does move it.
+  arch::PerfCounters p = base;
+  p.cpu[1].compute += 1;
+  EXPECT_NE(p.digest(kPinElapsed), want);
 }
 
 // ---------------------------------------------------------------------------

@@ -562,54 +562,6 @@ void check_cross_shard(const SourceFile& f, Result& res) {
 }
 
 // ---------------------------------------------------------------------------
-// memo-no-uncharged-mutation
-// ---------------------------------------------------------------------------
-
-void check_memo_mutation(const SourceFile& f, Result& res) {
-  static const char kCheck[] = "memo-no-uncharged-mutation";
-  // Replay's correctness argument (docs/PERFORMANCE.md "Trace memoization")
-  // is that fast-forwarding a memo has exactly one effect on the machine:
-  // the recorded PerfCounters delta applied through the bulk-apply surface.
-  // If the memo engine could reach any other Machine mutator, a replay
-  // could change coherence state without charging it to the trace, and the
-  // digest-equivalence guarantee memoization rests on would be silently
-  // broken.  So src/spp/memo/ is held to an allowlist: the bulk-apply and
-  // scratch/sink attach points plus const topology/cache/invariant queries.
-  if (!starts_with(f.path, "src/spp/memo/")) return;
-
-  static const std::set<std::string> kSanctioned = {
-      // Bulk-apply surface: the only way a replay touches machine state.
-      "apply_memo_delta",
-      // Engine attach points (recording taps and lifecycle).
-      "set_memo_sink", "set_memo_scratch",
-      // Const queries: no coherence transitions, nothing charged.
-      "topo", "cost", "l1", "check_line_invariants_line"};
-
-  const auto& t = f.toks;
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    if (!is_machine_receiver(t, i)) continue;
-    std::vector<std::pair<std::string, int>> members;
-    std::size_t end = walk_chain(t, i, members);
-    if (!members.empty()) {
-      // Judge the first member: it decides which Machine surface the chain
-      // enters (later members act on what that surface returned).
-      const auto& [name, line] = members.front();
-      if (kSanctioned.count(name) == 0) {
-        emit(res, f, kCheck, line,
-             "'" + name + "' reaches arch::Machine from src/spp/memo/; the "
-             "memo engine may only touch the machine through the sanctioned "
-             "bulk-apply surface (apply_memo_delta, set_memo_sink / "
-             "set_memo_scratch, const topo/cost/l1/"
-             "check_line_invariants_line queries) -- anything else could "
-             "mutate coherence state without charging it to a replayed "
-             "trace");
-      }
-    }
-    i = end - 1;
-  }
-}
-
-// ---------------------------------------------------------------------------
 // digest-iter-determinism
 // ---------------------------------------------------------------------------
 
@@ -861,7 +813,6 @@ Result run_checks(const std::vector<SourceFile>& files) {
     check_posix_io(f, res);
     check_arch_mutation(f, res);
     check_cross_shard(f, res);
-    check_memo_mutation(f, res);
   }
   check_digest_iter(files, res);
 

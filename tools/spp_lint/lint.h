@@ -1,6 +1,6 @@
 // spp-lint check engine (docs/STATIC_ANALYSIS.md).
 //
-// Seven project-specific checks over the token streams lexer.h produces:
+// Six project-specific checks over the token streams lexer.h produces:
 //
 //   sim-no-wallclock        no wall-clock or entropy sources in simulated
 //                           code (allowlist: rt::Watchdog, ckpt::Disk,
@@ -28,13 +28,6 @@
 //                           cross-shard effects route through the
 //                           conductor's per-shard event queues via
 //                           arch::CrossGate
-//   memo-no-uncharged-mutation
-//                           src/spp/memo/ may not mutate arch::Machine
-//                           except through the sanctioned bulk-apply
-//                           surface (Machine::apply_memo_delta plus the
-//                           set_memo_sink / set_memo_scratch attach points
-//                           and const queries); a replay must never change
-//                           coherence state it did not charge to the trace
 //
 // Suppression: a `// spp-lint: allow(<check>): reason` comment on the same
 // line or the line above a finding silences it; fixtures under
@@ -76,7 +69,7 @@ struct Result {
   std::vector<MutationSite> sites;
 };
 
-/// Runs all seven checks over `files` (one entry per analyzed file; the
+/// Runs all six checks over `files` (one entry per analyzed file; the
 /// digest-iter-determinism call graph spans all of them).
 Result run_checks(const std::vector<SourceFile>& files);
 

@@ -17,7 +17,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -31,7 +30,6 @@
 #include "spp/apps/nbody/nbody.h"
 #include "spp/apps/ppm/ppm.h"
 #include "spp/ckpt/durable.h"
-#include "spp/memo/memo.h"
 #include "spp/lib/psort.h"
 #include "spp/lib/scatter_add.h"
 #include "spp/rt/conductor.h"
@@ -157,18 +155,9 @@ Measurement bench_pdes_scheduling(rt::ConductorBackend be, bool smoke) {
   return seal(runtime);
 }
 
-// The ppm/fem pairs are the trace-memoization acceptance workloads
-// (docs/PERFORMANCE.md, "Trace memoization"): the same app run with
-// memoization forced off and forced on.  Their digests MUST be identical --
-// the memo engine only fast-forwards charges it proved it can reproduce
-// bit-exactly -- and main() cross-checks each <name>_memo bench against its
-// <name> base in addition to the per-bench baselines.  Wall-clock ratio
-// ppm/ppm_memo is the speedup the memo engine buys.
-
-Measurement run_ppm(rt::ConductorBackend be, bool smoke, memo::Mode mm) {
+Measurement bench_ppm(rt::ConductorBackend be, bool smoke) {
   rt::Runtime runtime(arch::Topology{.nodes = 2}, arch::CostModel{}, be);
   apply_shards(runtime);
-  runtime.set_memo_mode(mm);
   ppm::PpmConfig cfg;
   cfg.nx = smoke ? 48 : 96;
   cfg.ny = smoke ? 48 : 96;
@@ -181,18 +170,9 @@ Measurement run_ppm(rt::ConductorBackend be, bool smoke, memo::Mode mm) {
   return seal(runtime);
 }
 
-Measurement bench_ppm(rt::ConductorBackend be, bool smoke) {
-  return run_ppm(be, smoke, memo::Mode::kOff);
-}
-
-Measurement bench_ppm_memo(rt::ConductorBackend be, bool smoke) {
-  return run_ppm(be, smoke, memo::Mode::kOn);
-}
-
-Measurement run_fem(rt::ConductorBackend be, bool smoke, memo::Mode mm) {
+Measurement bench_fem(rt::ConductorBackend be, bool smoke) {
   rt::Runtime runtime(arch::Topology{.nodes = 2}, arch::CostModel{}, be);
   apply_shards(runtime);
-  runtime.set_memo_mode(mm);
   fem::FemConfig cfg;
   cfg.nx = smoke ? 32 : 64;
   cfg.ny = smoke ? 24 : 48;
@@ -201,137 +181,6 @@ Measurement run_fem(rt::ConductorBackend be, bool smoke, memo::Mode mm) {
   app.init_blast(2.0, 3.0);
   runtime.run([&] { (void)app.run(); });
   return seal(runtime);
-}
-
-Measurement bench_fem(rt::ConductorBackend be, bool smoke) {
-  return run_fem(be, smoke, memo::Mode::kOff);
-}
-
-Measurement bench_fem_memo(rt::ConductorBackend be, bool smoke) {
-  return run_fem(be, smoke, memo::Mode::kOn);
-}
-
-// The *_inner benches isolate the apps' inner-loop CHARGE streams: the same
-// arrays, strides, op sizes, and flop charges the PPM sweep and FEM
-// element/point/copy loops issue, with the physics arithmetic factored out.
-// They measure the simulator-overhead wall clock -- the quantity trace
-// memoization fast-forwards -- so their memo-on/off ratio is the engine's
-// headline speedup (the whole-app ppm/fem pairs above bound it from below,
-// since live physics runs at native speed in both modes).
-
-Measurement run_ppm_inner(rt::ConductorBackend be, bool smoke, memo::Mode mm) {
-  rt::Runtime runtime(arch::Topology{.nodes = 1}, arch::CostModel{}, be);
-  apply_shards(runtime);
-  runtime.set_memo_mode(mm);
-  // Per-thread private tile, 4 field planes of h x w zones, swept row-bulk
-  // like PpmTiled::sweep_x: one bulk read + one bulk write + one flop
-  // charge per row per field.
-  const unsigned nthreads = 4;
-  const std::size_t w = 64;
-  const std::size_t h = smoke ? 32 : 64;
-  // Long enough that the two recording passes plus promotion amortize: the
-  // memo-on/off ratio approaches the steady-state per-iteration ratio.
-  const unsigned steps = smoke ? 128 : 512;
-  const std::size_t plane = h * w;
-  rt::GlobalArray<double> tile(runtime, nthreads * 4 * plane,
-                               arch::MemClass::kFarShared, "bench.ppm_inner");
-  runtime.run([&] {
-    runtime.parallel(nthreads, rt::Placement::kHighLocality,
-                     [&](unsigned tid, unsigned) {
-                       const std::size_t base = tid * 4 * plane;
-                       for (unsigned s = 0; s < steps; ++s) {
-                         runtime.memo_mark(0x01000000);
-                         for (unsigned f = 0; f < 4; ++f) {
-                           for (std::size_t j = 0; j < h; ++j) {
-                             const std::size_t row = base + f * plane + j * w;
-                             runtime.read(tile.vaddr(row), w * sizeof(double));
-                             runtime.write(tile.vaddr(row), w * sizeof(double));
-                           }
-                           runtime.work_flops(1400.0 *
-                                              static_cast<double>(plane));
-                         }
-                         runtime.memo_close();
-                       }
-                     });
-  });
-  return seal(runtime);
-}
-
-Measurement bench_ppm_inner(rt::ConductorBackend be, bool smoke) {
-  return run_ppm_inner(be, smoke, memo::Mode::kOff);
-}
-
-Measurement bench_ppm_inner_memo(rt::ConductorBackend be, bool smoke) {
-  return run_ppm_inner(be, smoke, memo::Mode::kOn);
-}
-
-Measurement run_fem_inner(rt::ConductorBackend be, bool smoke, memo::Mode mm) {
-  rt::Runtime runtime(arch::Topology{.nodes = 1}, arch::CostModel{}, be);
-  apply_shards(runtime);
-  runtime.set_memo_mode(mm);
-  // FemGas's three inner loops over a fixed synthetic mesh: per-element
-  // vertex gathers (small strided reads through a connectivity array),
-  // per-point read-modify-write updates, and the bulk state copy
-  // (touch_range over the whole slice).
-  const unsigned nthreads = 4;
-  const std::size_t pts_per = smoke ? 1024 : 2048;
-  const std::size_t npts = nthreads * pts_per;
-  const unsigned steps = smoke ? 48 : 96;
-  rt::GlobalArray<double> u(runtime, 4 * npts, arch::MemClass::kFarShared,
-                            "bench.fem_inner.u");
-  rt::GlobalArray<double> uold(runtime, 4 * npts, arch::MemClass::kFarShared,
-                               "bench.fem_inner.uold");
-  rt::GlobalArray<std::int32_t> conn(runtime, 3 * npts,
-                                     arch::MemClass::kFarShared,
-                                     "bench.fem_inner.conn");
-  for (std::size_t e = 0; e < npts; ++e) {
-    conn.raw(3 * e + 0) = static_cast<std::int32_t>(e);
-    conn.raw(3 * e + 1) = static_cast<std::int32_t>((e + 1) % npts);
-    conn.raw(3 * e + 2) = static_cast<std::int32_t>((e + 64) % npts);
-  }
-  runtime.run([&] {
-    runtime.parallel(nthreads, rt::Placement::kHighLocality,
-                     [&](unsigned tid, unsigned) {
-                       const std::size_t pb = tid * pts_per;
-                       const std::size_t pe = pb + pts_per;
-                       for (unsigned s = 0; s < steps; ++s) {
-                         runtime.memo_mark(0x01000000);
-                         // copy_state: bulk read of u, bulk write of uold.
-                         u.touch_range(4 * pb, 4 * pts_per, false);
-                         uold.touch_range(4 * pb, 4 * pts_per, true);
-                         // element phase: connectivity + vertex gathers.
-                         for (std::size_t e = pb; e < pe; ++e) {
-                           for (int v = 0; v < 3; ++v) {
-                             const auto p = static_cast<std::size_t>(
-                                 conn.read(3 * e + v));
-                             for (int c = 0; c < 4; ++c) {
-                               runtime.read(uold.vaddr(4 * p + c),
-                                            sizeof(double));
-                             }
-                           }
-                           runtime.work_flops(220.0);
-                         }
-                         // point phase: read-modify-write of own points.
-                         for (std::size_t p = pb; p < pe; ++p) {
-                           for (int c = 0; c < 4; ++c) {
-                             runtime.read(u.vaddr(4 * p + c), sizeof(double));
-                             runtime.write(u.vaddr(4 * p + c), sizeof(double));
-                           }
-                           runtime.work_flops(9.0);
-                         }
-                         runtime.memo_close();
-                       }
-                     });
-  });
-  return seal(runtime);
-}
-
-Measurement bench_fem_inner(rt::ConductorBackend be, bool smoke) {
-  return run_fem_inner(be, smoke, memo::Mode::kOff);
-}
-
-Measurement bench_fem_inner_memo(rt::ConductorBackend be, bool smoke) {
-  return run_fem_inner(be, smoke, memo::Mode::kOn);
 }
 
 Measurement bench_pdes_nbody(rt::ConductorBackend be, bool smoke) {
@@ -356,26 +205,10 @@ constexpr BenchDef kBenches[] = {
     {"scatter", bench_scatter},
     {"nbody", bench_nbody},
     {"ppm", bench_ppm},
-    {"ppm_memo", bench_ppm_memo},
     {"fem", bench_fem},
-    {"fem_memo", bench_fem_memo},
-    {"ppm_inner", bench_ppm_inner},
-    {"ppm_inner_memo", bench_ppm_inner_memo},
-    {"fem_inner", bench_fem_inner},
-    {"fem_inner_memo", bench_fem_inner_memo},
     {"pdes_scheduling", bench_pdes_scheduling},
     {"pdes_nbody", bench_pdes_nbody},
 };
-
-/// "<base>_memo" -> "<base>", or "" when `name` is not a memo variant.
-std::string memo_base_of(const std::string& name) {
-  const std::string suffix = "_memo";
-  if (name.size() <= suffix.size() ||
-      name.compare(name.size() - suffix.size(), suffix.size(), suffix) != 0) {
-    return "";
-  }
-  return name.substr(0, name.size() - suffix.size());
-}
 
 // --- harness ---------------------------------------------------------------
 
@@ -542,8 +375,7 @@ int usage() {
       "                    [--ckpt-dir DIR [--ckpt-wall-interval SEC] "
       "[--resume]]\n"
       "\n"
-      "Benches: scheduling psort scatter nbody ppm ppm_memo fem fem_memo\n"
-      "ppm_inner ppm_inner_memo fem_inner fem_inner_memo pdes_scheduling\n"
+      "Benches: scheduling psort scatter nbody ppm fem pdes_scheduling\n"
       "pdes_nbody\n"
       "(default: all).  --backend both runs each bench under every built\n"
       "conductor backend (fibers, threads, pdes) and fails if simulated\n"
@@ -649,10 +481,6 @@ int main(int argc, char** argv) {
   std::printf("%-16s %6s | %12s %18s | per-backend wall ms\n", "bench",
               "mode", "sim_ms", "digest");
   int rc = 0;
-  // Reference-backend results of completed benches, keyed by name, so each
-  // <x>_memo bench can be cross-checked (digest) and ratioed (wall) against
-  // its memo-off base when both were selected.
-  std::map<std::string, RunRecord> done;
   for (const BenchDef& b : kBenches) {
     if (!only.empty()) {
       bool wanted = false;
@@ -696,28 +524,6 @@ int main(int argc, char** argv) {
       }
     }
     std::printf("\n");
-
-    done[b.name] = runs.front();
-    const std::string base = memo_base_of(b.name);
-    if (const auto it = done.find(base); !base.empty() && it != done.end()) {
-      const RunRecord& plain = it->second;
-      if (plain.m.sim_ns != canon.sim_ns || plain.m.digest != canon.digest) {
-        std::fprintf(stderr,
-                     "sppsim-bench: %s MEMO DIVERGENCE from %s: sim_ns "
-                     "%" PRIu64 " vs %" PRIu64 ", digest 0x%016" PRIx64
-                     " vs 0x%016" PRIx64 "\n",
-                     b.name, base.c_str(),
-                     static_cast<std::uint64_t>(canon.sim_ns),
-                     static_cast<std::uint64_t>(plain.m.sim_ns), canon.digest,
-                     plain.m.digest);
-        rc = 1;
-      } else if (runs.front().wall_ns > 0) {
-        std::printf("  %s: digest matches %s; memo speedup %.2fx\n",
-                    b.name, base.c_str(),
-                    static_cast<double>(plain.wall_ns) /
-                        static_cast<double>(runs.front().wall_ns));
-      }
-    }
 
     if (checking) {
       const int c = check_against(check_dir, b.name, smoke, canon);
