@@ -8,11 +8,17 @@
 # recover from a mid-run CPU fail-stop to the fault-free answer, under
 # asan, with the spp::check oracles attached.
 #
+# The sanitized ctest and its smokes run with UBSAN_OPTIONS=halt_on_error=1,
+# so any UBSan report fails the leg (UBSan recovers and carries on by
+# default, which let reports pass unnoticed).
+#
 # A gating bench-smoke leg (--bench-smoke) builds Release with the fiber
 # backend and runs sppsim-bench --smoke under every conductor backend: it
 # fails only on simulated-time or counter-digest divergence between
 # backends or from the committed bench/baselines (docs/PERFORMANCE.md),
-# never on wall-clock numbers.
+# never on wall-clock numbers.  It then runs perfbench's --self-check:
+# smoke workloads untraced and traced, whose digests must agree, plus the
+# replay-exactness check of the MemObserver stream (perfbench/README.md).
 #
 # The sanitized leg also runs a kill-resume smoke (docs/RECOVERY.md):
 # nbody runs with durable on-disk checkpoints (--ckpt-dir), is SIGKILLed
@@ -49,6 +55,7 @@ cd "$(dirname "$0")/.."
 
 JOBS="$(nproc 2>/dev/null || echo 4)"
 MODE="${1:-all}"
+UBSAN_HALT="halt_on_error=1:print_stacktrace=1"
 
 run_suite() {
   local builddir="$1"; shift
@@ -118,12 +125,14 @@ chaos_disk_smoke() {
 
 if [[ "$MODE" == "all" || "$MODE" == "--sanitize-only" ]]; then
   echo "=== tier-1: address,undefined sanitized build ==="
+  export UBSAN_OPTIONS="$UBSAN_HALT"
   run_suite build-asan \
     -DSPP_SANITIZE=address,undefined \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
   survive_smoke build-asan
   kill_resume_smoke build-asan
   chaos_disk_smoke build-asan
+  unset UBSAN_OPTIONS
 fi
 
 if [[ "$MODE" == "--survive-only" ]]; then
@@ -131,9 +140,11 @@ if [[ "$MODE" == "--survive-only" ]]; then
     -DSPP_SANITIZE=address,undefined \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-asan -j "$JOBS" --target sppsim-explore
+  export UBSAN_OPTIONS="$UBSAN_HALT"
   survive_smoke build-asan
   kill_resume_smoke build-asan
   chaos_disk_smoke build-asan
+  unset UBSAN_OPTIONS
 fi
 
 if [[ "$MODE" == "all" || "$MODE" == "--tsan-only" ]]; then
@@ -274,6 +285,8 @@ if [[ "$MODE" == "--bench-smoke" ]]; then
     --out build-bench/bench-out
   build-bench/tools/sppsim-bench --smoke --backend both \
     --check bench/baselines
+  echo "=== bench-smoke: perfbench self-check ==="
+  python3 perfbench/run.py --self-check
 fi
 
 echo "=== tier-1: OK ==="

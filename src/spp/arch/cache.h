@@ -59,6 +59,14 @@ class L1Cache {
     return set < entries_.size() ? entries_[set] : kEmpty;
   }
 
+  /// The entry holding `line`, or nullptr.  Never materialises storage.
+  Entry* find(LineAddr line) {
+    const std::uint64_t set = set_of(line);
+    if (set >= entries_.size()) return nullptr;
+    Entry& e = entries_[set];
+    return e.line == line ? &e : nullptr;
+  }
+
   /// Sets with backing storage so far (<= sets()); flush walks only these.
   std::uint64_t allocated_sets() const { return entries_.size(); }
 

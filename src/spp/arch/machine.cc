@@ -22,7 +22,7 @@ Machine::Machine(Topology topo, CostModel cm)
       rings_(topo, cm),
       l1_(topo.num_cpus(), L1Cache(cm.l1_bytes, topo.num_fus())),
       fus_(topo.num_fus()),
-      mru_(topo.num_cpus()) {
+      tlb_(topo.num_cpus() * kTlbEntries) {
   rings_.set_perf(&perf_);
   for (auto& fu : fus_) fu.banks.resize(cm_.banks_per_fu);
   gcaches_.reserve(topo_.nodes * kNumRings);
@@ -51,7 +51,7 @@ void Machine::power_cycle() {
     fu.ring_if.reset();
     for (sim::Resource& bank : fu.banks) bank.reset();
   }
-  for (TranslateMru& mru : mru_) mru = TranslateMru{};
+  std::fill(tlb_.begin(), tlb_.end(), TlbEntry{});
   rings_.reset_contention();
 }
 
@@ -65,32 +65,16 @@ void Machine::maybe_erase(LineAddr line) {
 // Top-level access paths
 // ---------------------------------------------------------------------------
 
-sim::Time Machine::access(unsigned cpu, VAddr va, bool write, sim::Time now) {
-  // Translation MRU: repeat touches of the same line (the common case in
-  // streaming loops and lock spins) skip the region binary search.
-  TranslateMru& mru = mru_[cpu];
-  const VAddr va_line = va & ~static_cast<VAddr>(kLineBytes - 1);
-  PAddr pa;
-  if (va_line == mru.va_line) {
-    pa = mru.pa_line | (va & (kLineBytes - 1));
-  } else {
-    pa = vm_.translate(va, cpu);
-    // Cache the line only if it maps uniformly (PA linear in VA across the
-    // whole line).  Always true when interleave granularities are line
-    // multiples; a BlockShared region with a ragged block size (tolerated
-    // in release builds) can split a line across blocks, and replaying such
-    // a line from the MRU would diverge from per-access translation.
-    const PAddr pa_base =
-        va == va_line ? pa : vm_.translate(va_line, cpu);
-    if (vm_.translate(va_line + kLineBytes - 1, cpu) ==
-        pa_base + (kLineBytes - 1)) {
-      mru.va_line = va_line;
-      mru.pa_line = pa_base;
-    } else {
-      mru.va_line = ~VAddr{0};
-    }
+PAddr Machine::tlb_fill(unsigned cpu, VAddr va) {
+  bool linear = false;
+  const PAddr pa = vm_.translate_page(va, cpu, &linear);
+  // A page that is not physically linear (a BlockShared block smaller than
+  // a page) is translated afresh on every access.
+  if (linear) {
+    tlb_slot(cpu, va) =
+        TlbEntry{.tag = va | (kPageBytes - 1), .delta = pa - va};
   }
-  return access_at(cpu, va, pa, write, now);
+  return pa;
 }
 
 sim::Time Machine::access_at(unsigned cpu, VAddr va, PAddr pa, bool write,
@@ -128,9 +112,6 @@ sim::Time Machine::access_at(unsigned cpu, VAddr va, PAddr pa, bool write,
     }
   }
 
-  CpuCounters& c = perf_.cpu[cpu];
-  (write ? c.stores : c.loads)++;
-
   const LineState st = l1_[cpu].state_of(line);
 
   // Snapshot checker-visible pre-state before the protocol mutates anything
@@ -145,16 +126,10 @@ sim::Time Machine::access_at(unsigned cpu, VAddr va, PAddr pa, bool write,
     }
   }
 
-  sim::Time done;
-  if (st == LineState::kModified || st == LineState::kExclusive ||
-      (st == LineState::kShared && !write)) {
-    if (write && st == LineState::kExclusive) {
-      // Exclusive-clean: silent upgrade, no coherence transaction.
-      l1_[cpu].install(line, LineState::kModified);
-    }
-    ++c.l1_hits;
-    done = now + sim::cycles(cm_.l1_hit);
-  } else {
+  sim::Time done = now;
+  if (!l1_hit(cpu, line, write, done)) {
+    CpuCounters& c = perf_.cpu[cpu];
+    (write ? c.stores : c.loads)++;
     if (st == LineState::kShared) {
       // Write hit on a Shared line: ownership upgrade, no data transfer.
       ++c.upgrades;
@@ -184,23 +159,10 @@ sim::Time Machine::access_at(unsigned cpu, VAddr va, PAddr pa, bool write,
   return done;
 }
 
-sim::Time Machine::access_block(unsigned cpu, VAddr va, std::uint64_t bytes,
+sim::Time Machine::access_lines(unsigned cpu, VAddr first, VAddr last,
                                 bool write, sim::Time now) {
-  if (bytes == 0) return now;
-  const VAddr first = va & ~(kLineBytes - 1);
-  const VAddr last = (va + bytes - 1) & ~(kLineBytes - 1);
-  if (first == last) return access(cpu, first, write, now);
-  // Translate once per physically contiguous run and walk its lines with
-  // plain pointer arithmetic; equivalent to access() per line base, minus
-  // the per-line translation.
-  VAddr a = first;
-  while (a <= last) {
-    VAddr run_end = 0;
-    PAddr pa = vm_.translate_run(a, cpu, &run_end);
-    const VAddr run_last = std::min(last, run_end - kLineBytes);
-    for (; a <= run_last; a += kLineBytes, pa += kLineBytes) {
-      now = access_at(cpu, a, pa, write, now);
-    }
+  for (VAddr a = first; a <= last; a += kLineBytes) {
+    now = access(cpu, a, write, now);
   }
   return now;
 }

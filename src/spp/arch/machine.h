@@ -59,13 +59,26 @@ class Machine {
   sci::RingFabric& rings() { return rings_; }
 
   /// One cached access from `cpu` at local time `now`; returns completion
-  /// time (>= now + 1 cycle).
-  sim::Time access(unsigned cpu, VAddr va, bool write, sim::Time now);
+  /// time (>= now + 1 cycle).  Inline up to the L1 hit: a hit with no
+  /// observer attached makes no call (docs/PERFORMANCE.md).
+  sim::Time access(unsigned cpu, VAddr va, bool write, sim::Time now) {
+    const PAddr pa = tlb_translate(cpu, va);
+    if (observer_ == nullptr && l1_hit(cpu, line_of(pa), write, now)) {
+      return now;
+    }
+    return access_at(cpu, va, pa, write, now);
+  }
 
   /// Sequential cached access to [va, va+bytes), charged line by line but
   /// with at most one transaction per distinct line.
   sim::Time access_block(unsigned cpu, VAddr va, std::uint64_t bytes,
-                         bool write, sim::Time now);
+                         bool write, sim::Time now) {
+    if (bytes == 0) return now;
+    const VAddr first = va & ~(kLineBytes - 1);
+    const VAddr last = (va + bytes - 1) & ~(kLineBytes - 1);
+    if (first == last) return access(cpu, first, write, now);
+    return access_lines(cpu, first, last, write, now);
+  }
 
   /// Uncached access (semaphore pages bypass the caches; section 4.2).
   sim::Time access_uncached(unsigned cpu, VAddr va, bool write, sim::Time now);
@@ -81,7 +94,7 @@ class Machine {
   void reset_stats() { perf_.reset(); }
 
   /// Resets all cached/contended hardware state to a deterministic cold
-  /// machine -- L1s, gcaches, the home directory, translation MRUs, every
+  /// machine -- L1s, gcaches, the home directory, the page TLBs, every
   /// contended resource, and ring contention counters -- while leaving
   /// counters, allocations, ring health (alive/degraded lanes), and armed
   /// faults untouched.  Used at durable-checkpoint epoch boundaries
@@ -199,10 +212,45 @@ class Machine {
     return gcaches_[node * kNumRings + ring];
   }
 
-  /// The protocol walk shared by access() and access_block(), after address
-  /// translation: `pa` must be the translation of `va` for `cpu`.
+  /// `va` translated for `cpu` through the CPU's page TLB: a hit costs one
+  /// compare and an add, a miss goes to tlb_fill().
+  PAddr tlb_translate(unsigned cpu, VAddr va) {
+    const TlbEntry& e = tlb_slot(cpu, va);
+    if (e.tag == (va | (kPageBytes - 1))) return va + e.delta;
+    return tlb_fill(cpu, va);
+  }
+  /// Translates through VMem and caches the page if it is physically linear.
+  PAddr tlb_fill(unsigned cpu, VAddr va);
+
+  /// The L1-hit rule, the one place it is written: a Modified or Exclusive
+  /// line, or a Shared line read, completes in the L1 (section 2.6).  On a
+  /// hit this charges the access -- loads or stores, l1_hits, the silent
+  /// Exclusive->Modified upgrade of a write -- advances `now` to completion
+  /// and returns true.  Otherwise it changes nothing and returns false.
+  bool l1_hit(unsigned cpu, LineAddr line, bool write, sim::Time& now) {
+    L1Cache::Entry* e = l1_[cpu].find(line);
+    const LineState st = e != nullptr ? e->state : LineState::kInvalid;
+    if (!(st == LineState::kModified || st == LineState::kExclusive ||
+          (st == LineState::kShared && !write))) {
+      return false;
+    }
+    if (write) e->state = LineState::kModified;
+    CpuCounters& c = perf_.cpu[cpu];
+    (write ? c.stores : c.loads)++;
+    ++c.l1_hits;
+    now += sim::cycles(cm_.l1_hit);
+    return true;
+  }
+
+  /// The protocol walk behind access(), after address translation: `pa`
+  /// must be the translation of `va` for `cpu`.  Handles every access the
+  /// inline path does not: misses, upgrades, and all accesses while an
+  /// observer is attached.
   sim::Time access_at(unsigned cpu, VAddr va, PAddr pa, bool write,
                       sim::Time now);
+  /// access_block() over two or more lines: access() per line base.
+  sim::Time access_lines(unsigned cpu, VAddr first, VAddr last, bool write,
+                         sim::Time now);
 
   sim::Time miss_fill(unsigned cpu, PAddr pa, bool write, sim::Time t);
   sim::Time local_fill(unsigned cpu, PAddr pa, bool write, sim::Time t);
@@ -234,15 +282,23 @@ class Machine {
   void invalidate_gcache_backed_l1(unsigned node,
                                    const sci::GCache::Entry& ge);
 
-  /// Last line translated per CPU.  Translations are immutable (the VMem
-  /// bump allocator only appends regions), so replaying the cached physical
-  /// line for a repeat hit is exact -- it skips the region binary search,
-  /// nothing else.  Purely a wall-clock cache: no simulated state or timing
-  /// depends on it (docs/PERFORMANCE.md).
-  struct TranslateMru {
-    VAddr va_line = ~VAddr{0};
-    PAddr pa_line = 0;
+  /// One page-TLB entry.  Translations are immutable (the VMem bump
+  /// allocator only appends regions), so replaying a physically linear page
+  /// is exact -- it skips the region binary search, nothing else.  Purely a
+  /// wall-clock cache: no simulated state or timing depends on it
+  /// (docs/PERFORMANCE.md).
+  struct TlbEntry {
+    /// The page's last byte address, va | (kPageBytes - 1).  Never 0, so an
+    /// all-zero entry is empty.
+    VAddr tag = 0;
+    PAddr delta = 0;  ///< pa - va for every byte of the page.
   };
+  /// Entries per CPU, direct-mapped by virtual page number.  PIC's particle
+  /// arrays sit exactly 64 pages apart, so 64 entries thrash on them.
+  static constexpr unsigned kTlbEntries = 256;
+  TlbEntry& tlb_slot(unsigned cpu, VAddr va) {
+    return tlb_[cpu * kTlbEntries + (page_of(va) & (kTlbEntries - 1))];
+  }
 
   Topology topo_;
   CostModel cm_;
@@ -258,7 +314,9 @@ class Machine {
   /// so parallel PDES phase workers (which only operate on lines homed in
   /// their own shard; everything else gates) never share map internals.
   std::vector<FlatMap<LineAddr, HomeEntry>> directory_;
-  std::vector<TranslateMru> mru_;  ///< per-CPU translation fast path.
+  /// Per-CPU page TLBs (tlb_slot()).  Each CPU only ever touches its own
+  /// 4 KB slice, so PDES phase workers never share an entry.
+  std::vector<TlbEntry> tlb_;
   MemObserver* observer_ = nullptr;
   CrossGate* gate_ = nullptr;  ///< PDES cross-shard gate, when attached.
   /// Per-shard slots for the two counters whose bump sites are not

@@ -85,7 +85,10 @@ const Region& VMem::region_of(VAddr va) const {
 }
 
 PAddr VMem::translate(VAddr va, unsigned cpu) const {
-  const Region& r = region_of(va);
+  return translate_in(region_of(va), va, cpu);
+}
+
+PAddr VMem::translate_in(const Region& r, VAddr va, unsigned cpu) const {
   const std::uint64_t off = va - r.base;
   const unsigned my_node = topo_.node_of_cpu(cpu);
 
@@ -131,35 +134,27 @@ PAddr VMem::translate(VAddr va, unsigned cpu) const {
   throw std::logic_error("VMem: bad memory class");
 }
 
-PAddr VMem::translate_run(VAddr va, unsigned cpu, VAddr* run_end) const {
+PAddr VMem::translate_page(VAddr va, unsigned cpu, bool* linear) const {
   const Region& r = region_of(va);
-  const std::uint64_t off = va - r.base;
-  std::uint64_t gran;
+  std::uint64_t unit;
   switch (r.mem_class) {
     case MemClass::kThreadPrivate:
-      // One instance, physically contiguous: the whole region is one run.
-      gran = r.size;
+      // One instance, physically contiguous: the whole region is one unit.
+      unit = r.size;
       break;
     case MemClass::kBlockShared:
-      gran = r.block_bytes;
+      unit = r.block_bytes;
       break;
     default:
       // Page-interleaved classes change FU at page boundaries.
-      gran = kPageBytes;
+      unit = kPageBytes;
       break;
   }
-  VAddr end = r.base + std::min<std::uint64_t>(r.size, (off / gran + 1) * gran);
-  // A block size that is not a line multiple (tolerated in release builds;
-  // the allocate() assert flags it in debug) yields a run end mid-line.
-  // Floor it: callers iterate whole lines, and a line straddling a block
-  // boundary belongs to the run that translate() of its base picks.  When
-  // flooring would empty the run, degrade to a single line -- that line is
-  // then translated exactly as a per-line walk would.
-  end &= ~static_cast<VAddr>(kLineBytes - 1);
-  const VAddr va_line = va & ~static_cast<VAddr>(kLineBytes - 1);
-  if (end <= va_line) end = va_line + kLineBytes;
-  *run_end = end;
-  return translate(va, cpu);
+  // Regions start on page boundaries, so the page's offset in the region is
+  // its offset in the interleave pattern.
+  const std::uint64_t first = (va - r.base) & ~(kPageBytes - 1);
+  *linear = first / unit == (first + kPageBytes - 1) / unit;
+  return translate_in(r, va, cpu);
 }
 
 bool VMem::shared_between(VAddr va, unsigned cpu_a, unsigned cpu_b) const {

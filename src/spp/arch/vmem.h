@@ -68,14 +68,13 @@ class VMem {
   /// NodePrivate resolve to the accessor's own instance.
   PAddr translate(VAddr va, unsigned cpu) const;
 
-  /// Like translate(), but also reports the end (one past the last byte) of
-  /// the PHYSICALLY CONTIGUOUS run containing `va`: within [va, *run_end)
-  /// the physical address advances linearly with the virtual address, so
-  /// callers streaming a block may translate once per run instead of once
-  /// per line.  Runs end at interleave boundaries (page, block, or region,
-  /// by memory class), floored to a line boundary; the result is always at
-  /// least one line past the line containing `va`.
-  PAddr translate_run(VAddr va, unsigned cpu, VAddr* run_end) const;
+  /// Like translate(), but also reports whether the 4 KB page holding `va`
+  /// is physically linear: every byte of it translates to `va`'s physical
+  /// address plus its distance from `va`, so a page-grain cache may replay
+  /// the page.  Decided from the region's interleave granularity -- the
+  /// region for ThreadPrivate, the block for BlockShared, the page
+  /// otherwise: a page is linear exactly when it sits inside one unit.
+  PAddr translate_page(VAddr va, unsigned cpu, bool* linear) const;
 
   /// Region lookup (asserts the address is mapped).
   const Region& region_of(VAddr va) const;
@@ -88,6 +87,8 @@ class VMem {
   std::uint64_t reserved_bytes_per_fu() const { return fu_bump_; }
 
  private:
+  PAddr translate_in(const Region& r, VAddr va, unsigned cpu) const;
+
   Topology topo_;
   std::vector<Region> regions_;  ///< sorted by base.
   VAddr vbump_ = kPageBytes;     ///< never hand out address 0.

@@ -81,7 +81,9 @@ class Message {
       throw std::out_of_range("pvm: unpack past end of message");
     }
     charge_unpack(bytes);
-    std::memcpy(out, payload_.data() + cursor_, bytes);
+    // An empty payload's data() may be null, and memcpy from null is
+    // undefined even for zero bytes.
+    if (bytes != 0) std::memcpy(out, payload_.data() + cursor_, bytes);
     cursor_ += bytes;
   }
 

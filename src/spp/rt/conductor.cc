@@ -20,7 +20,7 @@
 namespace spp::rt {
 
 namespace detail {
-thread_local SThread* tls_current = nullptr;
+constinit thread_local SThread* tls_current = nullptr;
 }  // namespace detail
 
 namespace {

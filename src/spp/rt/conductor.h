@@ -87,7 +87,11 @@ namespace detail {
 /// The simulated thread the calling OS thread is currently executing
 /// (Conductor::self()).  Exposed here only so self() inlines into the
 /// charged-op fast paths; everything else must go through Conductor.
-extern thread_local SThread* tls_current;
+/// constinit tells every includer the variable needs no dynamic
+/// initialisation, so accesses read the slot directly instead of going
+/// through a TLS wrapper call (whose inlined null check UBSan misreports
+/// as a null load under GCC 12).
+extern constinit thread_local SThread* tls_current;
 }  // namespace detail
 
 /// Which mechanism carries simulated-thread stacks (and, for kPdes, whether

@@ -51,8 +51,7 @@ void Runtime::run(const std::function<void()>& fn) {
   active_ = prev_active_;
 }
 
-void Runtime::poll_faults(SThread& me) {
-  if (fault_hook_ == nullptr) return;
+void Runtime::apply_faults(SThread& me) {
   fault_hook_->poll(me.clock());
   if (!fault_hook_->cpu_failed(me.cpu())) return;
   if (fail_stop_policy_ != nullptr && fail_stop_policy_->kill_current()) {
@@ -78,36 +77,6 @@ unsigned Runtime::surviving_cpu(unsigned cpu) const {
     if (!fault_hook_->cpu_failed(c)) return c;
   }
   throw std::runtime_error("fault: every CPU has fail-stopped");
-}
-
-void Runtime::work_flops(double n) {
-  SThread& me = Conductor::self();
-  conductor_.quantum_yield();
-  poll_faults(me);
-  me.advance(sim::cycles(machine_.cost().flop_cycles(n)));
-  auto& c = machine_.perf().cpu[me.cpu()];
-  c.flops += n;
-  c.compute += sim::cycles(machine_.cost().flop_cycles(n));
-}
-
-void Runtime::work_ops(double n) {
-  SThread& me = Conductor::self();
-  conductor_.quantum_yield();
-  poll_faults(me);
-  const sim::Time dt = sim::cycles(machine_.cost().intop_cycles(n));
-  me.advance(dt);
-  machine_.perf().cpu[me.cpu()].compute += dt;
-}
-
-void Runtime::mem(arch::VAddr va, std::uint64_t bytes, bool is_write) {
-  SThread& me = Conductor::self();
-  conductor_.quantum_yield();
-  poll_faults(me);
-  me.set_clock(
-      machine_.access_block(me.cpu(), va, bytes, is_write, me.clock()));
-  if (sync_observer_ != nullptr) {
-    sync_observer_->on_data_access(me.tid(), me.cpu(), va, bytes, is_write);
-  }
 }
 
 unsigned Runtime::place_cpu(unsigned i, unsigned n, Placement placement) const {

@@ -125,9 +125,25 @@ class Runtime {
   unsigned cpu() const { return Conductor::self().cpu(); }
 
   /// Charges `n` floating point operations of compute work.
-  void work_flops(double n);
+  void work_flops(double n) {
+    SThread& me = Conductor::self();
+    conductor_.quantum_yield();
+    poll_faults(me);
+    const sim::Time dt = sim::cycles(machine_.cost().flop_cycles(n));
+    me.advance(dt);
+    auto& c = machine_.perf().cpu[me.cpu()];
+    c.flops += n;
+    c.compute += dt;
+  }
   /// Charges `n` integer/bookkeeping operations.
-  void work_ops(double n);
+  void work_ops(double n) {
+    SThread& me = Conductor::self();
+    conductor_.quantum_yield();
+    poll_faults(me);
+    const sim::Time dt = sim::cycles(machine_.cost().intop_cycles(n));
+    me.advance(dt);
+    machine_.perf().cpu[me.cpu()].compute += dt;
+  }
   /// Advances local time by `ns` (fixed software delays).
   void delay(sim::Time ns) { Conductor::self().advance(ns); }
 
@@ -207,13 +223,27 @@ class Runtime {
                                    sync_observer_ != nullptr ||
                                    fail_stop_policy_ != nullptr);
   }
-  /// Applies pending faults and migrates the thread off a failed CPU.
-  void poll_faults(SThread& me);
+  /// Applies pending faults and migrates the thread off a failed CPU.  The
+  /// hook test is inline, so a run without one makes no call here.
+  void poll_faults(SThread& me) {
+    if (fault_hook_ != nullptr) apply_faults(me);
+  }
+  void apply_faults(SThread& me);
   /// Deterministic surviving CPU for a thread found on failed `cpu`.
   unsigned surviving_cpu(unsigned cpu) const;
 
-  /// The charged cached-access body shared by read() and write().
-  void mem(arch::VAddr va, std::uint64_t bytes, bool is_write);
+  /// The charged cached-access body shared by read() and write().  Inline
+  /// through Machine::access_block, so an L1 hit makes no call at all.
+  void mem(arch::VAddr va, std::uint64_t bytes, bool is_write) {
+    SThread& me = Conductor::self();
+    conductor_.quantum_yield();
+    poll_faults(me);
+    me.set_clock(
+        machine_.access_block(me.cpu(), va, bytes, is_write, me.clock()));
+    if (sync_observer_ != nullptr) {
+      sync_observer_->on_data_access(me.tid(), me.cpu(), va, bytes, is_write);
+    }
+  }
 
   arch::Machine machine_;
   Conductor conductor_;

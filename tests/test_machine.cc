@@ -1,6 +1,9 @@
 // Protocol-level tests of the Machine: latency hierarchy, coherence state
-// transitions, SWMR invariants, and contention behaviour.
+// transitions, SWMR invariants, contention behaviour, and the page TLB.
 #include <gtest/gtest.h>
+
+#include <stdexcept>
+#include <vector>
 
 #include "spp/arch/machine.h"
 #include "spp/sim/rng.h"
@@ -254,6 +257,136 @@ TEST_P(MachineProperty, RandomTrafficPreservesInvariants) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MachineProperty,
                          ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u, 21u, 34u));
+
+// --- Page TLB ----------------------------------------------------------------
+// access() translates through a per-CPU page TLB that caches a page only when
+// the region's interleave unit covers the whole page.  An attached observer
+// sends every access down the out-of-line path, which still translates
+// through the TLB, so each reported physical address must equal a fresh
+// VMem::translate of the reported virtual address.
+
+class PaRecorder : public MemObserver {
+ public:
+  void on_access(const MemEvent& ev) override { events.push_back(ev); }
+  std::vector<MemEvent> events;
+};
+
+class MachineTlb : public ::testing::Test {
+ protected:
+  explicit MachineTlb(unsigned nodes = 2) : m_(Topology{.nodes = nodes}) {
+    m_.set_observer(&rec_);
+  }
+
+  /// From `cpu`: one access() per line of [va, va+bytes) at a mid-line
+  /// offset, every third a write, then one access_block() over the same
+  /// span shifted by half a line.
+  void sweep(unsigned cpu, VAddr va, std::uint64_t bytes) {
+    for (std::uint64_t off = 0; off < bytes; off += kLineBytes) {
+      t_ = m_.access(cpu, va + off + 8, (off / kLineBytes) % 3 == 0, t_);
+      ++expected_;
+    }
+    t_ = m_.access_block(cpu, va + kLineBytes / 2, bytes - kLineBytes, false,
+                         t_);
+    expected_ += bytes / kLineBytes;
+  }
+
+  void expect_exact_translations() const {
+    ASSERT_EQ(rec_.events.size(), expected_);
+    for (const MemEvent& ev : rec_.events) {
+      ASSERT_EQ(ev.pa, m_.vm().translate(ev.va, ev.cpu))
+          << "cpu " << ev.cpu << " va 0x" << std::hex << ev.va;
+    }
+  }
+
+  Machine m_;
+  PaRecorder rec_;
+  sim::Time t_ = 0;
+  std::size_t expected_ = 0;
+};
+
+class MachineTlbOneNode : public MachineTlb {
+ protected:
+  MachineTlbOneNode() : MachineTlb(1) {}
+};
+
+TEST_F(MachineTlb, ThreadPrivateResolvesPerCpu) {
+  const std::uint64_t bytes = 3 * kPageBytes;
+  const VAddr va = m_.vm().allocate(bytes, MemClass::kThreadPrivate, "tp");
+  for (const unsigned cpu : {0u, 1u, 2u, 9u, 15u, 0u}) sweep(cpu, va, bytes);
+  expect_exact_translations();
+  EXPECT_NE(m_.vm().translate(va, 0), m_.vm().translate(va, 1));
+}
+
+TEST_F(MachineTlb, NodePrivateResolvesPerNode) {
+  const std::uint64_t bytes = 6 * kPageBytes;
+  const VAddr va = m_.vm().allocate(bytes, MemClass::kNodePrivate, "np");
+  for (const unsigned cpu : {0u, 8u, 3u, 12u}) sweep(cpu, va, bytes);
+  expect_exact_translations();
+  EXPECT_NE(m_.vm().translate(va, 0), m_.vm().translate(va, 8));
+}
+
+TEST_F(MachineTlb, NearAndFarSharedPagesInterleave) {
+  const std::uint64_t bytes = 9 * kPageBytes;
+  const VAddr near_va =
+      m_.vm().allocate(bytes, MemClass::kNearShared, "near", /*home_node=*/1);
+  const VAddr far_va = m_.vm().allocate(bytes, MemClass::kFarShared, "far");
+  for (const unsigned cpu : {0u, 8u}) {
+    sweep(cpu, near_va, bytes);
+    sweep(cpu, far_va, bytes);
+  }
+  expect_exact_translations();
+}
+
+TEST_F(MachineTlb, TwoPageBlocksAreLinearPerPage) {
+  const std::uint64_t bytes = 12 * kPageBytes;
+  const VAddr va = m_.vm().allocate(bytes, MemClass::kBlockShared, "blk2p",
+                                    0, 2 * kPageBytes);
+  for (const unsigned cpu : {0u, 8u, 5u}) sweep(cpu, va, bytes);
+  expect_exact_translations();
+}
+
+TEST_F(MachineTlbOneNode, SubPageBlocksAreNeverCached) {
+  // 320-byte blocks deal FUs 0,1,2,3,0,... within one page: bytes 0 and
+  // 4095 of the first page (blocks 0 and 12) both land in FU 0 at linear
+  // offsets, so a fill that compared endpoint translations would cache
+  // the page and misplace blocks 1-11.
+  const std::uint64_t bytes = 4 * kPageBytes;
+  const VAddr va =
+      m_.vm().allocate(bytes, MemClass::kBlockShared, "blk320", 0, 320);
+  const VMem& vm = m_.vm();
+  ASSERT_EQ(vm.translate(va + kPageBytes - 1, 0),
+            vm.translate(va, 0) + kPageBytes - 1);
+  ASSERT_NE(home_fu_of(vm.translate(va + 320, 0)),
+            home_fu_of(vm.translate(va, 0)));
+  for (const unsigned cpu : {0u, 7u}) sweep(cpu, va, bytes);
+  expect_exact_translations();
+}
+
+TEST_F(MachineTlb, ArraysSixtyFourPagesApartAlternate) {
+  const std::uint64_t bytes = 64 * kPageBytes;
+  const VAddr a = m_.vm().allocate(bytes, MemClass::kFarShared, "a");
+  const VAddr b = m_.vm().allocate(bytes, MemClass::kFarShared, "b");
+  ASSERT_EQ(b - a, bytes);
+  for (std::uint64_t off = 0; off < bytes; off += 520) {
+    t_ = m_.access(3, a + off, false, t_);
+    t_ = m_.access(3, b + off, true, t_);
+    expected_ += 2;
+  }
+  expect_exact_translations();
+}
+
+TEST_F(MachineTlb, UnmappedAddressStillThrows) {
+  const VAddr va = m_.vm().allocate(kPageBytes, MemClass::kFarShared, "x");
+  t_ = m_.access(0, va, false, t_);  // caches va's page
+  EXPECT_THROW(m_.access(0, 0, false, t_), std::out_of_range);
+  EXPECT_THROW(m_.access(0, va + kPageBytes, false, t_), std::out_of_range);
+  // Same TLB slot as the cached page, different page.
+  EXPECT_THROW(m_.access(0, va + 256 * kPageBytes, false, t_),
+               std::out_of_range);
+  m_.set_observer(nullptr);
+  EXPECT_THROW(m_.access(0, va + 256 * kPageBytes, false, t_),
+               std::out_of_range);
+}
 
 }  // namespace
 }  // namespace spp::arch

@@ -11,6 +11,10 @@
 
 #include <gtest/gtest.h>
 
+#include "spp/apps/fem/femgas.h"
+#include "spp/apps/nbody/nbody.h"
+#include "spp/apps/pic/pic.h"
+#include "spp/apps/ppm/ppm.h"
 #include "spp/arch/flat_map.h"
 #include "spp/arch/machine.h"
 #include "spp/lib/psort.h"
@@ -172,8 +176,11 @@ RunDigest sync_micro(rt::ConductorBackend be) {
 }
 
 /// Small real application (barriers, shared scratch, streaming memory).
-RunDigest small_app(rt::ConductorBackend be) {
+/// `observer`, when set, is attached to the machine for the whole run.
+RunDigest small_app(rt::ConductorBackend be,
+                    arch::MemObserver* observer = nullptr) {
   rt::Runtime runtime(Topology{.nodes = 2}, arch::CostModel{}, be);
+  runtime.machine().set_observer(observer);
   rt::GlobalArray<double> data(runtime, 2048, arch::MemClass::kFarShared,
                                "sort.bitexact");
   sim::Rng rng(1234);
@@ -201,6 +208,76 @@ TEST(Conductor, FibersVsThreadsBitExact) {
   EXPECT_EQ(app_f.elapsed, app_t.elapsed);
   EXPECT_EQ(app_f.digest, app_t.digest)
       << "psort app: whole-PerfCounters digests must be bit-identical";
+}
+
+// ---------------------------------------------------------------------------
+// Inline L1-hit path vs the out-of-line protocol walk: bit-exact simulation
+// ---------------------------------------------------------------------------
+
+/// Attached, it sends every cached access -- hits included -- through
+/// Machine::access_at instead of the inline hit path.
+class NoopMemObserver : public arch::MemObserver {
+ public:
+  void on_access(const arch::MemEvent&) override {}
+};
+
+/// Runs one of the shared-memory apps at its test size on two hypernodes,
+/// with `observer` attached when it is set.
+template <typename App, typename Config, typename Init>
+RunDigest app_run(arch::MemObserver* observer, const Config& cfg, Init init) {
+  rt::Runtime runtime(Topology{.nodes = 2});
+  runtime.machine().set_observer(observer);
+  App app(runtime, cfg, 8, rt::Placement::kUniform);
+  init(app);
+  runtime.run([&] { (void)app.run(); });
+  return {runtime.elapsed(),
+          runtime.machine().perf().digest(runtime.elapsed())};
+}
+
+TEST(HitPath, InlineMatchesOutOfLineOnRealApps) {
+  NoopMemObserver noop;
+  const auto expect_same = [&](const char* name, const auto& run) {
+    const RunDigest inline_path = run(nullptr);
+    const RunDigest out_of_line = run(&noop);
+    EXPECT_EQ(inline_path.elapsed, out_of_line.elapsed) << name;
+    EXPECT_EQ(inline_path.digest, out_of_line.digest) << name;
+  };
+  const auto no_init = [](auto&) {};
+
+  expect_same("psort", [](arch::MemObserver* obs) {
+    return small_app(rt::default_conductor_backend(), obs);
+  });
+  expect_same("pic", [&](arch::MemObserver* obs) {
+    pic::PicConfig cfg;
+    cfg.nx = cfg.ny = cfg.nz = 8;
+    cfg.steps = 5;
+    cfg.dt = 0.05;
+    return app_run<pic::PicShared>(obs, cfg, no_init);
+  });
+  expect_same("fem", [](arch::MemObserver* obs) {
+    fem::FemConfig cfg;
+    cfg.nx = 24;
+    cfg.ny = 16;
+    cfg.steps = 5;
+    return app_run<fem::FemGas>(
+        obs, cfg, [](fem::FemGas& app) { app.init_blast(2.0, 3.0); });
+  });
+  expect_same("nbody", [&](arch::MemObserver* obs) {
+    nbody::NbodyConfig cfg;
+    cfg.n = 192;
+    cfg.steps = 2;
+    return app_run<nbody::NbodyShared>(obs, cfg, no_init);
+  });
+  expect_same("ppm", [](arch::MemObserver* obs) {
+    ppm::PpmConfig cfg;
+    cfg.nx = 24;
+    cfg.ny = 24;
+    cfg.tiles_x = 4;
+    cfg.tiles_y = 4;
+    cfg.steps = 3;
+    return app_run<ppm::PpmTiled>(
+        obs, cfg, [](ppm::PpmTiled& app) { app.init_blast(3.0, 4.0); });
+  });
 }
 
 TEST(Conductor, RepeatRunsDigestIdentically) {
