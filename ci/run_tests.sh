@@ -13,17 +13,20 @@
 # default, which let reports pass unnoticed).
 #
 # A gating bench-smoke leg (--bench-smoke) builds Release with the fiber
-# backend and runs sppsim-bench --smoke under every conductor backend: it
-# fails only on simulated-time or counter-digest divergence between
-# backends or from the committed bench/baselines (docs/PERFORMANCE.md),
-# never on wall-clock numbers.  It then runs perfbench's --self-check:
-# smoke workloads untraced and traced, whose digests must agree, plus the
-# replay-exactness check of the MemObserver stream (perfbench/README.md).
+# backend and runs sppsim-bench --smoke under both conductor backends
+# (fibers, threads): it fails only on simulated-time or counter-digest
+# divergence between them or from the committed bench/baselines
+# (docs/PERFORMANCE.md), never on wall-clock numbers.  It then runs
+# perfbench's --self-check: smoke workloads untraced and traced, whose
+# digests must agree, plus the replay-exactness check of the MemObserver
+# stream (perfbench/README.md).
 #
 # The sanitized leg also runs a kill-resume smoke (docs/RECOVERY.md):
 # nbody runs with durable on-disk checkpoints (--ckpt-dir), is SIGKILLed
 # mid-run, and a --resume run must reproduce the digest of an
-# uninterrupted run bit-for-bit.
+# uninterrupted run bit-for-bit.  Its default 2-hypernode run goes through
+# the multi-node phase/fusion schedule, so this also covers that
+# schedule's crash/resume.
 #
 # The sanitized leg also runs the disk-chaos smoke (sppsim-explore
 # chaos-disk, docs/RECOVERY.md "Host I/O faults & the degradation
@@ -42,13 +45,7 @@
 # an LLVM toolchain is on PATH, and skips gracefully when it is not (the
 # reference CI image is gcc-only).
 #
-# A gating --pdes-smoke leg runs the whole tier-1 suite under the sharded
-# PDES engine (SPP_CONDUCTOR=pdes, 4 shard workers; docs/PERFORMANCE.md
-# "Sharded PDES backend"), checks that a durable run SIGKILLed at one
-# shard count resumes bit-exact at another, and runs the PDES tests under
-# ThreadSanitizer so the shard queues' memory ordering is machine-checked.
-#
-# Usage: ci/run_tests.sh [--plain-only|--sanitize-only|--tsan-only|--werror-only|--survive-only|--bench-smoke|--lint-only|--analyze-only|--pdes-smoke]
+# Usage: ci/run_tests.sh [--plain-only|--sanitize-only|--tsan-only|--werror-only|--survive-only|--bench-smoke|--lint-only|--analyze-only]
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -217,66 +214,12 @@ EOF
   fi
 fi
 
-# Durable resume across shard counts: kill a 4-shard pdes run after two
-# epoch commits, resume it with 2 shards, and require the digest of an
-# uninterrupted run under the default (fiber) backend.  One smoke covers
-# all three independence claims at once: backend, worker count, and
-# crash/resume (docs/PERFORMANCE.md "Sharded PDES backend").
-pdes_resume_smoke() {
-  local builddir="$1"
-  echo "=== pdes-smoke: kill-resume across shard counts ($builddir) ==="
-  local explore="$builddir/tools/sppsim-explore"
-  local d
-  d="$(mktemp -d)"
-  trap 'rm -rf "$d"' RETURN
-
-  local want got
-  want="$("$explore" run --app nbody --nodes 4 --ckpt-dir "$d/base" \
-    --ckpt-interval 2 | grep '^digest:')"
-
-  local rc=0
-  "$explore" run --app nbody --nodes 4 --ckpt-dir "$d/kill" \
-    --ckpt-interval 2 --shards 4 --kill-after-writes 2 || rc=$?
-  if [[ "$rc" -ne 137 ]]; then
-    echo "pdes resume smoke: expected SIGKILL (137), got exit $rc" >&2
-    return 1
-  fi
-
-  got="$("$explore" run --app nbody --nodes 4 --ckpt-dir "$d/kill" \
-    --ckpt-interval 2 --shards 2 --resume | grep '^digest:')"
-  if [[ "$got" != "$want" ]]; then
-    echo "pdes resume smoke: digest mismatch across shard counts" >&2
-    echo "  uninterrupted (fibers):   $want" >&2
-    echo "  killed@4, resumed@2:      $got" >&2
-    return 1
-  fi
-  echo "pdes resume smoke: resumed $got matches uninterrupted run"
-}
-
-# Gating: the full tier-1 suite under the sharded engine, the cross-shard
-# resume smoke, and the shard queues under tsan.
-if [[ "$MODE" == "--pdes-smoke" ]]; then
-  echo "=== pdes-smoke: tier-1 under SPP_CONDUCTOR=pdes, 4 shards ==="
-  cmake -B build -S .
-  cmake --build build -j "$JOBS"
-  SPP_CONDUCTOR=pdes SPP_SHARDS=4 \
-    ctest --test-dir build --output-on-failure -j "$JOBS"
-  pdes_resume_smoke build
-
-  echo "=== pdes-smoke: shard queues under tsan ==="
-  cmake -B build-tsan -S . \
-    -DSPP_SANITIZE=thread \
-    -DCMAKE_BUILD_TYPE=RelWithDebInfo
-  cmake --build build-tsan -j "$JOBS" --target test_pdes
-  SPP_CONDUCTOR=pdes SPP_SHARDS=4 build-tsan/tests/test_pdes
-fi
-
 # Not part of "all": it needs its own Release build, so CI runs it as the
 # separate bench-smoke job.  It gates on sim time and digest only (between
 # backends and against bench/baselines); wall-clock numbers are recorded,
 # never compared.
 if [[ "$MODE" == "--bench-smoke" ]]; then
-  echo "=== bench-smoke: Release fibers build, both backends ==="
+  echo "=== bench-smoke: Release fibers build, fibers + threads backends ==="
   cmake -B build-bench -S . \
     -DCMAKE_BUILD_TYPE=Release -DSPP_FIBERS=ON
   cmake --build build-bench -j "$JOBS" --target sppsim-bench

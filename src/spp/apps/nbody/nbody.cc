@@ -261,7 +261,7 @@ std::array<double, 3> NbodyShared::tree_force(std::size_t i, bool charged) {
       az += nd.mass * dz * inv;
       if (charged) {
         rt_.work_flops(kInteractFlops);
-        interactions_.fetch_add(1, std::memory_order_relaxed);
+        ++interactions_;
       }
       continue;
     }
@@ -289,7 +289,7 @@ std::array<double, 3> NbodyShared::tree_force(std::size_t i, bool charged) {
       az += mp * ddz * inv;
       if (charged) {
         rt_.work_flops(kInteractFlops);
-        interactions_.fetch_add(1, std::memory_order_relaxed);
+        ++interactions_;
       }
     }
   }

@@ -17,8 +17,6 @@
 #pragma once
 
 #include <array>
-// spp-lint: allow(sim-no-host-thread): pdes shard workers race on the host-side tally
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -127,12 +125,7 @@ class NbodyShared {
   std::vector<std::int32_t> order_;  ///< particle order within leaves.
   std::int32_t node_count_ = 0;
   std::unique_ptr<rt::Barrier> barrier_;
-  // Host-side tally bumped from inside the force loop.  Under the pdes
-  // backend simulated threads in different shards run on concurrent OS
-  // workers, so the increment must be atomic; relaxed order is enough
-  // because only the final (quiescent-point) sum is ever read.
-  // spp-lint: allow(sim-no-host-thread): see above -- concurrent shard workers
-  std::atomic<std::uint64_t> interactions_{0};
+  std::uint64_t interactions_ = 0;  ///< host-side tally of force terms.
 };
 
 }  // namespace spp::nbody

@@ -37,14 +37,6 @@ void Machine::power_cycle() {
   for (L1Cache& l1 : l1_) l1.clear();
   for (sci::GCache& g : gcaches_) g.clear();
   for (auto& dir : directory_) dir.clear();
-  // Discard -- never fold -- pending per-shard counter slots.  On the
-  // rollback/resume path the caller has just overwritten perf_ with an epoch
-  // snapshot; counts accrued after that snapshot belong to discarded work
-  // and folding them in would double-count against the uninterrupted run.
-  // Epoch-boundary callers fold explicitly before snapshotting perf_
-  // (ckpt::DurableSession::boundary).
-  shard_invals_sent_ = {};
-  shard_l1_evictions_ = {};
   for (FuState& fu : fus_) {
     fu.port.reset();
     fu.dir.reset();
@@ -292,11 +284,7 @@ sim::Time Machine::invalidate_local(LineAddr line, HomeEntry& e,
     // victim's stale copy behind while the directory believes it is gone.
     if (!mutation_.skip_local_invalidate) l1_[victim_cpu].invalidate(line);
     ++perf_.cpu[victim_cpu].invals_received;
-    if (gate_ != nullptr) {
-      ++shard_invals_sent_[home_node];
-    } else {
-      ++perf_.invals_sent;
-    }
+    ++perf_.invals_sent;
     t += sim::cycles(cm_.inval_local);
   }
   e.cpu_sharers &= keep;
@@ -338,11 +326,7 @@ sim::Time Machine::remote_fill(unsigned cpu, PAddr pa, bool write,
         const unsigned victim = my_node * kCpusPerNode + k;
         l1_[victim].invalidate(line);
         ++perf_.cpu[victim].invals_received;
-        if (gate_ != nullptr) {
-          ++shard_invals_sent_[my_node];
-        } else {
-          ++perf_.invals_sent;
-        }
+        ++perf_.invals_sent;
         t += sim::cycles(cm_.inval_local);
       }
       ge.cpu_sharers = bit(cpu_in_node);
@@ -501,11 +485,7 @@ sim::Time Machine::remote_upgrade(unsigned cpu, PAddr pa, sim::Time t) {
     const unsigned victim = my_node * kCpusPerNode + k;
     l1_[victim].invalidate(line);
     ++perf_.cpu[victim].invals_received;
-    if (gate_ != nullptr) {
-      ++shard_invals_sent_[my_node];
-    } else {
-      ++perf_.invals_sent;
-    }
+    ++perf_.invals_sent;
     t += sim::cycles(cm_.inval_local);
   }
   ge.dirty = true;
@@ -604,11 +584,7 @@ void Machine::evict_l1_entry(unsigned cpu, L1Cache::Entry& entry,
   const unsigned home_node = topo_.node_of_fu(home_fu);
   const unsigned my_node = topo_.node_of_cpu(cpu);
   const unsigned cpu_in_node = cpu % kCpusPerNode;
-  if (gate_ != nullptr) {
-    ++shard_l1_evictions_[my_node];
-  } else {
-    ++perf_.l1_evictions;
-  }
+  ++perf_.l1_evictions;
 
   if (entry.state == LineState::kModified) {
     ++perf_.cpu[cpu].writebacks;

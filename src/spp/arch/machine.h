@@ -12,7 +12,6 @@
 // Thread safety: NONE by design; see DESIGN.md section 5.1.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -32,12 +31,13 @@
 
 namespace spp::arch {
 
-/// Cross-shard gate for the sharded PDES engine (rt/conductor.h).  When a
-/// gate is attached, a charged operation that could touch state owned by
-/// another shard (hypernode) calls on_cross() BEFORE reading or mutating
-/// anything beyond its own shard.  Inside a parallel phase the call parks
-/// the simulated thread until the next fusion rendezvous and returns with
-/// the caller serialized; at every other time it returns immediately.  The
+/// Cross-shard gate for the multi-node phase/fusion schedule
+/// (rt/conductor.h).  When a gate is attached, a charged operation that
+/// could touch state owned by another shard (hypernode) calls on_cross()
+/// BEFORE reading or mutating anything beyond its own shard.  Inside a phase
+/// the call parks the simulated thread until the next fusion rendezvous and
+/// returns with the caller serialized; at every other time it returns
+/// immediately.  The
 /// pre-checks that decide whether to call it are conservative: a false
 /// positive only costs serialization, never correctness.
 class CrossGate {
@@ -107,24 +107,9 @@ class Machine {
   void set_observer(MemObserver* observer) { observer_ = observer; }
   MemObserver* observer() const { return observer_; }
 
-  /// Attaches (or clears, with nullptr) the PDES engine's cross-shard gate.
-  /// While attached, the handful of node-unattributed counters route to
-  /// per-shard slots (so parallel phase workers never write one field
-  /// concurrently) until fold_shard_counters() merges them.
+  /// Attaches (or clears, with nullptr) the conductor's cross-shard gate.
   void set_gate(CrossGate* gate) { gate_ = gate; }
   CrossGate* gate() const { return gate_; }
-
-  /// Folds the per-shard counter slots into the global PerfCounters and
-  /// zeroes them.  Called at serialized points only (end of a conductor
-  /// run, power_cycle).
-  void fold_shard_counters() {
-    for (unsigned n = 0; n < kMaxNodes; ++n) {
-      perf_.invals_sent += shard_invals_sent_[n];
-      perf_.l1_evictions += shard_l1_evictions_[n];
-      shard_invals_sent_[n] = 0;
-      shard_l1_evictions_[n] = 0;
-    }
-  }
 
   // --- test-only protocol mutations (mutation harness; tests/test_check) ----
   /// Deliberate protocol bugs, compiled in but dead until set.  Used to prove
@@ -194,7 +179,7 @@ class Machine {
   };
 
   /// The home directory shard owning `line` (indexed by the line's home
-  /// node, so each PDES phase worker only ever touches its own maps).
+  /// node, so a phase only ever touches its own shard's maps).
   FlatMap<LineAddr, HomeEntry>& dir_for(LineAddr line) {
     return directory_[topo_.node_of_fu(home_fu_of(line_base(line)))];
   }
@@ -310,21 +295,14 @@ class Machine {
   std::vector<sci::GCache> gcaches_;  ///< [node * 4 + ring]
   /// Home directory: open-addressing flat maps (docs/PERFORMANCE.md) -- one
   /// cache-friendly probe per access() instead of an unordered_map node
-  /// chase, and no per-line heap allocation.  Sharded one map per home node
-  /// so parallel PDES phase workers (which only operate on lines homed in
-  /// their own shard; everything else gates) never share map internals.
+  /// chase, and no per-line heap allocation.  One map per home node, so a
+  /// phase only ever touches its own shard's map (everything else gates).
   std::vector<FlatMap<LineAddr, HomeEntry>> directory_;
   /// Per-CPU page TLBs (tlb_slot()).  Each CPU only ever touches its own
-  /// 4 KB slice, so PDES phase workers never share an entry.
+  /// 4 KB slice.
   std::vector<TlbEntry> tlb_;
   MemObserver* observer_ = nullptr;
-  CrossGate* gate_ = nullptr;  ///< PDES cross-shard gate, when attached.
-  /// Per-shard slots for the two counters whose bump sites are not
-  /// per-CPU: written by at most one phase worker each (the home/owning
-  /// node's), folded serially by fold_shard_counters().  Used only while a
-  /// gate is attached; direct Machine use keeps bumping PerfCounters.
-  std::array<std::uint64_t, kMaxNodes> shard_invals_sent_{};
-  std::array<std::uint64_t, kMaxNodes> shard_l1_evictions_{};
+  CrossGate* gate_ = nullptr;  ///< cross-shard gate, when attached.
   TestMutation mutation_;
 };
 

@@ -118,13 +118,6 @@ bool DurableSession::boundary(std::uint64_t step) {
       EpochData epoch;
       epoch.step = step;
       epoch.clock = rt::Conductor::self().clock();
-      // The sharded engine banks some counters in per-shard slots; fold them
-      // into perf_ before snapshotting so a resume from this epoch starts
-      // from the same totals the uninterrupted run carries forward.  The
-      // boundary is quiescent (every app thread is joined), so no shard
-      // worker is writing the slots.
-      // spp-lint: allow(cross-shard-event-queue): quiescent epoch boundary; see comment
-      rt_->machine().fold_shard_counters();
       epoch.perf = rt_->machine().perf();
       epoch.snapshot = store_->epoch_image(step);
       const bool committed = commit_with_recovery(epoch);

@@ -1,14 +1,13 @@
-// Cross-shard event ordering for the sharded PDES engine.
+// Cross-shard event ordering for the multi-node phase/fusion schedule.
 //
 // Every cross-shard mutation (remote memory access completion, SCI
 // back-pointer updates, PVM delivery, fault events) is deferred at a gate,
-// queued on its source shard's SPSC queue, and replayed serially at the next
+// recorded on its source shard's event list, and replayed at the next
 // fusion point in a single global order.  That order is the total order over
 // EventKey below, and it is a pure function of simulated state -- it never
-// depends on host thread timing or on how many worker threads carried the
-// shards -- which is what keeps PerfCounters::digest bit-identical between
-// the sequential fiber backend and the parallel pdes backend at any
-// --shards value (docs/PERFORMANCE.md "Sharded PDES backend").
+// depends on host timing or on the stack carrier -- which is what keeps
+// PerfCounters::digest bit-identical between the fiber and OS-thread
+// backends (docs/PERFORMANCE.md "Multi-node schedule").
 #pragma once
 
 #include <cstdint>

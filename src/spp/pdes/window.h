@@ -1,16 +1,13 @@
-// Lookahead window sizing for the sharded PDES engine.
+// Lookahead window sizing for the multi-node phase/fusion schedule.
 //
-// The engine advances every shard in parallel "phases": a phase's horizon is
-// the globally earliest runnable clock plus the lookahead window, and all
-// deferred cross-shard events are fused serially at the rendezvous that ends
-// the phase.  The window base is the provable minimum cross-node transit
-// cost (sci/lookahead.h); the multiplier trades rendezvous frequency for
-// bounded causality slack.  The multiplier is part of the simulated-schedule
-// configuration: runs compared for digest equality must use the same value
-// (the default is fixed, and sppsim-bench never overrides it).
+// The conductor advances the shards in "phases": a phase's horizon is the
+// globally earliest runnable clock plus the lookahead window, and all
+// deferred cross-shard events are fused at the rendezvous that ends the
+// phase.  The window base is the provable minimum cross-node transit cost
+// (sci/lookahead.h); the multiplier trades rendezvous frequency for bounded
+// causality slack.  The window is part of the multi-node timing model:
+// changing it moves every multi-node digest.
 #pragma once
-
-#include <cstdlib>
 
 #include "spp/arch/cost_model.h"
 #include "spp/sci/lookahead.h"
@@ -18,21 +15,16 @@
 
 namespace spp::pdes {
 
-/// Default horizon = min runnable clock + kDefaultWindowMultiplier * L,
-/// where L is the minimum SCI transit latency.  8 keeps the causality slack
-/// within ~8 us of ring latency while batching enough work per phase to
-/// amortize the rendezvous.
-inline constexpr unsigned kDefaultWindowMultiplier = 8;
+/// Horizon = min runnable clock + kWindowMultiplier * L, where L is the
+/// minimum SCI transit latency.  8 keeps the causality slack within ~8 us
+/// of ring latency while batching enough work per phase to amortize the
+/// rendezvous.
+inline constexpr unsigned kWindowMultiplier = 8;
 
-/// The lookahead window: SPP_PDES_WINDOW (a multiplier) times the minimum
-/// cross-node transit latency from the cost model.
+/// The lookahead window: kWindowMultiplier times the minimum cross-node
+/// transit latency from the cost model.
 inline sim::Time lookahead_window(const arch::CostModel& cm) {
-  unsigned mult = kDefaultWindowMultiplier;
-  if (const char* env = std::getenv("SPP_PDES_WINDOW")) {
-    const long v = std::atol(env);
-    if (v > 0) mult = static_cast<unsigned>(v);
-  }
-  return mult * sci::min_transit_latency(cm);
+  return kWindowMultiplier * sci::min_transit_latency(cm);
 }
 
 }  // namespace spp::pdes

@@ -4,13 +4,11 @@
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <set>
 #include <stdexcept>
 
 #include "spp/pdes/window.h"
-#include "spp/rt/sharded.h"
 #include "spp/sim/log.h"
 
 #ifndef __has_feature
@@ -24,17 +22,6 @@ constinit thread_local SThread* tls_current = nullptr;
 }  // namespace detail
 
 namespace {
-/// The host context the current OS thread resumes fibers from: the
-/// conductor's main_ctx_ on the coordinator (sequential loop, fusion,
-/// teardown) or a worker's own slot during phases (rt/sharded.cc).  A fiber
-/// always hands back to whoever resumed it, so reads go through this
-/// thread-local, never through a fixed member.
-thread_local Fiber* g_host_ctx = nullptr;
-
-/// Which padded progress slot the current OS thread bumps: workers use
-/// their worker index, everyone else the coordinator slot (the last one).
-thread_local unsigned g_progress_slot = arch::kMaxNodes;
-
 /// Thrown inside a simulated thread when the conductor tears the simulation
 /// down (deadlock, destruction); unwinds the thread's stack cleanly.
 struct ShutdownSignal {};
@@ -52,21 +39,23 @@ bool fibers_available() {
 #endif
 }
 
+ConductorBackend parse_conductor_backend(std::string_view name) {
+  if (name == "threads") return ConductorBackend::kThreads;
+  if (name == "fibers") return ConductorBackend::kFibers;
+  throw std::invalid_argument("SPP_CONDUCTOR=" + std::string(name) +
+                              ": expected threads|fibers");
+}
+
 ConductorBackend default_conductor_backend() {
   static const ConductorBackend backend = [] {
     // Read once, before any watchdog or conductor thread exists, and only
     // ever from this static initializer -- no concurrent setenv can race it.
     // NOLINTNEXTLINE(concurrency-mt-unsafe)
     if (const char* env = std::getenv("SPP_CONDUCTOR")) {
-      if (std::strcmp(env, "threads") == 0) return ConductorBackend::kThreads;
-      if (std::strcmp(env, "fibers") == 0) {
-        return fibers_available() ? ConductorBackend::kFibers
-                                  : ConductorBackend::kThreads;
-      }
-      // kPdes works with either stack carrier, so it is valid even where
-      // fibers are not (tsan): stacks fall back to OS threads while the
-      // engine and its shard workers run unchanged.
-      if (std::strcmp(env, "pdes") == 0) return ConductorBackend::kPdes;
+      const ConductorBackend named = parse_conductor_backend(env);
+      return named == ConductorBackend::kFibers && !fibers_available()
+                 ? ConductorBackend::kThreads
+                 : named;
     }
     if (!fibers_available()) return ConductorBackend::kThreads;
 #if defined(SPP_FIBERS) && SPP_FIBERS
@@ -115,9 +104,7 @@ void SThread::rebind_cpu(unsigned cpu) {
   const unsigned n = conductor_->machine_.topo().node_of_cpu(cpu);
   if (n == node_) return;
   // Cross-node migration: move the thread between shards, keeping the
-  // engine's per-shard bookkeeping consistent.  (Migration only happens
-  // under fault policies, which force single-worker phases, so no other
-  // shard's worker can be touching these structures.)
+  // engine's per-shard bookkeeping consistent.
   if (state_ == State::kReady) {
     conductor_->ready_by_node_[node_].erase(this);
     node_ = n;
@@ -137,7 +124,7 @@ void SThread::fiber_entry(void* self) {
 }
 
 void SThread::fiber_body() {
-  Fiber::on_entry(*g_host_ctx);
+  Fiber::on_entry(conductor_->main_ctx_);
   try {
     fn_();
   } catch (const ShutdownSignal&) {
@@ -148,7 +135,7 @@ void SThread::fiber_body() {
     error_ = std::current_exception();
   }
   state_ = State::kDone;
-  Fiber::exit_to(fiber_, *g_host_ctx);
+  Fiber::exit_to(fiber_, conductor_->main_ctx_);
 }
 
 void SThread::os_body() {
@@ -183,7 +170,7 @@ void SThread::os_body() {
 void SThread::hand_back(State next_state) {
   if (conductor_->use_fibers_) {
     state_ = next_state;
-    Fiber::switch_to(fiber_, *g_host_ctx);
+    Fiber::switch_to(fiber_, conductor_->main_ctx_);
     // Resumed by run_once (which already marked us Running) or by
     // shutdown_all (unwind).
     if (fiber_shutdown_) throw ShutdownSignal{};
@@ -211,7 +198,7 @@ void SThread::run_once() {
     state_ = State::kRunning;
     started_ = true;
     detail::tls_current = this;
-    Fiber::switch_to(*g_host_ctx, fiber_);
+    Fiber::switch_to(conductor_->main_ctx_, fiber_);
     detail::tls_current = nullptr;
     return;
   }
@@ -258,6 +245,10 @@ Conductor::Conductor(arch::Machine& machine, ConductorBackend backend)
       use_fibers_(backend_ != ConductorBackend::kThreads &&
                   fibers_available()),
       nodes_(machine.topo().nodes) {
+  if (backend_ == ConductorBackend::kPdes) {
+    throw std::invalid_argument(
+        "Conductor: the pdes backend was removed; use threads|fibers");
+  }
   owned_.resize(nodes_);
   ready_by_node_.resize(nodes_);
   blocked_by_node_.assign(nodes_, 0);
@@ -265,43 +256,20 @@ Conductor::Conductor(arch::Machine& machine, ConductorBackend backend)
   parked_.resize(nodes_);
   park_seq_.assign(nodes_, 0);
   node_errors_.assign(nodes_, nullptr);
-  requested_workers_ = nodes_;
-  // Read in the constructor (before any conductor-owned thread exists); the
-  // same single-threaded-read argument as SPP_CONDUCTOR above.
-  // NOLINTNEXTLINE(concurrency-mt-unsafe)
-  if (const char* env = std::getenv("SPP_SHARDS")) {
-    const long v = std::atol(env);
-    if (v > 0) requested_workers_ = static_cast<unsigned>(v);
-  }
 }
 
-Conductor::~Conductor() {
-  sharded_.reset();
-  shutdown_all();
-}
-
-void Conductor::set_workers(unsigned w) {
-  requested_workers_ = w == 0 ? 1 : w;
-}
-
-void Conductor::do_bump_progress() {
-  progress_slots_[g_progress_slot].count.fetch_add(1,
-                                                   std::memory_order_relaxed);
-}
+Conductor::~Conductor() { shutdown_all(); }
 
 void Conductor::shutdown_all() {
-  if (total_blocked() > 0 && !diagnosed_.load(std::memory_order_relaxed)) {
+  if (total_blocked() > 0 && !diagnosed_) {
     // Tear-down with threads still blocked and nobody has explained why yet
     // (e.g. an exception unwound past the scheduling loop): emit the same
     // wait-for report the deadlock path throws, then shut down.
-    diagnosed_.store(true, std::memory_order_relaxed);
+    diagnosed_ = true;
     ++machine_.perf().deadlock_reports;
     sim::logf(sim::LogLevel::kWarn, "conductor shutdown with blocked threads\n%s",
               blocked_report().c_str());
   }
-  // Unwind from the coordinator's context regardless of which worker last
-  // resumed a fiber; fibers always return to the current resumer.
-  g_host_ctx = &main_ctx_;
   for (auto& shard : owned_) {
     for (auto& t : shard) {
       if (use_fibers_) {
@@ -333,18 +301,8 @@ void Conductor::run(std::function<void()> main_fn, unsigned cpu,
                     sim::Time start) {
   if (running_) throw std::logic_error("Conductor::run is not reentrant");
   running_ = true;
-  diagnosed_.store(false, std::memory_order_relaxed);
-  g_host_ctx = &main_ctx_;
-  g_progress_slot = kProgressSlots - 1;
-  workers_eff_ = 1;
+  diagnosed_ = false;
   if (engine_active()) {
-    // Only kPdes fans phases out over workers, and only when no observation
-    // hook is attached (hooks may legally reach across shards without
-    // gating).  The schedule is identical either way.
-    if (backend_ == ConductorBackend::kPdes && !serial_override_ &&
-        machine_.observer() == nullptr) {
-      workers_eff_ = std::min(requested_workers_, nodes_);
-    }
     lookahead_ = pdes::lookahead_window(machine_.cost());
     machine_.set_gate(this);
   }
@@ -356,12 +314,10 @@ void Conductor::run(std::function<void()> main_fn, unsigned cpu,
       loop();
     }
   } catch (...) {
-    sharded_.reset();
     shutdown_all();
     cleanup_run();
     throw;
   }
-  sharded_.reset();
   // Join and release finished threads so repeated run() calls stay clean.
   for (auto& shard : owned_) {
     for (auto& t : shard) {
@@ -373,22 +329,14 @@ void Conductor::run(std::function<void()> main_fn, unsigned cpu,
 
 void Conductor::cleanup_run() {
   if (machine_.gate() == this) machine_.set_gate(nullptr);
-  // Shard-slot counters accumulated behind the gate fold into the global
-  // PerfCounters exactly once per run, at this serialized point.
-  machine_.fold_shard_counters();
   for (auto& shard : owned_) shard.clear();
   for (auto& r : ready_by_node_) r.clear();
   std::fill(blocked_by_node_.begin(), blocked_by_node_.end(), 0);
   std::fill(next_seq_.begin(), next_seq_.end(), 0u);
   std::fill(park_seq_.begin(), park_seq_.end(), std::uint64_t{0});
-  for (auto& q : parked_) {
-    Parked e;
-    while (q.pop(e)) {
-    }
-  }
+  for (auto& q : parked_) q.clear();
   std::fill(node_errors_.begin(), node_errors_.end(), nullptr);
   fusion_order_.clear();
-  live_.store(0, std::memory_order_relaxed);
   in_phase_ = false;
   horizon_ = 0;
   lookahead_ = 0;
@@ -407,7 +355,6 @@ SThread* Conductor::spawn(std::function<void()> fn, unsigned cpu,
   SThread* raw = t.get();
   owned_[node].push_back(std::move(t));
   ready_by_node_[node].insert(raw);
-  live_.fetch_add(1, std::memory_order_relaxed);
   return raw;
 }
 
@@ -439,7 +386,6 @@ void Conductor::loop() {
         ++blocked_by_node_[0];
         break;
       case SThread::State::kDone:
-        live_.fetch_sub(1, std::memory_order_relaxed);
         if (t->error_) {
           // The thread died on an application exception: the simulation
           // cannot meaningfully continue.  run() shuts the rest down and
@@ -455,7 +401,7 @@ void Conductor::loop() {
     // Every live thread is blocked: diagnose instead of wedging.  A wait-for
     // cycle is a true deadlock; its absence means someone forgot to deliver
     // a wakeup (the classic lost-wakeup bug).
-    diagnosed_.store(true, std::memory_order_relaxed);
+    diagnosed_ = true;
     arch::PerfCounters& perf = machine_.perf();
     ++perf.deadlock_reports;
     for (const auto& t : owned_[0]) {
@@ -471,7 +417,7 @@ void Conductor::loop() {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded PDES engine
+// Multi-node phase/fusion schedule
 // ---------------------------------------------------------------------------
 
 void Conductor::engine_loop() {
@@ -489,20 +435,13 @@ void Conductor::engine_loop() {
     if (!any_ready) break;
     horizon_ = min_clock + lookahead_;
     in_phase_ = true;
-    if (workers_eff_ > 1) {
-      if (!sharded_) {
-        sharded_ = std::make_unique<ShardedConductor>(*this, workers_eff_);
-      }
-      sharded_->run_phase();
-    } else {
-      for (unsigned n = 0; n < nodes_; ++n) drain_node(n);
-    }
+    for (unsigned n = 0; n < nodes_; ++n) drain_node(n);
     in_phase_ = false;
     propagate_node_errors();
     fuse();
   }
   if (total_blocked() != 0) {
-    diagnosed_.store(true, std::memory_order_relaxed);
+    diagnosed_ = true;
     arch::PerfCounters& perf = machine_.perf();
     ++perf.deadlock_reports;
     bool cycle_found = false;
@@ -537,13 +476,12 @@ void Conductor::drain_node(unsigned n) try {
         if (t->reason_.kind != BlockReason::Kind::kFusion) {
           ++blocked_by_node_[t->node_];
         }
-        // kFusion: parked on the shard's event queue; fusion owns it now.
+        // kFusion: parked on the shard's event list; fusion owns it now.
         break;
       case SThread::State::kDone:
-        live_.fetch_sub(1, std::memory_order_relaxed);
         if (t->error_) {
-          // Record and end this shard's phase; the coordinator propagates
-          // the lowest-numbered shard's error after the rendezvous.
+          // Record and end this shard's phase; engine_loop propagates the
+          // lowest-numbered shard's error after the rendezvous.
           node_errors_[n] = t->error_;
           return;
         }
@@ -558,9 +496,9 @@ void Conductor::drain_node(unsigned n) try {
 
 void Conductor::fuse() {
   fusion_order_.clear();
-  Parked e;
-  for (unsigned n = 0; n < nodes_; ++n) {
-    while (parked_[n].pop(e)) fusion_order_.push_back(e);
+  for (std::vector<Parked>& q : parked_) {
+    fusion_order_.insert(fusion_order_.end(), q.begin(), q.end());
+    q.clear();
   }
   std::sort(fusion_order_.begin(), fusion_order_.end(),
             [](const Parked& a, const Parked& b) { return a.key < b.key; });
@@ -577,7 +515,6 @@ void Conductor::fuse() {
         ++blocked_by_node_[t->node_];
         break;
       case SThread::State::kDone:
-        live_.fetch_sub(1, std::memory_order_relaxed);
         if (t->error_) propagate_thread_error(t->error_);
         break;
       case SThread::State::kRunning:
@@ -600,10 +537,9 @@ void Conductor::propagate_thread_error(std::exception_ptr err) {
   try {
     std::rethrow_exception(err);
   } catch (const DeadlockError&) {
-    // Deadlocks diagnosed inside a phase defer their counter bumps to this
-    // serialized point, so the counts are race-free and identical at any
-    // worker count.
-    if (!diagnosed_.exchange(true, std::memory_order_relaxed)) {
+    // Deadlocks diagnosed inside a phase count here, once, on the way out.
+    if (!diagnosed_) {
+      diagnosed_ = true;
       arch::PerfCounters& perf = machine_.perf();
       ++perf.deadlock_reports;
       ++perf.deadlock_cycles;
@@ -617,13 +553,7 @@ void Conductor::defer_cross() {
   SThread& me = *detail::tls_current;
   if (me.fusing_) return;  // already serialized at the rendezvous.
   const unsigned n = me.node_;
-  pdes::SpscQueue<Parked>& q = parked_[n];
-  if (q.size() == q.capacity()) {
-    // Producer-side growth is safe here: the consumer (the fusion
-    // coordinator) only touches the queue between phases.
-    q.reserve(q.capacity() * 2 + 8);
-  }
-  q.push({pdes::EventKey{me.clock_, n, park_seq_[n]++}, &me});
+  parked_[n].push_back({pdes::EventKey{me.clock_, n, park_seq_[n]++}, &me});
   me.reason_ = BlockReason{BlockReason::Kind::kFusion, nullptr,
                            "cross-shard gate", {}};
   me.hand_back(SThread::State::kBlocked);
@@ -667,27 +597,21 @@ void Conductor::block(BlockReason reason) {
   if (!me.reason_.waits_for.empty()) {
     // The caller names who must unblock it: check for a wait-for cycle NOW,
     // while the rest of the machine may still be runnable, and surface the
-    // deadlock in the offending thread instead of letting it wedge.  Inside
-    // a multi-worker phase the walk (and report) stay within the caller's
-    // shard -- other shards' thread state is live on other workers, and
-    // cross-shard waits are only ever established at serialized points, so
-    // an in-phase cycle is necessarily same-shard.
-    const bool local_only = in_phase_ && workers_eff_ > 1;
-    const std::vector<unsigned> cycle = find_cycle(me, local_only);
+    // deadlock in the offending thread instead of letting it wedge.
+    const std::vector<unsigned> cycle = find_cycle(me);
     if (!cycle.empty()) {
       std::string msg = "simulated deadlock: wait-for cycle";
       for (const unsigned tid : cycle) msg += " t" + std::to_string(tid) + " ->";
-      msg += " t" + std::to_string(me.tid()) + "\n" +
-             blocked_report(local_only ? static_cast<int>(me.node_) : -1);
+      msg += " t" + std::to_string(me.tid()) + "\n" + blocked_report();
       me.reason_ = BlockReason{};
       if (!engine_active()) {
-        diagnosed_.store(true, std::memory_order_relaxed);
+        diagnosed_ = true;
         arch::PerfCounters& perf = machine_.perf();
         ++perf.deadlock_reports;
         ++perf.deadlock_cycles;
       }
-      // Engine runs count the diagnosis once at the serialized propagation
-      // point (propagate_thread_error), keeping perf writes race-free.
+      // Engine runs count the diagnosis once where the thread's error
+      // propagates (propagate_thread_error).
       throw DeadlockError(msg);
     }
   }
@@ -714,8 +638,7 @@ sim::Time Conductor::min_other_ready_clock() const {
   return best;
 }
 
-std::vector<unsigned> Conductor::find_cycle(const SThread& start,
-                                            bool same_node_only) const {
+std::vector<unsigned> Conductor::find_cycle(const SThread& start) const {
   // DFS over waits-for edges.  Only Blocked threads (and `start`, which may
   // be about to block) contribute edges; a Ready/Running target can still
   // make progress, so the path through it is not a deadlock.  Fusion-parked
@@ -728,7 +651,6 @@ std::vector<unsigned> Conductor::find_cycle(const SThread& start,
       const SThread* nt = thread_by_tid(next);
       if (nt == nullptr) continue;
       if (next == start.tid()) return true;  // cycle closes.
-      if (same_node_only && nt->node_ != start.node_) continue;
       if (nt->state() != SThread::State::kBlocked) continue;
       if (nt->reason_.kind == BlockReason::Kind::kFusion) continue;
       if (!on_path.insert(next).second) continue;  // already on this path.
@@ -743,11 +665,10 @@ std::vector<unsigned> Conductor::find_cycle(const SThread& start,
   return {};
 }
 
-std::string Conductor::blocked_report(int only_node) const {
+std::string Conductor::blocked_report() const {
   std::vector<const SThread*> threads;
-  for (unsigned n = 0; n < nodes_; ++n) {
-    if (only_node >= 0 && n != static_cast<unsigned>(only_node)) continue;
-    for (const auto& t : owned_[n]) threads.push_back(t.get());
+  for (const auto& shard : owned_) {
+    for (const auto& t : shard) threads.push_back(t.get());
   }
   std::sort(threads.begin(), threads.end(),
             [](const SThread* a, const SThread* b) {
@@ -773,7 +694,7 @@ std::string Conductor::blocked_report(int only_node) const {
         out += " waits-for";
         for (const unsigned w : r.waits_for) out += " t" + std::to_string(w);
       }
-      if (cycle.empty()) cycle = find_cycle(*t, only_node >= 0);
+      if (cycle.empty()) cycle = find_cycle(*t);
     }
     out += "\n";
   }
@@ -787,15 +708,6 @@ std::string Conductor::blocked_report(int only_node) const {
         "unblocker already moved on)\n";
   }
   return out;
-}
-
-// ---------------------------------------------------------------------------
-// ShardedConductor hooks (called from rt/sharded.cc worker threads)
-// ---------------------------------------------------------------------------
-
-void ShardedConductor::bind_worker_thread(unsigned worker, Fiber* host_ctx) {
-  g_progress_slot = worker;
-  g_host_ctx = host_ctx;
 }
 
 }  // namespace spp::rt

@@ -8,54 +8,48 @@
 // hardware is modeled by spp::sim::Resource busy-until queues (DESIGN.md
 // section 5.1).
 //
-// Multi-node topologies run the sharded PDES engine (docs/PERFORMANCE.md
-// "Sharded PDES backend"): the machine is sharded one shard per hypernode,
+// Multi-node topologies run the phase/fusion schedule (docs/PERFORMANCE.md
+// "Multi-node schedule"): the machine is sharded one shard per hypernode,
 // and execution alternates between
 //
-//   PHASES   -- every shard independently drains its own (clock, tid)-ordered
-//               ready set up to a conservative horizon: the globally earliest
+//   PHASES   -- each shard in turn drains its own (clock, tid)-ordered ready
+//               set up to a conservative horizon: the globally earliest
 //               runnable clock plus a lookahead window derived from the SCI
 //               ring's minimum transit cost (spp/pdes/window.h).  A charged
 //               operation that would touch another shard's state hits a
 //               *gate* (Machine::CrossGate / Conductor::defer_cross) and
 //               parks: the thread is suspended and an event keyed by
-//               (timestamp, shard, seq) is pushed on the shard's SPSC queue.
-//   FUSION   -- at the rendezvous ending a phase, the coordinator pops every
-//               queue, sorts by pdes::EventKey, and resumes each parked
-//               thread serially.  The resumed thread is marked `fusing_`;
-//               gates no-op while fusing, so the deferred operation executes
-//               the existing inline code path, serialized.  Fusion for a
-//               thread ends at its next scheduling point outside any gated
-//               region (yield with gate_depth_ == 0, a real block, or
-//               completion); the thread then rejoins its shard's ready set
-//               for the next phase.
+//               (timestamp, shard, seq) is appended to the shard's list.
+//   FUSION   -- at the rendezvous ending a phase, the conductor collects
+//               every shard's parked events, sorts by pdes::EventKey, and
+//               resumes each parked thread in that order.  The resumed
+//               thread is marked `fusing_`; gates no-op while fusing, so the
+//               deferred operation executes the existing inline code path.
+//               Fusion for a thread ends at its next scheduling point
+//               outside any gated region (yield with gate_depth_ == 0, a
+//               real block, or completion); the thread then rejoins its
+//               shard's ready set for the next phase.
 //
 // Phase membership, horizons, per-shard dispatch order, park sequence
-// numbers, and fusion order are all pure functions of *simulated* state --
-// never of host thread timing or of how many OS worker threads carry the
-// shards -- so every simulated observable (PerfCounters::digest included) is
-// bit-identical across backends and across --shards values.
+// numbers, and fusion order are all pure functions of *simulated* state, so
+// every simulated observable (PerfCounters::digest included) is
+// bit-identical across backends.  The schedule is part of the multi-node
+// timing model; every phase runs on the conductor's own host thread.
 //
 // An SThread advances its clock locally (compute charges, memory access
 // latencies) and returns control to the conductor at scheduling points:
 // yield() (cheap reschedule), block() (wait for another thread to unblock
 // it), or completion.
 //
-// Three execution backends:
+// Two execution backends:
 //   kFibers  -- stackful user-level fibers (default; a context switch costs
-//               a function call); the engine, when active, runs every shard
-//               on the conductor's own host thread (one worker).
+//               a function call).
 //   kThreads -- one OS thread per SThread with mutex/condvar handoff (the
 //               fallback, and the only carrier ThreadSanitizer understands).
-//   kPdes    -- fibers when available (OS threads under tsan), plus a pool
-//               of OS *worker* threads that drain disjoint shard ranges in
-//               parallel during phases (rt/sharded.h).  --shards / the
-//               SPP_SHARDS environment variable pick the worker count.
-// Scheduling decisions are backend-independent, so all three produce
+// Scheduling decisions are backend-independent, so both produce
 // bit-identical simulated time and counters.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cassert>
 #include <cstdint>
@@ -65,6 +59,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -72,7 +67,6 @@
 #include "spp/arch/topology.h"
 #include "spp/lib/thread_annotations.h"
 #include "spp/pdes/event.h"
-#include "spp/pdes/spsc.h"
 #include "spp/rt/fiber.h"
 #include "spp/rt/host_mutex.h"
 #include "spp/sim/time.h"
@@ -80,7 +74,6 @@
 namespace spp::rt {
 
 class Conductor;
-class ShardedConductor;
 class SThread;
 
 namespace detail {
@@ -94,26 +87,27 @@ namespace detail {
 extern constinit thread_local SThread* tls_current;
 }  // namespace detail
 
-/// Which mechanism carries simulated-thread stacks (and, for kPdes, whether
-/// phases fan out over OS worker threads).  Scheduling -- and thus every
-/// simulated observable -- is identical under all three.
+/// Which mechanism carries simulated-thread stacks.  Scheduling -- and thus
+/// every simulated observable -- is identical under both.
 enum class ConductorBackend {
   kThreads,  ///< one OS thread per SThread, mutex/condvar ping-pong.
   kFibers,   ///< stackful user-level fibers on the conductor's own thread.
-  kPdes,     ///< fiber (or OS-thread) stacks + one worker thread per shard
-             ///< range draining phases in parallel.
+  kPdes,     ///< removed; kept only as a name perfbench/ uses (rejected).
 };
 
 /// True when the fiber backend can run in this build: a Fiber implementation
 /// exists and we are not under ThreadSanitizer (which cannot track stack
-/// switches within one OS thread; the tsan CI leg pins OS-thread stacks --
-/// under kPdes the engine and its workers still run, exercising the SPSC
-/// queues under tsan, just with OS-thread stack carriers).
+/// switches within one OS thread; the tsan CI leg pins OS-thread stacks).
 bool fibers_available();
+
+/// Parses an SPP_CONDUCTOR value: "threads" or "fibers".  Anything else
+/// throws std::invalid_argument naming the accepted values.
+ConductorBackend parse_conductor_backend(std::string_view name);
 
 /// The backend new Conductors get by default: fibers when available and the
 /// build enabled them (SPP_FIBERS, on by default), else OS threads.  The
-/// environment variable SPP_CONDUCTOR=threads|fibers|pdes overrides.
+/// environment variable SPP_CONDUCTOR=threads|fibers overrides (fibers
+/// still fall back to threads where unavailable); an unknown value throws.
 ConductorBackend default_conductor_backend();
 
 /// Simulated deadlock, diagnosed by the conductor's wait-for graph.  The
@@ -204,7 +198,7 @@ class SThread {
   BlockReason reason_;  ///< wait-for edge while Blocked.
   std::function<void()> fn_;
 
-  // PDES engine state.  Both fields are touched only by the thread itself
+  // Phase/fusion state.  Both fields are touched only by the thread itself
   // or by whoever is about to resume it, never concurrently.
   bool fusing_ = false;  ///< resumed at a fusion point; gates no-op.
   int gate_depth_ = 0;   ///< FusionScope nesting (sync-op bodies).
@@ -225,9 +219,8 @@ class SThread {
   std::exception_ptr error_;  // exception that escaped fn_, if any
   std::thread os_;
 
-  // Fiber backend state.  A fiber may be resumed from any host thread (the
-  // coordinator during fusion, a shard worker during phases); switches
-  // always return to the resumer's host context (thread-local in the .cc).
+  // Fiber backend state.  Switches always return to the conductor's own
+  // host context (Conductor::main_ctx_).
   Fiber fiber_;
   bool started_ = false;  ///< the fiber has been entered at least once.
   bool fiber_shutdown_ = false;  ///< conductor asks the fiber to unwind.
@@ -336,68 +329,44 @@ class Conductor : public arch::CrossGate {
   void defer_cross();
   void on_cross() override { defer_cross(); }
 
-  /// True when this conductor schedules with the sharded PDES engine
-  /// (multi-node topology); single-node machines keep the classic
-  /// sequential loop bit-for-bit.
+  /// True when this conductor runs the phase/fusion schedule (multi-node
+  /// topology); single-node machines keep the classic sequential loop
+  /// bit-for-bit.
   bool engine_active() const { return nodes_ > 1; }
   unsigned nodes() const { return nodes_; }
 
-  /// Requests `w` phase worker threads (clamped to [1, nodes]).  Only the
-  /// kPdes backend fans out; kFibers/kThreads always run phases on the
-  /// conductor's own thread.  Takes effect at the next run().
-  void set_workers(unsigned w);
-  /// Worker count the current/next run uses (after clamping and overrides).
-  unsigned workers() const { return workers_eff_; }
-  /// Forces single-worker phases regardless of --shards: set by the runtime
-  /// whenever an observation hook (fault hook, sync observer, fail-stop
-  /// policy, machine observer) is attached, because hooks may legally touch
-  /// cross-shard state without gating.  The *schedule* is worker-count
-  /// independent, so this changes wall-clock only, never a digest.
-  void set_serial_override(bool on) { serial_override_ = on; }
+  /// Always 1; kept only because perfbench/ reports it.
+  unsigned workers() const { return 1; }
 
   /// The lookahead window of the current run (0 when the engine is off).
   sim::Time lookahead() const { return lookahead_; }
 
-  std::size_t live_threads() const {
-    return live_.load(std::memory_order_relaxed);
-  }
-
   /// Monotonic count of scheduling dispatches.  The only cross-thread-
   /// readable signal the conductor exports: the rt::Watchdog polls it from
   /// its own OS thread to detect a wedged simulation (no dispatches for N
-  /// wall-seconds).  Under the engine each phase worker bumps its own
-  /// padded slot and this sums them, so the watchdog sees aggregate
-  /// progress across every shard and a shard idling inside its lookahead
-  /// window while others dispatch is never a false stall.
+  /// wall-seconds).
   ///
-  /// Memory order: relaxed on both sides, deliberately.  The counters are
-  /// monotonic and carry no payload -- the watchdog only compares two
+  /// Memory order: relaxed on both sides, deliberately.  The counter is
+  /// monotonic and carries no payload -- the watchdog only compares two
   /// reads for *inequality*, never dereferences anything published by the
   /// increment -- so no acquire/release pairing is needed; a stale read
   /// just delays stall detection by at most one 100 ms poll.  Audited under
   /// the tsan CI leg (tests/test_rt.cc, Watchdog.PollsLiveRunWithoutRaces;
   /// docs/STATIC_ANALYSIS.md).
   std::uint64_t progress() const {
-    std::uint64_t sum = 0;
-    for (const ProgressSlot& s : progress_slots_) {
-      sum += s.count.load(std::memory_order_relaxed);
-    }
-    return sum;
+    return progress_.load(std::memory_order_relaxed);
   }
 
   /// Per-thread blocked-on diagnosis of the current wait-for graph: one line
   /// per non-Done thread plus the cycle (deadlock) or its absence (lost
   /// wakeup).  Used verbatim by the all-blocked deadlock throw, the
   /// block-time cycle throw, and the destruction path, so every way a
-  /// deadlock surfaces prints the same actionable report.  `only_node`
-  /// restricts the report to one shard (used when diagnosing from inside a
-  /// phase, where other shards' threads are live on other workers).
-  std::string blocked_report(int only_node = -1) const;
+  /// deadlock surfaces prints the same actionable report.
+  std::string blocked_report() const;
 
  private:
   friend class SThread;
   friend class FusionScope;
-  friend class ShardedConductor;
 
   struct Order {
     bool operator()(const SThread* a, const SThread* b) const {
@@ -414,22 +383,16 @@ class Conductor : public arch::CrossGate {
     SThread* thread = nullptr;
   };
 
-  struct alignas(64) ProgressSlot {
-    std::atomic<std::uint64_t> count{0};
-  };
-  /// One per possible phase worker plus one for the coordinator.
-  static constexpr unsigned kProgressSlots = arch::kMaxNodes + 1;
-
   /// Classic sequential scheduling loop (single-node topologies).
   void loop();
-  /// Sharded engine: alternate phases and fusions until quiescence.
+  /// Multi-node schedule: alternate phases and fusions until quiescence.
   void engine_loop();
-  /// Drains shard `n`'s ready set up to the phase horizon.  Called by the
-  /// coordinator (one worker) or by shard workers (kPdes).  A thread error
-  /// is recorded in node_errors_[n] and ends the shard's phase.
+  /// Drains shard `n`'s ready set up to the phase horizon.  A thread error
+  /// is recorded in node_errors_[n] and ends the shard's phase; the other
+  /// shards still drain before the error propagates.
   void drain_node(unsigned n);
-  /// Pops every shard's event queue, sorts by EventKey, resumes each parked
-  /// thread serially (the fusion rendezvous).
+  /// Collects every shard's parked events, sorts by EventKey, and resumes
+  /// each parked thread in that order (the fusion rendezvous).
   void fuse();
   /// Rethrows the recorded error of the lowest-numbered shard, if any,
   /// counting deadlock diagnoses exactly once on the way out.
@@ -438,8 +401,7 @@ class Conductor : public arch::CrossGate {
   [[noreturn]] void propagate_thread_error(std::exception_ptr err);
   /// Common post-run teardown (both success and error paths).
   void cleanup_run();
-  void bump_progress() { do_bump_progress(); }
-  void do_bump_progress();
+  void bump_progress() { progress_.fetch_add(1, std::memory_order_relaxed); }
 
   /// Wakes every non-finished thread with the shutdown flag and joins it
   /// (used on simulated deadlock and at destruction).  If threads are still
@@ -453,12 +415,7 @@ class Conductor : public arch::CrossGate {
 
   /// Follows waits-for edges from `start` through blocked threads; returns
   /// the tid cycle (start first) or empty when none is reachable.
-  /// `same_node_only` restricts the walk to `start`'s shard: used for the
-  /// block-time pre-check inside a phase, where other shards' thread state
-  /// is concurrently live.  (Cross-shard waits are only ever established at
-  /// serialized points, so an in-phase cycle is necessarily same-shard.)
-  std::vector<unsigned> find_cycle(const SThread& start,
-                                   bool same_node_only = false) const;
+  std::vector<unsigned> find_cycle(const SThread& start) const;
 
   arch::Machine& machine_;
   ConductorBackend backend_;
@@ -468,38 +425,25 @@ class Conductor : public arch::CrossGate {
   /// Fiber backend: the conductor's own (host-thread) context slot.
   Fiber main_ctx_;
 
-  // Per-shard scheduling state.  During a phase, slot n is touched only by
-  // the worker draining shard n; at every other moment exactly one host
-  // thread (the coordinator) is active.  Single-node machines use slot 0
+  // Per-shard scheduling state.  Single-node machines use slot 0
   // exclusively, which is the classic sequencer's state verbatim.
   std::vector<std::vector<std::unique_ptr<SThread>>> owned_;
   std::vector<ReadySet> ready_by_node_;
   std::vector<std::size_t> blocked_by_node_;
   std::vector<unsigned> next_seq_;  ///< per-shard spawn counter (tid alloc).
-  std::vector<pdes::SpscQueue<Parked>> parked_;  ///< per-shard gate queues.
+  std::vector<std::vector<Parked>> parked_;  ///< per-shard gate events.
   std::vector<std::uint64_t> park_seq_;  ///< per-shard event sequence.
   std::vector<std::exception_ptr> node_errors_;
 
-  /// Threads not yet Done (all shards).  Atomic because shard workers
-  /// retire (and spawn) threads concurrently during phases; relaxed is
-  /// enough -- readers only want a recent count, never an ordering.
-  std::atomic<std::size_t> live_{0};
-
-  // Engine run state.  in_phase_ flips only at phase barriers (workers
-  // quiescent), so plain bools are race-free; workers read them inside the
-  // barrier-established happens-before.
+  // Engine run state.
   bool in_phase_ = false;
   sim::Time horizon_ = 0;
   sim::Time lookahead_ = 0;
-  unsigned requested_workers_;  ///< from SPP_SHARDS / set_workers().
-  unsigned workers_eff_ = 1;
-  bool serial_override_ = false;
-  std::unique_ptr<ShardedConductor> sharded_;
   std::vector<Parked> fusion_order_;  ///< scratch, reused across fusions.
 
-  std::array<ProgressSlot, kProgressSlots> progress_slots_;
+  std::atomic<std::uint64_t> progress_{0};  ///< see progress().
   bool running_ = false;
-  std::atomic<bool> diagnosed_{false};  ///< a wait-for report was emitted.
+  bool diagnosed_ = false;  ///< a wait-for report was emitted.
 };
 
 }  // namespace spp::rt

@@ -12,9 +12,6 @@
 #include <unistd.h>
 #define SPP_FIBER_HAVE_MMAP 1
 #endif
-#if defined(__linux__)
-#include <pthread.h>
-#endif
 
 // Backend selection: hand-rolled context switch on ELF x86-64/aarch64 (the
 // SysV calling conventions the asm below assumes), ucontext elsewhere on
@@ -408,21 +405,6 @@ void Fiber::exit_to(Fiber& dying, Fiber& to) {
   setcontext(&static_cast<UctxState*>(to.uctx_)->ctx);
 #endif
   __builtin_unreachable();
-}
-
-void Fiber::seed_host_stack() {
-#if defined(SPP_FIBER_ASAN) && defined(__linux__)
-  if (stack_bottom_ != nullptr) return;
-  pthread_attr_t attr;
-  if (pthread_getattr_np(pthread_self(), &attr) != 0) return;
-  void* base = nullptr;
-  std::size_t size = 0;
-  if (pthread_attr_getstack(&attr, &base, &size) == 0) {
-    stack_bottom_ = base;
-    stack_size_ = size;
-  }
-  pthread_attr_destroy(&attr);
-#endif
 }
 
 void Fiber::on_entry([[maybe_unused]] Fiber& host) {

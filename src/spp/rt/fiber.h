@@ -57,14 +57,6 @@ class Fiber {
   /// context's stack bounds into `host` for later switches back.
   static void on_entry(Fiber& host);
 
-  /// Seeds this host-context slot with the *calling OS thread's* stack
-  /// bounds.  on_entry() only captures bounds when a fiber is first entered
-  /// from the slot; a PDES shard worker may only ever resume
-  /// already-started fibers, so it calls this once at startup or asan would
-  /// see a switch back to a context with unknown bounds.  No-op without
-  /// asan (or where the bounds cannot be queried).
-  void seed_host_stack();
-
   /// True when this build carries a usable fiber implementation (false only
   /// on platforms with neither hand-rolled asm nor ucontext).
   static bool supported();

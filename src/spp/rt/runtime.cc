@@ -118,7 +118,7 @@ std::vector<SThread*> Runtime::spawn_group(
   // PDES: a fork that places children on other hypernodes mutates those
   // shards' scheduler state, so the whole spawn serializes at the fusion
   // rendezvous.  The placement probe is pure, so the decision (and the
-  // group's cross flag) is identical at every worker count.
+  // group's cross flag) is identical under every backend.
   bool cross_group = false;
   if (conductor_.engine_active()) {
     for (unsigned i = 0; i < n && !cross_group; ++i) {

@@ -162,7 +162,7 @@ class Runtime {
                     std::uint64_t block_bytes = arch::kPageBytes) {
     // PDES: the region table is one machine-wide structure; an in-phase
     // allocation serializes at the fusion rendezvous (no-op outside a
-    // parallel phase or outside simulated threads).
+    // phase or outside simulated threads).
     conductor_.defer_cross();
     return machine_.vm().allocate(bytes, mem_class, label, home_node,
                                   block_bytes);
@@ -188,41 +188,23 @@ class Runtime {
 
   /// Installs (or clears, with nullptr) the fault hook.  The hook must
   /// outlive every run() that executes under it.
-  void set_fault_hook(FaultHook* hook) {
-    fault_hook_ = hook;
-    update_serial_override();
-  }
+  void set_fault_hook(FaultHook* hook) { fault_hook_ = hook; }
   FaultHook* fault_hook() const { return fault_hook_; }
 
   /// Installs (or clears, with nullptr) the synchronization observer (the
   /// spp::check race detector).  Same contract as the fault hook: must
   /// outlive every run(), costs one pointer test when absent, and never
   /// alters simulated timing or scheduling.
-  void set_sync_observer(SyncObserver* obs) {
-    sync_observer_ = obs;
-    update_serial_override();
-  }
+  void set_sync_observer(SyncObserver* obs) { sync_observer_ = obs; }
   SyncObserver* sync_observer() const { return sync_observer_; }
 
   /// Installs (or clears, with nullptr) the fail-stop policy.  With no
   /// policy every thread on a failed CPU migrates (the PR-1 behaviour); a
   /// policy that claims a thread turns the failure into a TaskKilled unwind.
-  void set_fail_stop_policy(FailStopPolicy* p) {
-    fail_stop_policy_ = p;
-    update_serial_override();
-  }
+  void set_fail_stop_policy(FailStopPolicy* p) { fail_stop_policy_ = p; }
   FailStopPolicy* fail_stop_policy() const { return fail_stop_policy_; }
 
  private:
-  /// PDES: hooks are host callbacks with their own (unsynchronized) state,
-  /// invoked from inside simulated threads; while any is installed, phases
-  /// run on one worker.  The simulated schedule is unchanged -- worker count
-  /// never affects it -- so hooks observe exactly what W>1 runs execute.
-  void update_serial_override() {
-    conductor_.set_serial_override(fault_hook_ != nullptr ||
-                                   sync_observer_ != nullptr ||
-                                   fail_stop_policy_ != nullptr);
-  }
   /// Applies pending faults and migrates the thread off a failed CPU.  The
   /// hook test is inline, so a run without one makes no call here.
   void poll_faults(SThread& me) {

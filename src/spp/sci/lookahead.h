@@ -1,11 +1,12 @@
 // Conservative lookahead extraction from the SCI cost model.
 //
-// The sharded PDES engine (spp::pdes, docs/PERFORMANCE.md "Sharded PDES
-// backend") lets each hypernode shard advance its local virtual clock
-// freely inside a window, because no cross-node effect can land on another
-// hypernode sooner than the cheapest possible ring traversal.  This header
-// derives that bound from the same CostModel constants the ring fabric
-// charges, so the window can never silently drift from the machine model:
+// The multi-node phase/fusion schedule (spp::pdes, docs/PERFORMANCE.md
+// "Multi-node schedule") lets each hypernode shard advance its local
+// virtual clock freely inside a window, because no cross-node effect can
+// land on another hypernode sooner than the cheapest possible ring
+// traversal.  This header derives that bound from the same CostModel
+// constants the ring fabric charges, so the window can never silently
+// drift from the machine model:
 //
 //   * every cross-node transaction enters the sender's ring interface
 //     (ring_if cycles of SCI engine + entry/exit cost, sci/ring.h), and

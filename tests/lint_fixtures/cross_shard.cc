@@ -1,9 +1,9 @@
 // Seeded violations for the cross-shard-event-queue check: code outside the
-// PDES engine (src/spp/pdes/, src/spp/rt/) reaching shard-owned machine
-// state or owning an SPSC event queue directly.  Under the sharded engine
-// each hypernode's directory maps, gcaches, and the engine gate are
-// single-writer within a phase; the only sanctioned cross-shard channel is
-// the conductor's per-shard queue, entered through arch::CrossGate.
+// multi-node engine (src/spp/pdes/, src/spp/rt/) reaching shard-owned
+// machine state directly.  Under the phase/fusion schedule a phase only
+// touches its own hypernode's directory maps and gcaches; the only
+// sanctioned way to reach another shard is to park at arch::CrossGate, so
+// the effect replays in fusion order.
 // spp-lint-fixture: as-path src/spp/pvm/bad_cross_shard.cc
 // spp-lint-fixture: expect cross-shard-event-queue
 
@@ -18,31 +18,18 @@ struct HomeEntry {
 struct Machine {
   HomeEntry& home_entry(std::uint64_t line);
   void set_gate(void* gate) { (void)gate; }
-  void fold_shard_counters() {}
   void access(std::uint64_t va) { (void)va; }
 };
 
 Machine& machine();
 
-namespace pdes {
-template <typename T>
-class SpscQueue {};
-}  // namespace pdes
-
 void bad_sites() {
-  // flagged: mutating another shard's home directory entry behind the phase
-  // workers' backs instead of parking at the fusion rendezvous.
+  // flagged: mutating another shard's home directory entry mid-phase
+  // instead of parking at the fusion rendezvous.
   machine().home_entry(0x40).cpu_sharers = 0;
-  // flagged: detaching the engine gate from outside the engine.
+  // flagged: detaching the gate from outside the engine.
   machine().set_gate(nullptr);
-  // flagged: folding the per-shard counter slots mid-phase.
-  machine().fold_shard_counters();
 }
-
-struct Mailbox {
-  // flagged: a private cross-shard event channel outside the engine.
-  pdes::SpscQueue<int> events_;
-};
 
 void ok_patterns() {
   // Charged accessors are the sanctioned way in: the machine's own gate

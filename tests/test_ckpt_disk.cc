@@ -328,8 +328,9 @@ TEST(CkptDisk, DeadWriterLockIsTakenOver) {
 /// equivalent to a fresh process (virtual memory and the clock both start
 /// from zero), which is exactly what a real --resume sees.
 std::uint64_t durable_fem_digest(const std::string& dir, unsigned steps,
-                                 bool resume, double wall_interval = 0.0) {
-  rt::Runtime runtime(Topology{.nodes = 1});
+                                 bool resume, double wall_interval = 0.0,
+                                 unsigned nodes = 1) {
+  rt::Runtime runtime(Topology{.nodes = nodes});
   DurableSpec spec;
   spec.dir = dir;
   spec.interval = 1;
@@ -379,19 +380,25 @@ TEST(CkptDurable, GracefulShutdownFlushesThenResumesBitExact) {
 }
 
 TEST(CkptDurable, WallIntervalGatesDiskWritesOnly) {
-  const std::string base = fresh_dir("wall");
   // An hour-long wall interval suppresses every write but the forced first
   // one; the charged captures still happen at every boundary, so the digest
-  // cannot move.
-  const std::uint64_t every = durable_fem_digest(base + "/every", 3, false);
-  const std::uint64_t gated =
-      durable_fem_digest(base + "/gated", 3, false, 3600.0);
-  EXPECT_EQ(every, gated);
+  // cannot move.  On two hypernodes the conductor's cross-shard gate is
+  // attached, and every counter bumped between boundaries must survive a
+  // boundary that skips its disk write.
+  for (const unsigned nodes : {1u, 2u}) {
+    SCOPED_TRACE("nodes=" + std::to_string(nodes));
+    const std::string base = fresh_dir("wall-" + std::to_string(nodes));
+    const std::uint64_t every =
+        durable_fem_digest(base + "/every", 3, false, 0.0, nodes);
+    const std::uint64_t gated =
+        durable_fem_digest(base + "/gated", 3, false, 3600.0, nodes);
+    EXPECT_EQ(every, gated);
 
-  Disk de(base + "/every", /*read_only=*/true);
-  EXPECT_EQ(de.epochs(), (std::vector<std::uint64_t>{0, 1, 2, 3}));
-  Disk dg(base + "/gated", /*read_only=*/true);
-  EXPECT_EQ(dg.epochs(), (std::vector<std::uint64_t>{0}));
+    Disk de(base + "/every", /*read_only=*/true);
+    EXPECT_EQ(de.epochs(), (std::vector<std::uint64_t>{0, 1, 2, 3}));
+    Disk dg(base + "/gated", /*read_only=*/true);
+    EXPECT_EQ(dg.epochs(), (std::vector<std::uint64_t>{0}));
+  }
 }
 
 TEST(CkptDurable, ResumeWithNoValidEpochIsAnError) {

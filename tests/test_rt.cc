@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "spp/rt/garray.h"
@@ -95,6 +97,29 @@ TEST(Conductor, DeadlockIsDetected) {
         s.p();  // nobody will ever v()
       }),
       std::runtime_error);
+}
+
+// SPP_CONDUCTOR=thread (or the removed pdes) must fail loudly, not silently
+// run the default backend.
+TEST(Conductor, ParsesOnlyThreadsAndFibers) {
+  EXPECT_EQ(parse_conductor_backend("threads"), ConductorBackend::kThreads);
+  EXPECT_EQ(parse_conductor_backend("fibers"), ConductorBackend::kFibers);
+  for (const char* bad : {"thread", "pdes", "", "Fibers"}) {
+    try {
+      (void)parse_conductor_backend(bad);
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("threads|fibers"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(Conductor, RejectsRemovedPdesBackend) {
+  arch::Machine m(Topology{.nodes = 2});
+  EXPECT_THROW({ Conductor c(m, ConductorBackend::kPdes); },
+               std::invalid_argument);
 }
 
 TEST(Placement, HighLocalityFillsFirstNode) {

@@ -153,14 +153,12 @@ void check_wallclock(const SourceFile& f, Result& res) {
 
 void check_host_thread(const SourceFile& f, Result& res) {
   static const char kCheck[] = "sim-no-host-thread";
-  // Host concurrency lives in exactly three places: the conductor/fiber
-  // layer (rt/), the PDES engine's lock-free event queues (pdes/), and
-  // durable checkpointing (ckpt/).  Everywhere else, parallelism is
-  // *simulated* -- SThreads multiplexed by the conductor -- and a real
+  // Host concurrency lives in exactly two places: the conductor/fiber layer
+  // (rt/) and durable checkpointing (ckpt/).  Everywhere else, parallelism
+  // is *simulated* -- SThreads multiplexed by the conductor -- and a real
   // std::thread would race the single-owner simulation state.
   if (!starts_with(f.path, "src/spp/")) return;
   if (starts_with(f.path, "src/spp/rt/") ||
-      starts_with(f.path, "src/spp/pdes/") ||
       starts_with(f.path, "src/spp/ckpt/")) {
     return;
   }
@@ -315,12 +313,11 @@ const std::set<std::string> kCharged = {"access", "access_block",
                                         "access_uncached", "atomic_rmw",
                                         "flush_l1", "allocate"};
 /// Cold-path host/recovery controls: legal, but inventoried because the
-/// PDES engine routes them between shards explicitly (set_gate and
-/// fold_shard_counters are the engine's own serialized attach points).
+/// multi-node schedule routes them between shards explicitly (set_gate is
+/// the conductor's own attach point).
 const std::set<std::string> kControl = {
-    "reset_stats",    "power_cycle",        "set_observer",
-    "set_link_alive", "set_link_degrade",   "set_gate",
-    "fold_shard_counters"};
+    "reset_stats",    "power_cycle",      "set_observer",
+    "set_link_alive", "set_link_degrade", "set_gate"};
 
 /// Names that denote an arch::Machine in this codebase (locals, members,
 /// and the ubiquitous `machine()` accessor on sim state).
@@ -513,13 +510,14 @@ void check_arch_mutation(const SourceFile& f, Result& res) {
 
 void check_cross_shard(const SourceFile& f, Result& res) {
   static const char kCheck[] = "cross-shard-event-queue";
-  // Under the sharded PDES engine every hypernode's slice of machine state
-  // (its home-directory map, its gcaches, the engine gate) is single-writer
-  // within a phase.  The one sanctioned way to affect another shard is the
-  // conductor's per-shard SPSC event queue, entered through arch::CrossGate.
-  // Only the engine itself (src/spp/pdes/, src/spp/rt/) and arch may touch
-  // these; a direct reach from anywhere else would mutate a foreign shard
-  // behind the workers' backs.
+  // Under the multi-node phase/fusion schedule a phase only touches its own
+  // hypernode's slice of machine state (its home-directory map, its
+  // gcaches).  The one sanctioned way to affect another shard is to park at
+  // arch::CrossGate, so the effect replays in pdes::EventKey order at the
+  // fusion rendezvous.  Only the engine itself (src/spp/pdes/,
+  // src/spp/rt/) and arch may touch these or the gate; a direct reach from
+  // anywhere else would mutate a foreign shard mid-phase, at a point the
+  // fusion order does not define.
   if (!starts_with(f.path, "src/")) return;  // tools/ and tests/ are host code.
   if (starts_with(f.path, "src/spp/arch/") ||
       starts_with(f.path, "src/spp/rt/") ||
@@ -528,23 +526,14 @@ void check_cross_shard(const SourceFile& f, Result& res) {
   }
 
   /// Machine members that address one shard's slice of coherence state, plus
-  /// the engine attach points.  Reaching them from outside the engine skips
-  /// the event-queue serialization.
+  /// the gate attach point.  Reaching them from outside the engine skips the
+  /// fusion ordering.
   static const std::set<std::string> kShardOwned = {
-      "home_entry", "dir_for",           "gcache_for", "directory_",
-      "gcaches_",   "fold_shard_counters", "set_gate"};
+      "home_entry", "dir_for", "gcache_for", "directory_", "gcaches_",
+      "set_gate"};
 
   const auto& t = f.toks;
   for (std::size_t i = 0; i < t.size(); ++i) {
-    if (t[i].kind != Token::Kind::kIdent) continue;
-    if (t[i].text == "SpscQueue") {
-      emit(res, f, kCheck, t[i].line,
-           "'SpscQueue' is the PDES engine's cross-shard event channel; only "
-           "src/spp/pdes/ and src/spp/rt/ may own shard queues -- route "
-           "cross-shard effects through arch::CrossGate so they serialize at "
-           "the fusion rendezvous");
-      continue;
-    }
     if (!is_machine_receiver(t, i)) continue;
     std::vector<std::pair<std::string, int>> members;
     std::size_t end = walk_chain(t, i, members);
@@ -552,9 +541,8 @@ void check_cross_shard(const SourceFile& f, Result& res) {
       if (kShardOwned.count(name) == 0) continue;
       emit(res, f, kCheck, line,
            "'" + name + "' reaches shard-owned machine state directly; "
-           "outside the PDES engine, cross-shard mutation must go through "
-           "the conductor's per-shard event queues (arch::CrossGate), not "
-           "behind the phase workers' backs");
+           "outside the engine, cross-shard mutation must park at "
+           "arch::CrossGate so it replays in fusion order, not mid-phase");
       break;
     }
     i = end - 1;

@@ -6,7 +6,7 @@
 //                           code (allowlist: rt::Watchdog, ckpt::Disk,
 //                           spp::io backoff, and everything outside src/)
 //   sim-no-host-thread      no host threading primitives outside
-//                           src/spp/rt/, src/spp/pdes/, and src/spp/ckpt/
+//                           src/spp/rt/ and src/spp/ckpt/
 //   posix-file-io           no raw POSIX/stdio file APIs outside
 //                           src/spp/io/ -- every host file operation in
 //                           simulated code routes through the io::File /
@@ -20,14 +20,12 @@
 //   digest-iter-determinism flags range-for over unordered containers in
 //                           functions reachable from PerfCounters::digest
 //                           or ckpt::Store::capture
-//   cross-shard-event-queue outside the PDES engine (src/spp/pdes/,
+//   cross-shard-event-queue outside the multi-node engine (src/spp/pdes/,
 //                           src/spp/rt/) and arch itself, code must not
 //                           reach shard-owned machine state (per-node
-//                           directory maps, gcaches, the engine gate)
-//                           directly, nor own pdes::SpscQueue channels;
-//                           cross-shard effects route through the
-//                           conductor's per-shard event queues via
-//                           arch::CrossGate
+//                           directory maps, gcaches, the gate) directly;
+//                           cross-shard effects park at arch::CrossGate
+//                           and replay in fusion order
 //
 // Suppression: a `// spp-lint: allow(<check>): reason` comment on the same
 // line or the line above a finding silences it; fixtures under

@@ -52,15 +52,6 @@ struct Measurement {
 /// benches stay bit-identical to their committed baselines.
 ckpt::DurableSpec g_durable;
 
-/// --shards: worker count for the pdes backend (0 = library default, i.e.
-/// SPP_SHARDS or one worker per hypernode).  Never changes any digest --
-/// docs/PERFORMANCE.md, "Sharded PDES backend".
-unsigned g_shards = 0;
-
-void apply_shards(rt::Runtime& runtime) {
-  if (g_shards != 0) runtime.conductor().set_workers(g_shards);
-}
-
 Measurement seal(rt::Runtime& runtime) {
   return {runtime.elapsed(),
           runtime.machine().perf().digest(runtime.elapsed())};
@@ -73,7 +64,6 @@ Measurement seal(rt::Runtime& runtime) {
 
 Measurement bench_scheduling(rt::ConductorBackend be, bool smoke) {
   rt::Runtime runtime(arch::Topology{.nodes = 2}, arch::CostModel{}, be);
-  apply_shards(runtime);
   const std::size_t n = smoke ? 2048 : 16384;
   rt::LoopOptions opts;
   opts.schedule = rt::Schedule::kDynamic;
@@ -89,7 +79,6 @@ Measurement bench_scheduling(rt::ConductorBackend be, bool smoke) {
 
 Measurement bench_psort(rt::ConductorBackend be, bool smoke) {
   rt::Runtime runtime(arch::Topology{.nodes = 2}, arch::CostModel{}, be);
-  apply_shards(runtime);
   const std::size_t n = smoke ? 4096 : 65536;
   rt::GlobalArray<double> data(runtime, n, arch::MemClass::kFarShared,
                                "bench.sort");
@@ -101,7 +90,6 @@ Measurement bench_psort(rt::ConductorBackend be, bool smoke) {
 
 Measurement bench_scatter(rt::ConductorBackend be, bool smoke) {
   rt::Runtime runtime(arch::Topology{.nodes = 2}, arch::CostModel{}, be);
-  apply_shards(runtime);
   const std::size_t n = 1u << 14;
   const std::size_t m = smoke ? (1u << 14) : (1u << 17);
   rt::GlobalArray<double> target(runtime, n, arch::MemClass::kFarShared,
@@ -119,7 +107,6 @@ Measurement bench_scatter(rt::ConductorBackend be, bool smoke) {
 
 Measurement bench_nbody(rt::ConductorBackend be, bool smoke) {
   rt::Runtime runtime(arch::Topology{.nodes = 1}, arch::CostModel{}, be);
-  apply_shards(runtime);
   nbody::NbodyConfig cfg;
   cfg.n = smoke ? 256 : 1024;
   cfg.steps = 2;
@@ -134,15 +121,12 @@ Measurement bench_nbody(rt::ConductorBackend be, bool smoke) {
   return seal(runtime);
 }
 
-// The pdes_* benches are the sharded engine's acceptance workloads: the same
-// scheduling and nbody codes scaled to a 4-hypernode topology so the engine
-// runs one worker per node.  Their committed BENCH_pdes_*.json baselines
-// record the fibers-vs-pdes wall-clock ratio alongside the shared digest
-// (docs/PERFORMANCE.md, "Sharded PDES backend").
+// The pdes_* benches run the same scheduling and nbody codes on a
+// 4-hypernode topology, so the multi-node phase/fusion schedule drains four
+// shards per phase (docs/PERFORMANCE.md, "Multi-node schedule").
 
 Measurement bench_pdes_scheduling(rt::ConductorBackend be, bool smoke) {
   rt::Runtime runtime(arch::Topology{.nodes = 4}, arch::CostModel{}, be);
-  apply_shards(runtime);
   const std::size_t n = smoke ? 4096 : 65536;
   rt::LoopOptions opts;
   opts.schedule = rt::Schedule::kStatic;
@@ -157,7 +141,6 @@ Measurement bench_pdes_scheduling(rt::ConductorBackend be, bool smoke) {
 
 Measurement bench_ppm(rt::ConductorBackend be, bool smoke) {
   rt::Runtime runtime(arch::Topology{.nodes = 2}, arch::CostModel{}, be);
-  apply_shards(runtime);
   ppm::PpmConfig cfg;
   cfg.nx = smoke ? 48 : 96;
   cfg.ny = smoke ? 48 : 96;
@@ -172,7 +155,6 @@ Measurement bench_ppm(rt::ConductorBackend be, bool smoke) {
 
 Measurement bench_fem(rt::ConductorBackend be, bool smoke) {
   rt::Runtime runtime(arch::Topology{.nodes = 2}, arch::CostModel{}, be);
-  apply_shards(runtime);
   fem::FemConfig cfg;
   cfg.nx = smoke ? 32 : 64;
   cfg.ny = smoke ? 24 : 48;
@@ -185,7 +167,6 @@ Measurement bench_fem(rt::ConductorBackend be, bool smoke) {
 
 Measurement bench_pdes_nbody(rt::ConductorBackend be, bool smoke) {
   rt::Runtime runtime(arch::Topology{.nodes = 4}, arch::CostModel{}, be);
-  apply_shards(runtime);
   nbody::NbodyConfig cfg;
   cfg.n = smoke ? 512 : 2048;
   cfg.steps = 2;
@@ -216,8 +197,6 @@ const char* backend_name(rt::ConductorBackend be) {
   switch (be) {
     case rt::ConductorBackend::kFibers:
       return "fibers";
-    case rt::ConductorBackend::kPdes:
-      return "pdes";
     default:
       return "threads";
   }
@@ -283,7 +262,6 @@ bool write_json(const std::string& dir, const char* bench, bool smoke,
   out << "{\n"
       << "  \"bench\": \"" << bench << "\",\n"
       << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
-      << "  \"shards\": " << g_shards << ",\n"
       << "  \"host\": " << host_json() << ",\n"
       << "  \"sim_ns\": " << runs.front().m.sim_ns << ",\n"
       << "  \"digest\": \"" << digest_buf << "\",\n"
@@ -369,8 +347,8 @@ int check_against(const std::string& dir, const char* bench, bool smoke,
 int usage() {
   std::fprintf(
       stderr,
-      "usage: sppsim-bench [--smoke] [--backend threads|fibers|pdes|both]\n"
-      "                    [--shards N] [--bench NAME]...\n"
+      "usage: sppsim-bench [--smoke] [--backend threads|fibers|both]\n"
+      "                    [--bench NAME]...\n"
       "                    [--out DIR | --check DIR]\n"
       "                    [--ckpt-dir DIR [--ckpt-wall-interval SEC] "
       "[--resume]]\n"
@@ -378,10 +356,9 @@ int usage() {
       "Benches: scheduling psort scatter nbody ppm fem pdes_scheduling\n"
       "pdes_nbody\n"
       "(default: all).  --backend both runs each bench under every built\n"
-      "conductor backend (fibers, threads, pdes) and fails if simulated\n"
-      "time or the counter digest differ.  --shards N picks the pdes\n"
-      "worker count (default: one per hypernode); digests never depend on\n"
-      "it.  --out writes BENCH_<name>.json baselines; --check compares\n"
+      "conductor backend (fibers, threads) and fails if simulated time or\n"
+      "the counter digest differ.\n"
+      "--out writes BENCH_<name>.json baselines; --check compares\n"
       "against committed ones (sim time + digest only; wall time is\n"
       "informational).\n"
       "--ckpt-dir makes the nbody bench a durable run (epoch commits to\n"
@@ -412,10 +389,6 @@ int main(int argc, char** argv) {
       const char* v = value();
       if (v == nullptr) return usage();
       backend = v;
-    } else if (arg == "--shards") {
-      const char* v = value();
-      if (v == nullptr || std::atol(v) <= 0) return usage();
-      g_shards = static_cast<unsigned>(std::atol(v));
     } else if (arg == "--bench") {
       const char* v = value();
       if (v == nullptr) return usage();
@@ -460,19 +433,16 @@ int main(int argc, char** argv) {
       return 2;
     }
     backends = {rt::ConductorBackend::kFibers};
-  } else if (backend == "pdes") {
-    backends = {rt::ConductorBackend::kPdes};
   } else if (backend == "both") {
-    // Divergence oracle: the sequential fiber backend is the reference and
-    // runs first; the sharded pdes engine must match it bit for bit.
+    // Divergence oracle: the fiber backend is the reference and runs first;
+    // the OS-thread backend must match it bit for bit.
     if (rt::fibers_available()) {
-      backends = {rt::ConductorBackend::kFibers, rt::ConductorBackend::kThreads,
-                  rt::ConductorBackend::kPdes};
+      backends = {rt::ConductorBackend::kFibers, rt::ConductorBackend::kThreads};
     } else {
       std::fprintf(stderr,
-                   "sppsim-bench: fiber backend unavailable; comparing the "
-                   "OS-thread and pdes backends only\n");
-      backends = {rt::ConductorBackend::kThreads, rt::ConductorBackend::kPdes};
+                   "sppsim-bench: fiber backend unavailable; running the "
+                   "OS-thread backend only\n");
+      backends = {rt::ConductorBackend::kThreads};
     }
   } else {
     return usage();

@@ -82,7 +82,7 @@ constexpr const char kUsage[] =
     "latency|forkjoin|barrier|message|chaos|chaos-disk|check|survive|run|"
     "map\n"
     "  common:  [--nodes N] [--threads T] [--bytes B] [--l1-kb K]\n"
-    "           [--rounds R] [--fault-plan FILE] [--shards N]\n"
+    "           [--rounds R] [--fault-plan FILE]\n"
     "  run:     --app nbody|fem|pic|ppm|nbody-pvm|pic-pvm [--steps S]\n"
     "           [--ckpt-dir DIR] [--ckpt-interval K] "
     "[--ckpt-wall-interval SEC]\n"
@@ -97,12 +97,6 @@ struct Args {
   std::size_t bytes = 1024;
   std::uint64_t l1_kb = 1024;
   unsigned rounds = 64;
-  /// --shards N selects the sharded pdes conductor with N worker threads
-  /// (0 = flag absent: keep the SPP_CONDUCTOR / SPP_SHARDS environment).
-  /// Digests never depend on it -- a durable run killed at one shard count
-  /// resumes bit-exact at another (docs/PERFORMANCE.md, "Sharded PDES
-  /// backend").
-  unsigned shards = 0;
   std::string fault_plan;  ///< path to a text fault plan, "" = none.
   // `run` subcommand (durable checkpoints; docs/RECOVERY.md):
   std::string app = "nbody";
@@ -156,13 +150,6 @@ struct Args {
       } else if (flag == "--rounds") {
         if (!(v = value())) return false;
         a.rounds = std::atoi(v);
-      } else if (flag == "--shards") {
-        if (!(v = value())) return false;
-        a.shards = std::atoi(v);
-        if (a.shards < 1) {
-          std::fprintf(stderr, "sppsim-explore: --shards needs N >= 1\n");
-          return false;
-        }
       } else if (flag == "--fault-plan") {
         if (!(v = value())) return false;
         a.fault_plan = v;
@@ -1031,15 +1018,6 @@ int main(int argc, char** argv) {
   if (!Args::parse(argc, argv, a)) {
     std::fputs(kUsage, stderr);
     return spp::rt::kExitUsage;
-  }
-  if (a.shards != 0) {
-    // Every subcommand builds its Runtimes through the conductor's
-    // environment knobs, so one setenv covers them all (single-threaded
-    // here, before any Runtime exists).  --shards implies the pdes engine
-    // unless the caller pinned a backend explicitly.
-    const std::string n = std::to_string(a.shards);
-    ::setenv("SPP_SHARDS", n.c_str(), /*overwrite=*/1);
-    ::setenv("SPP_CONDUCTOR", "pdes", /*overwrite=*/0);
   }
   try {
     if (a.cmd == "latency") return cmd_latency(a);
