@@ -12,10 +12,12 @@
 # so any UBSan report fails the leg (UBSan recovers and carries on by
 # default, which let reports pass unnoticed).
 #
-# A gating bench-smoke leg (--bench-smoke) builds Release with the fiber
-# backend and runs sppsim-bench --smoke under both conductor backends
-# (fibers, threads): it fails only on simulated-time or counter-digest
-# divergence between them or from the committed bench/baselines
+# The ThreadSanitizer leg runs every simulated thread on a fiber, as every
+# other build does: fiber switches carry tsan annotations (spp/rt/fiber.h).
+#
+# A gating bench-smoke leg (--bench-smoke) builds Release and runs
+# sppsim-bench --smoke once per bench: it fails only on simulated-time or
+# counter-digest divergence from the committed bench/baselines
 # (docs/PERFORMANCE.md), never on wall-clock numbers.  It then runs
 # perfbench's --self-check: smoke workloads untraced and traced, whose
 # digests must agree, plus the replay-exactness check of the MemObserver
@@ -145,7 +147,7 @@ if [[ "$MODE" == "--survive-only" ]]; then
 fi
 
 if [[ "$MODE" == "all" || "$MODE" == "--tsan-only" ]]; then
-  echo "=== tier-1: thread sanitized build ==="
+  echo "=== tier-1: thread sanitized build (fibers, tsan-annotated) ==="
   run_suite build-tsan \
     -DSPP_SANITIZE=thread \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
@@ -215,19 +217,15 @@ EOF
 fi
 
 # Not part of "all": it needs its own Release build, so CI runs it as the
-# separate bench-smoke job.  It gates on sim time and digest only (between
-# backends and against bench/baselines); wall-clock numbers are recorded,
-# never compared.
+# separate bench-smoke job.  It gates on sim time and digest only (against
+# bench/baselines); wall-clock numbers are recorded, never compared.
 if [[ "$MODE" == "--bench-smoke" ]]; then
-  echo "=== bench-smoke: Release fibers build, fibers + threads backends ==="
-  cmake -B build-bench -S . \
-    -DCMAKE_BUILD_TYPE=Release -DSPP_FIBERS=ON
+  echo "=== bench-smoke: Release build, sppsim-bench --smoke ==="
+  cmake -B build-bench -S . -DCMAKE_BUILD_TYPE=Release
   cmake --build build-bench -j "$JOBS" --target sppsim-bench
   mkdir -p build-bench/bench-out
-  build-bench/tools/sppsim-bench --smoke --backend both \
-    --out build-bench/bench-out
-  build-bench/tools/sppsim-bench --smoke --backend both \
-    --check bench/baselines
+  build-bench/tools/sppsim-bench --smoke --out build-bench/bench-out
+  build-bench/tools/sppsim-bench --smoke --check bench/baselines
   echo "=== bench-smoke: perfbench self-check ==="
   python3 perfbench/run.py --self-check
 fi

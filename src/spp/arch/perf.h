@@ -128,10 +128,10 @@ struct PerfCounters {
   /// Order-sensitive FNV-1a digest of every integer counter the machine
   /// keeps -- per-CPU families in declaration order, then the globals --
   /// plus the caller's final simulated time.  Two runs of the same workload
-  /// must produce bit-identical digests regardless of conductor backend or
-  /// host; this is the oracle the determinism tests and sppsim-bench use
-  /// (docs/PERFORMANCE.md).  `flops` is a double accumulated identically on
-  /// every path and is deliberately excluded to keep the digest integral.
+  /// must produce bit-identical digests regardless of host; this is the
+  /// oracle the determinism tests and sppsim-bench use (docs/PERFORMANCE.md).
+  /// `flops` is a double accumulated identically on every path and is
+  /// deliberately excluded to keep the digest integral.
   /// The io_* family is also deliberately excluded: those counters describe
   /// host-filesystem weather, and a run that retried or degraded around
   /// disk faults must still digest identically to the fault-free run.

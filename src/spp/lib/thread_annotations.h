@@ -3,12 +3,11 @@
 // The simulator's core discipline is that *simulated* concurrency never maps
 // onto host concurrency: exactly one SThread runs at a time, so application
 // and `arch` code need no locks at all (DESIGN.md section 5.1).  Host-level
-// threads exist only at the edges -- the OS-thread conductor backend's
-// per-SThread handoff, the fiber stack pool, the rt::Watchdog poll thread,
-// and ckpt::Disk's cross-process writer LOCK.  Those edges are exactly where
-// a data race would be a *host* bug rather than a simulation bug, so they
-// carry clang `-Wthread-safety` capability annotations and the SPP_WERROR
-// clang CI leg machine-checks the locking protocol at build time.
+// threads exist only at the edges -- the fiber stack pool, the rt::Watchdog
+// poll thread, and ckpt::Disk's cross-process writer LOCK.  Those edges are
+// exactly where a data race would be a *host* bug rather than a simulation
+// bug, so they carry clang `-Wthread-safety` capability annotations and the
+// SPP_WERROR clang CI leg machine-checks the locking protocol at build time.
 //
 // Under any compiler without the capability attribute (GCC included) every
 // macro expands to nothing; the annotations are zero-cost documentation

@@ -5,9 +5,9 @@
 // recorded on its source shard's event list, and replayed at the next
 // fusion point in a single global order.  That order is the total order over
 // EventKey below, and it is a pure function of simulated state -- it never
-// depends on host timing or on the stack carrier -- which is what keeps
-// PerfCounters::digest bit-identical between the fiber and OS-thread
-// backends (docs/PERFORMANCE.md "Multi-node schedule").
+// depends on host timing -- which is what keeps PerfCounters::digest
+// bit-identical from run to run (docs/PERFORMANCE.md "Multi-node
+// schedule").
 #pragma once
 
 #include <cstdint>

@@ -277,10 +277,9 @@ class Pvm : private rt::FailStopPolicy {
   bool kill_on_fail_ = false;              ///< ULFM kill semantics enabled.
   int dead_count_ = 0;                     ///< fail-stopped tasks this spawn.
   /// PVM task id per *simulated* thread (indexed by SThread tid), -1 when
-  /// that thread is not a task.  Under the fiber conductor backend every
-  /// task shares one OS thread, so a thread_local here would be clobbered
-  /// across scheduling points; keying on the simulated tid works under both
-  /// backends.
+  /// that thread is not a task.  Every task is a fiber on one OS thread, so
+  /// a thread_local here would be clobbered across scheduling points; the
+  /// simulated tid is what tells tasks apart.
   std::vector<int> task_of_sthread_;
   int current_tid() const;
   void set_current_tid(int tid);

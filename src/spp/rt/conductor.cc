@@ -3,17 +3,12 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <set>
 #include <stdexcept>
 
 #include "spp/pdes/window.h"
 #include "spp/sim/log.h"
-
-#ifndef __has_feature
-#define __has_feature(x) 0
-#endif
 
 namespace spp::rt {
 
@@ -29,42 +24,6 @@ struct ShutdownSignal {};
 /// Fiber stacks are virtual-memory reservations; only touched pages commit,
 /// so a generous size costs nothing and keeps deep app frames safe.
 constexpr std::size_t kFiberStackBytes = 1u << 20;
-}
-
-bool fibers_available() {
-#if defined(__SANITIZE_THREAD__) || __has_feature(thread_sanitizer)
-  return false;
-#else
-  return Fiber::supported();
-#endif
-}
-
-ConductorBackend parse_conductor_backend(std::string_view name) {
-  if (name == "threads") return ConductorBackend::kThreads;
-  if (name == "fibers") return ConductorBackend::kFibers;
-  throw std::invalid_argument("SPP_CONDUCTOR=" + std::string(name) +
-                              ": expected threads|fibers");
-}
-
-ConductorBackend default_conductor_backend() {
-  static const ConductorBackend backend = [] {
-    // Read once, before any watchdog or conductor thread exists, and only
-    // ever from this static initializer -- no concurrent setenv can race it.
-    // NOLINTNEXTLINE(concurrency-mt-unsafe)
-    if (const char* env = std::getenv("SPP_CONDUCTOR")) {
-      const ConductorBackend named = parse_conductor_backend(env);
-      return named == ConductorBackend::kFibers && !fibers_available()
-                 ? ConductorBackend::kThreads
-                 : named;
-    }
-    if (!fibers_available()) return ConductorBackend::kThreads;
-#if defined(SPP_FIBERS) && SPP_FIBERS
-    return ConductorBackend::kFibers;
-#else
-    return ConductorBackend::kThreads;
-#endif
-  }();
-  return backend;
 }
 
 const char* to_string(BlockReason::Kind kind) {
@@ -92,11 +51,7 @@ SThread::SThread(Conductor* c, unsigned tid, unsigned cpu, unsigned node,
       node_(node),
       clock_(start),
       fn_(std::move(fn)) {
-  if (conductor_->use_fibers_) {
-    fiber_.create(&SThread::fiber_entry, this, kFiberStackBytes);
-  } else {
-    os_ = std::thread([this] { os_body(); });
-  }
+  fiber_.create(&SThread::fiber_entry, this, kFiberStackBytes);
 }
 
 void SThread::rebind_cpu(unsigned cpu) {
@@ -130,84 +85,28 @@ void SThread::fiber_body() {
   } catch (const ShutdownSignal&) {
     // Conductor-initiated teardown: exit quietly.
   } catch (...) {
-    // Park the exception so the conductor can rethrow it to
-    // Conductor::run's caller (same contract as os_body).
+    // A simulated thread must never unwind off its fiber; park the
+    // exception so the conductor can rethrow it to Conductor::run's caller.
     error_ = std::current_exception();
   }
   state_ = State::kDone;
   Fiber::exit_to(fiber_, conductor_->main_ctx_);
 }
 
-void SThread::os_body() {
-  // Wait for the first grant before touching anything.
-  {
-    HostLock lk(mu_);
-    while (!may_run_ && !shutdown_) cv_.wait(mu_);
-    if (shutdown_) {
-      state_ = State::kDone;
-      return;
-    }
-    may_run_ = false;
-  }
-  detail::tls_current = this;
-  try {
-    fn_();
-  } catch (const ShutdownSignal&) {
-    // Conductor-initiated teardown: exit quietly.
-  } catch (...) {
-    // A simulated thread must never unwind into the OS thread shim; park the
-    // exception so the conductor can rethrow it to Conductor::run's caller.
-    error_ = std::current_exception();
-  }
-  detail::tls_current = nullptr;
-  // Final hand-back: mark done; conductor joins us later.
-  HostLock lk(mu_);
-  state_ = State::kDone;
-  handed_back_ = true;
-  cv_.notify_all();
-}
-
 void SThread::hand_back(State next_state) {
-  if (conductor_->use_fibers_) {
-    state_ = next_state;
-    Fiber::switch_to(fiber_, conductor_->main_ctx_);
-    // Resumed by run_once (which already marked us Running) or by
-    // shutdown_all (unwind).
-    if (fiber_shutdown_) throw ShutdownSignal{};
-    return;
-  }
-  bool unwind = false;
-  {
-    HostLock lk(mu_);
-    state_ = next_state;
-    handed_back_ = true;
-    cv_.notify_all();
-    while (!may_run_ && !shutdown_) cv_.wait(mu_);
-    if (shutdown_) {
-      unwind = true;
-    } else {
-      may_run_ = false;
-      state_ = State::kRunning;
-    }
-  }
-  if (unwind) throw ShutdownSignal{};
+  state_ = next_state;
+  Fiber::switch_to(fiber_, conductor_->main_ctx_);
+  // Resumed by run_once (which already marked us Running) or by
+  // shutdown_all (unwind).
+  if (fiber_shutdown_) throw ShutdownSignal{};
 }
 
 void SThread::run_once() {
-  if (conductor_->use_fibers_) {
-    state_ = State::kRunning;
-    started_ = true;
-    detail::tls_current = this;
-    Fiber::switch_to(conductor_->main_ctx_, fiber_);
-    detail::tls_current = nullptr;
-    return;
-  }
-  HostLock lk(mu_);
   state_ = State::kRunning;
-  may_run_ = true;
-  cv_.notify_all();
-  while (!handed_back_) cv_.wait(mu_);
-  handed_back_ = false;
+  started_ = true;
+  detail::tls_current = this;
+  Fiber::switch_to(conductor_->main_ctx_, fiber_);
+  detail::tls_current = nullptr;
 }
 
 // ---------------------------------------------------------------------------
@@ -237,18 +136,8 @@ FusionScope::~FusionScope() {
 // Conductor
 // ---------------------------------------------------------------------------
 
-Conductor::Conductor(arch::Machine& machine, ConductorBackend backend)
-    : machine_(machine),
-      backend_(backend == ConductorBackend::kFibers && !fibers_available()
-                   ? ConductorBackend::kThreads
-                   : backend),
-      use_fibers_(backend_ != ConductorBackend::kThreads &&
-                  fibers_available()),
-      nodes_(machine.topo().nodes) {
-  if (backend_ == ConductorBackend::kPdes) {
-    throw std::invalid_argument(
-        "Conductor: the pdes backend was removed; use threads|fibers");
-  }
+Conductor::Conductor(arch::Machine& machine)
+    : machine_(machine), nodes_(machine.topo().nodes) {
   owned_.resize(nodes_);
   ready_by_node_.resize(nodes_);
   blocked_by_node_.assign(nodes_, 0);
@@ -272,27 +161,18 @@ void Conductor::shutdown_all() {
   }
   for (auto& shard : owned_) {
     for (auto& t : shard) {
-      if (use_fibers_) {
-        if (t->state_ == SThread::State::kDone) continue;
-        t->fiber_shutdown_ = true;
-        if (t->started_) {
-          // Resume the fiber so hand_back throws ShutdownSignal and the
-          // stack unwinds; fiber_body marks Done and exits back here.
-          detail::tls_current = t.get();
-          Fiber::switch_to(main_ctx_, t->fiber_);
-          detail::tls_current = nullptr;
-        } else {
-          // Never entered: no frames to unwind, just retire it.
-          t->state_ = SThread::State::kDone;
-        }
-        continue;
+      if (t->state_ == SThread::State::kDone) continue;
+      t->fiber_shutdown_ = true;
+      if (t->started_) {
+        // Resume the fiber so hand_back throws ShutdownSignal and the
+        // stack unwinds; fiber_body marks Done and exits back here.
+        detail::tls_current = t.get();
+        Fiber::switch_to(main_ctx_, t->fiber_);
+        detail::tls_current = nullptr;
+      } else {
+        // Never entered: no frames to unwind, just retire it.
+        t->state_ = SThread::State::kDone;
       }
-      {
-        HostLock lk(t->mu_);
-        t->shutdown_ = true;
-        t->cv_.notify_all();
-      }
-      if (t->os_.joinable()) t->os_.join();
     }
   }
 }
@@ -317,12 +197,6 @@ void Conductor::run(std::function<void()> main_fn, unsigned cpu,
     shutdown_all();
     cleanup_run();
     throw;
-  }
-  // Join and release finished threads so repeated run() calls stay clean.
-  for (auto& shard : owned_) {
-    for (auto& t : shard) {
-      if (t->os_.joinable()) t->os_.join();
-    }
   }
   cleanup_run();
 }

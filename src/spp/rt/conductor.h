@@ -33,7 +33,7 @@
 // Phase membership, horizons, per-shard dispatch order, park sequence
 // numbers, and fusion order are all pure functions of *simulated* state, so
 // every simulated observable (PerfCounters::digest included) is
-// bit-identical across backends.  The schedule is part of the multi-node
+// bit-identical from run to run.  The schedule is part of the multi-node
 // timing model; every phase runs on the conductor's own host thread.
 //
 // An SThread advances its clock locally (compute charges, memory access
@@ -41,13 +41,10 @@
 // yield() (cheap reschedule), block() (wait for another thread to unblock
 // it), or completion.
 //
-// Two execution backends:
-//   kFibers  -- stackful user-level fibers (default; a context switch costs
-//               a function call).
-//   kThreads -- one OS thread per SThread with mutex/condvar handoff (the
-//               fallback, and the only carrier ThreadSanitizer understands).
-// Scheduling decisions are backend-independent, so both produce
-// bit-identical simulated time and counters.
+// Every SThread runs on a stackful user-level fiber (spp/rt/fiber.h) on the
+// conductor's own host thread: a context switch costs a function call, and
+// the conductor only ever switches between its own context and one
+// SThread's fiber.
 #pragma once
 
 #include <atomic>
@@ -59,16 +56,12 @@
 #include <set>
 #include <stdexcept>
 #include <string>
-#include <string_view>
-#include <thread>
 #include <vector>
 
 #include "spp/arch/machine.h"
 #include "spp/arch/topology.h"
-#include "spp/lib/thread_annotations.h"
 #include "spp/pdes/event.h"
 #include "spp/rt/fiber.h"
-#include "spp/rt/host_mutex.h"
 #include "spp/sim/time.h"
 
 namespace spp::rt {
@@ -87,28 +80,8 @@ namespace detail {
 extern constinit thread_local SThread* tls_current;
 }  // namespace detail
 
-/// Which mechanism carries simulated-thread stacks.  Scheduling -- and thus
-/// every simulated observable -- is identical under both.
-enum class ConductorBackend {
-  kThreads,  ///< one OS thread per SThread, mutex/condvar ping-pong.
-  kFibers,   ///< stackful user-level fibers on the conductor's own thread.
-  kPdes,     ///< removed; kept only as a name perfbench/ uses (rejected).
-};
-
-/// True when the fiber backend can run in this build: a Fiber implementation
-/// exists and we are not under ThreadSanitizer (which cannot track stack
-/// switches within one OS thread; the tsan CI leg pins OS-thread stacks).
-bool fibers_available();
-
-/// Parses an SPP_CONDUCTOR value: "threads" or "fibers".  Anything else
-/// throws std::invalid_argument naming the accepted values.
-ConductorBackend parse_conductor_backend(std::string_view name);
-
-/// The backend new Conductors get by default: fibers when available and the
-/// build enabled them (SPP_FIBERS, on by default), else OS threads.  The
-/// environment variable SPP_CONDUCTOR=threads|fibers overrides (fibers
-/// still fall back to threads where unavailable); an unknown value throws.
-ConductorBackend default_conductor_backend();
+/// Only kFibers runs; the other two are names perfbench/ still uses.
+enum class ConductorBackend { kThreads, kFibers, kPdes };
 
 /// Simulated deadlock, diagnosed by the conductor's wait-for graph.  The
 /// message is the full per-thread blocked-on report (docs/CHECKER.md), so
@@ -180,7 +153,6 @@ class SThread {
   SThread(Conductor* c, unsigned tid, unsigned cpu, unsigned node,
           sim::Time start, std::function<void()> fn);
 
-  void os_body();
   static void fiber_entry(void* self);
   void fiber_body();
   /// Hands control back to the conductor; returns when resumed.
@@ -203,24 +175,10 @@ class SThread {
   bool fusing_ = false;  ///< resumed at a fusion point; gates no-op.
   int gate_depth_ = 0;   ///< FusionScope nesting (sync-op bodies).
 
-  // Thread backend state.  mu_ orders the one-at-a-time conductor<->thread
-  // ping-pong; the three handshake flags below are the only state both host
-  // threads touch concurrently and are machine-checked against mu_ by the
-  // clang -Wthread-safety leg (docs/STATIC_ANALYSIS.md).  state_/clock_ are
-  // NOT guarded: each is written on one side of the handshake and read on
-  // the other only after the mutex release/acquire pair that completes it,
-  // so the handshake itself publishes them.
-  HostMutex mu_;
-  HostCondVar cv_;
-  bool may_run_ SPP_GUARDED_BY(mu_) = false;      // conductor -> thread
-  bool handed_back_ SPP_GUARDED_BY(mu_) = false;  // thread -> conductor
-  bool shutdown_ SPP_GUARDED_BY(mu_) = false;     // conductor -> thread:
-                                                  // unwind and exit
   std::exception_ptr error_;  // exception that escaped fn_, if any
-  std::thread os_;
 
-  // Fiber backend state.  Switches always return to the conductor's own
-  // host context (Conductor::main_ctx_).
+  // Switches always return to the conductor's own host context
+  // (Conductor::main_ctx_).
   Fiber fiber_;
   bool started_ = false;  ///< the fiber has been entered at least once.
   bool fiber_shutdown_ = false;  ///< conductor asks the fiber to unwind.
@@ -248,15 +206,15 @@ class FusionScope {
 /// Owns all simulated threads and runs the scheduling loop.
 class Conductor : public arch::CrossGate {
  public:
-  explicit Conductor(arch::Machine& machine,
-                     ConductorBackend backend = default_conductor_backend());
+  explicit Conductor(arch::Machine& machine);
   ~Conductor() override;
 
   Conductor(const Conductor&) = delete;
   Conductor& operator=(const Conductor&) = delete;
 
   arch::Machine& machine() { return machine_; }
-  ConductorBackend backend() const { return backend_; }
+  /// Always kFibers; kept only because perfbench/ prints it.
+  ConductorBackend backend() const { return ConductorBackend::kFibers; }
 
   /// Runs `main_fn` as simulated thread 0 on `cpu` and drives the scheduling
   /// loop until every simulated thread has finished.  Throws on deadlock.
@@ -285,9 +243,10 @@ class Conductor : public arch::CrossGate {
   SThread* spawn(std::function<void()> fn, unsigned cpu, sim::Time start);
   /// Scheduling point: lets an earlier-clocked thread run first.  Cheap
   /// no-op if the caller is still the earliest (within `slack`).  A nonzero
-  /// slack trades interleaving fidelity for fewer OS handoffs: the caller
-  /// keeps running until it is `slack` ahead of the earliest ready thread,
-  /// bounding the resource-order error by `slack` (DESIGN.md section 5.1).
+  /// slack trades interleaving fidelity for fewer context switches: the
+  /// caller keeps running until it is `slack` ahead of the earliest ready
+  /// thread, bounding the resource-order error by `slack` (DESIGN.md
+  /// section 5.1).
   /// Under the engine the comparison is against the caller's own shard, and
   /// a caller past the phase horizon hands back so the phase can end.
   void yield(sim::Time slack = 0);
@@ -403,7 +362,7 @@ class Conductor : public arch::CrossGate {
   void cleanup_run();
   void bump_progress() { progress_.fetch_add(1, std::memory_order_relaxed); }
 
-  /// Wakes every non-finished thread with the shutdown flag and joins it
+  /// Unwinds every started, unfinished thread's fiber and retires the rest
   /// (used on simulated deadlock and at destruction).  If threads are still
   /// blocked and no deadlock diagnosis has been emitted yet, logs the same
   /// wait-for report the deadlock throw would have carried.
@@ -418,11 +377,9 @@ class Conductor : public arch::CrossGate {
   std::vector<unsigned> find_cycle(const SThread& start) const;
 
   arch::Machine& machine_;
-  ConductorBackend backend_;
-  bool use_fibers_;  ///< stacks are fibers (vs one OS thread per SThread).
-  unsigned nodes_;   ///< shard count = hypernode count (fixed per machine).
+  unsigned nodes_;  ///< shard count = hypernode count (fixed per machine).
 
-  /// Fiber backend: the conductor's own (host-thread) context slot.
+  /// The conductor's own (host-thread) context slot.
   Fiber main_ctx_;
 
   // Per-shard scheduling state.  Single-node machines use slot 0

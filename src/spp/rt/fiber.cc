@@ -7,24 +7,22 @@
 #include "spp/lib/thread_annotations.h"
 #include "spp/rt/host_mutex.h"
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/mman.h>
-#include <unistd.h>
-#define SPP_FIBER_HAVE_MMAP 1
-#endif
-
-// Backend selection: hand-rolled context switch on ELF x86-64/aarch64 (the
-// SysV calling conventions the asm below assumes), ucontext elsewhere on
-// unix, nothing otherwise (Fiber::supported() reports false and the
-// conductor stays on OS threads).
-#if defined(__ELF__) && defined(__x86_64__) && SPP_FIBER_HAVE_MMAP
+// Context-switch selection: hand-rolled on ELF x86-64/aarch64 (the SysV
+// calling conventions the asm below assumes), ucontext elsewhere on unix.
+// Simulated threads have no other carrier, so any other target fails here.
+#if defined(__ELF__) && defined(__x86_64__)
 #define SPP_FIBER_ASM_X86_64 1
-#elif defined(__ELF__) && defined(__aarch64__) && SPP_FIBER_HAVE_MMAP
+#elif defined(__ELF__) && defined(__aarch64__)
 #define SPP_FIBER_ASM_AARCH64 1
-#elif SPP_FIBER_HAVE_MMAP
+#elif defined(__unix__) || defined(__APPLE__)
 #define SPP_FIBER_UCONTEXT 1
 #include <ucontext.h>
+#else
+#error "spp::rt::Fiber needs ELF x86-64/aarch64 or ucontext"
 #endif
+
+#include <sys/mman.h>
+#include <unistd.h>
 
 #ifndef __has_feature
 #define __has_feature(x) 0
@@ -37,6 +35,15 @@ void __sanitizer_start_switch_fiber(void** fake_stack_save, const void* bottom,
 void __sanitizer_finish_switch_fiber(void* fake_stack_save,
                                      const void** bottom_old,
                                      std::size_t* size_old);
+}
+#endif
+#if defined(__SANITIZE_THREAD__) || __has_feature(thread_sanitizer)
+#define SPP_FIBER_TSAN 1
+extern "C" {
+void* __tsan_get_current_fiber();
+void* __tsan_create_fiber(unsigned flags);
+void __tsan_destroy_fiber(void* fiber);
+void __tsan_switch_to_fiber(void* fiber, unsigned flags);
 }
 #endif
 
@@ -60,7 +67,6 @@ void swap_eh_globals(unsigned char* save_outgoing,
   std::memcpy(save_outgoing, tmp, n);
 }
 
-#if SPP_FIBER_HAVE_MMAP
 std::size_t page_size() {
   static const std::size_t p = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
   return p;
@@ -114,7 +120,6 @@ StackPool& stack_pool() {
   static StackPool* pool = new StackPool;  // leaked: fibers may die at exit
   return *pool;
 }
-#endif
 
 }  // namespace
 
@@ -234,7 +239,7 @@ void spp_fiber_raw_switch(void** save_sp, void* load_sp);
 void spp_fiber_trampoline();
 }
 
-#elif defined(SPP_FIBER_UCONTEXT)
+#else  // SPP_FIBER_UCONTEXT
 
 namespace {
 
@@ -260,28 +265,20 @@ void uctx_trampoline(unsigned hi, unsigned lo) {
 // Fiber
 // ---------------------------------------------------------------------------
 
-bool Fiber::supported() {
-#if defined(SPP_FIBER_ASM_X86_64) || defined(SPP_FIBER_ASM_AARCH64) || \
-    defined(SPP_FIBER_UCONTEXT)
-  return true;
-#else
-  return false;
-#endif
-}
-
 Fiber::~Fiber() {
 #if defined(SPP_FIBER_UCONTEXT)
   delete static_cast<UctxState*>(uctx_);
 #endif
-#if SPP_FIBER_HAVE_MMAP
+#if defined(SPP_FIBER_TSAN)
+  // A host slot holds its OS thread's own context, not ours to destroy.
+  if (created() && tsan_fiber_ != nullptr) __tsan_destroy_fiber(tsan_fiber_);
+#endif
   if (stack_ != nullptr && !stack_pool().release(stack_, map_bytes_)) {
     munmap(stack_, map_bytes_);
   }
-#endif
 }
 
 void Fiber::create(void (*entry)(void*), void* arg, std::size_t stack_bytes) {
-#if SPP_FIBER_HAVE_MMAP
   // Guard page below the stack (stacks grow down): an overflow faults
   // instead of silently corrupting adjacent heap and breaking determinism.
   const std::size_t pg = page_size();
@@ -305,7 +302,6 @@ void Fiber::create(void (*entry)(void*), void* arg, std::size_t stack_bytes) {
   stack_ = base;
   stack_bottom_ = static_cast<char*>(base) + pg;
   stack_size_ = usable;
-#endif
 
 #if defined(SPP_FIBER_ASM_X86_64)
   // Frame layout consumed by spp_fiber_raw_switch's restore half, low to
@@ -345,7 +341,7 @@ void Fiber::create(void (*entry)(void*), void* arg, std::size_t stack_bytes) {
   frame[1] = reinterpret_cast<std::uint64_t>(arg);    // x20
   frame[11] = reinterpret_cast<std::uint64_t>(&spp_fiber_trampoline);  // x30
   sp_ = frame;
-#elif defined(SPP_FIBER_UCONTEXT)
+#else
   auto* st = new UctxState;
   st->entry = entry;
   st->arg = arg;
@@ -361,11 +357,9 @@ void Fiber::create(void (*entry)(void*), void* arg, std::size_t stack_bytes) {
               static_cast<unsigned>(p >> 32),
               static_cast<unsigned>(p & 0xffffffffu));
   uctx_ = st;
-#else
-  (void)entry;
-  (void)arg;
-  (void)stack_bytes;
-  throw std::logic_error("fiber: no backend on this platform");
+#endif
+#if defined(SPP_FIBER_TSAN)
+  tsan_fiber_ = __tsan_create_fiber(0);
 #endif
 }
 
@@ -375,15 +369,18 @@ void Fiber::switch_to(Fiber& from, Fiber& to) {
   __sanitizer_start_switch_fiber(&from.fake_stack_, to.stack_bottom_,
                                  to.stack_size_);
 #endif
+#if defined(SPP_FIBER_TSAN)
+  // A host slot takes whichever OS thread is switching away from it.  The
+  // switch synchronizes, so tsan orders the fibers as the conductor does.
+  if (!from.created()) from.tsan_fiber_ = __tsan_get_current_fiber();
+  __tsan_switch_to_fiber(to.tsan_fiber_, 0);
+#endif
 #if defined(SPP_FIBER_ASM_X86_64) || defined(SPP_FIBER_ASM_AARCH64)
   spp_fiber_raw_switch(&from.sp_, to.sp_);
-#elif defined(SPP_FIBER_UCONTEXT)
+#else
   if (from.uctx_ == nullptr) from.uctx_ = new UctxState;
   swapcontext(&static_cast<UctxState*>(from.uctx_)->ctx,
               &static_cast<UctxState*>(to.uctx_)->ctx);
-#else
-  (void)to;
-  throw std::logic_error("fiber: no backend on this platform");
 #endif
   // Resumed: we are back on `from`'s stack (whoever resumed us has already
   // restored our eh globals).
@@ -398,10 +395,14 @@ void Fiber::exit_to(Fiber& dying, Fiber& to) {
   // nullptr fake-stack slot: the dying fiber's fake frames are destroyed.
   __sanitizer_start_switch_fiber(nullptr, to.stack_bottom_, to.stack_size_);
 #endif
+#if defined(SPP_FIBER_TSAN)
+  // The dying fiber's context is destroyed with its Fiber, on the host.
+  __tsan_switch_to_fiber(to.tsan_fiber_, 0);
+#endif
 #if defined(SPP_FIBER_ASM_X86_64) || defined(SPP_FIBER_ASM_AARCH64)
   void* scratch = nullptr;
   spp_fiber_raw_switch(&scratch, to.sp_);
-#elif defined(SPP_FIBER_UCONTEXT)
+#else
   setcontext(&static_cast<UctxState*>(to.uctx_)->ctx);
 #endif
   __builtin_unreachable();

@@ -1,19 +1,21 @@
-// Stackful user-level fibers for the conductor's fiber backend
+// Stackful user-level fibers: the carrier of every simulated thread
 // (docs/PERFORMANCE.md).
 //
 // A Fiber is one saved execution context: either a context slot for the host
 // OS thread (default-constructed, no stack of its own) or a created fiber
 // owning an mmap'd stack with a guard page.  Switching is a hand-rolled
 // callee-saved register save/restore on x86-64 and aarch64 -- tens of
-// nanoseconds, no syscall -- with a ucontext fallback elsewhere.  Exactly one
-// fiber per host thread runs at a time; the conductor switches between its
-// own context and one simulated thread's fiber, never fiber-to-fiber.
+// nanoseconds, no syscall -- with a ucontext fallback elsewhere on unix; any
+// other target fails to build.  Exactly one fiber per host thread runs at a
+// time; the conductor switches between its own context and one simulated
+// thread's fiber, never fiber-to-fiber.
 //
 // Sanitizer support: under AddressSanitizer every switch is annotated with
 // __sanitizer_start_switch_fiber/__sanitizer_finish_switch_fiber so asan
-// tracks the active stack.  ThreadSanitizer does not model stack switching
-// within one OS thread; the conductor compiles the fiber backend out under
-// tsan and pins that leg to the OS-thread backend (ci/run_tests.sh).
+// tracks the active stack.  Under ThreadSanitizer each created fiber gets a
+// tsan context (__tsan_create_fiber/__tsan_destroy_fiber) and every switch
+// calls __tsan_switch_to_fiber, which also orders the two sides, so tsan
+// checks the simulator on the same carrier it ships with.
 //
 // C++ exception state: the itanium ABI keeps the caught-exception stack in
 // TLS per OS thread.  Fibers on one host thread share that TLS, so a fiber
@@ -57,18 +59,15 @@ class Fiber {
   /// context's stack bounds into `host` for later switches back.
   static void on_entry(Fiber& host);
 
-  /// True when this build carries a usable fiber implementation (false only
-  /// on platforms with neither hand-rolled asm nor ucontext).
-  static bool supported();
-
  private:
-  void* sp_ = nullptr;           ///< saved stack pointer (asm backends).
-  void* uctx_ = nullptr;         ///< ucontext_t* (fallback backend).
+  void* sp_ = nullptr;           ///< saved stack pointer (asm switches).
+  void* uctx_ = nullptr;         ///< ucontext_t* (ucontext fallback).
   void* stack_ = nullptr;        ///< mmap base (guard page first), if owned.
   std::size_t map_bytes_ = 0;    ///< total mmap length including guard.
   void* stack_bottom_ = nullptr; ///< usable stack low address (asan bounds).
   std::size_t stack_size_ = 0;   ///< usable stack length (asan bounds).
   void* fake_stack_ = nullptr;   ///< asan fake-stack save slot.
+  void* tsan_fiber_ = nullptr;   ///< tsan context (a host slot: its thread's).
   /// Saved __cxa_eh_globals (caught-exception chain) while suspended.
   unsigned char eh_state_[2 * sizeof(void*)] = {};
 };

@@ -7,14 +7,12 @@
 // annotations compile away entirely off clang (spp/lib/thread_annotations.h).
 //
 // Host locks in this codebase are rare by design (exactly one simulated
-// thread runs at a time; see conductor.h).  The inventory:
-//   - SThread's handoff mutex (OS-thread conductor backend),
-//   - the fiber stack pool's free-list mutex,
-// both in src/spp/rt/.  spp-lint's sim-no-host-thread check keeps host
-// primitives -- including these wrappers -- out of simulated code.
+// thread runs at a time; see conductor.h).  The inventory is one lock: the
+// fiber stack pool's free-list mutex (src/spp/rt/fiber.cc).  spp-lint's
+// sim-no-host-thread check keeps host primitives -- including these
+// wrappers -- out of simulated code.
 #pragma once
 
-#include <condition_variable>
 #include <mutex>
 
 #include "spp/lib/thread_annotations.h"
@@ -33,7 +31,6 @@ class SPP_CAPABILITY("mutex") HostMutex {
   bool try_lock() SPP_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
-  friend class HostCondVar;
   std::mutex mu_;
 };
 
@@ -48,31 +45,6 @@ class SPP_SCOPED_CAPABILITY HostLock {
 
  private:
   HostMutex& mu_;
-};
-
-/// Condition variable waiting on a HostMutex the caller already holds.
-/// wait() releases and reacquires the mutex internally (the usual condvar
-/// contract), which the analysis models via the SPP_REQUIRES: the caller
-/// must hold the mutex across the call, and guarded predicate state read in
-/// the wait loop is therefore statically proven protected.
-class HostCondVar {
- public:
-  /// Blocks until notified; spurious wakeups possible, so call in a loop
-  /// re-testing the guarded predicate.
-  void wait(HostMutex& mu) SPP_REQUIRES(mu) {
-    // Adopt the already-held native mutex for the duration of the wait and
-    // release() it back before unlocking would happen: ownership stays with
-    // the caller's HostLock.
-    std::unique_lock<std::mutex> native(mu.mu_, std::adopt_lock);
-    cv_.wait(native);
-    native.release();
-  }
-
-  void notify_one() { cv_.notify_one(); }
-  void notify_all() { cv_.notify_all(); }
-
- private:
-  std::condition_variable cv_;
 };
 
 }  // namespace spp::rt

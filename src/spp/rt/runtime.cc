@@ -24,9 +24,8 @@ struct AsyncGroup::State {
   bool cross_group = false;
 };
 
-Runtime::Runtime(arch::Topology topo, arch::CostModel cm,
-                 ConductorBackend backend)
-    : machine_(topo, cm), conductor_(machine_, backend) {}
+Runtime::Runtime(arch::Topology topo, arch::CostModel cm)
+    : machine_(topo, cm), conductor_(machine_) {}
 
 Runtime::~Runtime() {
   if (active_ == this) active_ = prev_active_;
@@ -118,7 +117,7 @@ std::vector<SThread*> Runtime::spawn_group(
   // PDES: a fork that places children on other hypernodes mutates those
   // shards' scheduler state, so the whole spawn serializes at the fusion
   // rendezvous.  The placement probe is pure, so the decision (and the
-  // group's cross flag) is identical under every backend.
+  // group's cross flag) is identical on every run.
   bool cross_group = false;
   if (conductor_.engine_active()) {
     for (unsigned i = 0; i < n && !cross_group; ++i) {

@@ -96,8 +96,7 @@ class AsyncGroup {
 
 class Runtime {
  public:
-  explicit Runtime(arch::Topology topo, arch::CostModel cm = {},
-                   ConductorBackend backend = default_conductor_backend());
+  explicit Runtime(arch::Topology topo, arch::CostModel cm = {});
   ~Runtime();
 
   Runtime(const Runtime&) = delete;

@@ -1,13 +1,13 @@
 // Tests for the multi-node phase/fusion schedule (docs/PERFORMANCE.md,
 // "Multi-node schedule"): deterministic cross-shard event ordering, digest
-// equality across the two stack carriers on a 4-hypernode machine, and the
-// dispatch count the watchdog supervises.
+// stability on a 4-hypernode machine, and the dispatch count the watchdog
+// supervises.
 //
 // The schedule is a pure function of simulated state, so every simulated
-// observable -- PerfCounters::digest above all -- is bit-identical under
-// the fiber and OS-thread backends.  These tests are the in-tree half of
-// that guarantee; the sppsim-bench --backend both leg and the committed
-// BENCH_pdes_*.json baselines are the tool half.
+// observable -- PerfCounters::digest above all -- is bit-identical from run
+// to run.  These tests are the in-tree half of that guarantee; the
+// committed BENCH_pdes_*.json baselines checked by the bench-smoke leg are
+// the tool half.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -70,10 +70,10 @@ TEST(PdesEventKey, TotalOrderIsStrict) {
   }
 }
 
-// --- digest equality across backends on four hypernodes -------------------
+// --- digest stability on four hypernodes -----------------------------------
 
-std::uint64_t nbody_digest(rt::ConductorBackend be) {
-  rt::Runtime rt(Topology{.nodes = 4}, arch::CostModel{}, be);
+std::uint64_t nbody_digest() {
+  rt::Runtime rt(Topology{.nodes = 4});
   nbody::NbodyConfig cfg;
   cfg.n = 192;
   cfg.steps = 2;
@@ -82,8 +82,8 @@ std::uint64_t nbody_digest(rt::ConductorBackend be) {
   return rt.machine().perf().digest(rt.elapsed());
 }
 
-std::uint64_t ppm_digest(rt::ConductorBackend be) {
-  rt::Runtime rt(Topology{.nodes = 4}, arch::CostModel{}, be);
+std::uint64_t ppm_digest() {
+  rt::Runtime rt(Topology{.nodes = 4});
   ppm::PpmConfig cfg;
   cfg.nx = 24;
   cfg.ny = 24;
@@ -96,23 +96,11 @@ std::uint64_t ppm_digest(rt::ConductorBackend be) {
   return rt.machine().perf().digest(rt.elapsed());
 }
 
-// Where fibers are unavailable (tsan) the Conductor runs kFibers on OS
-// threads, so both sides compare the OS-thread backend with itself.
-TEST(PdesDigest, NbodyFibersMatchThreads) {
-  EXPECT_EQ(nbody_digest(rt::ConductorBackend::kFibers),
-            nbody_digest(rt::ConductorBackend::kThreads));
-}
-
-TEST(PdesDigest, PpmFibersMatchThreads) {
-  EXPECT_EQ(ppm_digest(rt::ConductorBackend::kFibers),
-            ppm_digest(rt::ConductorBackend::kThreads));
-}
-
-// Repeated runs are also bit-stable (no hidden host nondeterminism leaking
+// Repeated runs are bit-stable (no hidden host nondeterminism leaking
 // through the fusion order).
 TEST(PdesDigest, RepeatedRunsAreBitStable) {
-  const rt::ConductorBackend be = rt::default_conductor_backend();
-  EXPECT_EQ(nbody_digest(be), nbody_digest(be));
+  EXPECT_EQ(nbody_digest(), nbody_digest());
+  EXPECT_EQ(ppm_digest(), ppm_digest());
 }
 
 // --- dispatch progress through phases and fusion ---------------------------
@@ -126,16 +114,16 @@ TEST(PdesWatchdog, ProgressCountsPhaseAndFusionDispatches) {
   rt::Runtime rt(Topology{.nodes = 4});
   ASSERT_TRUE(rt.conductor().engine_active());
   rt::Watchdog dog(rt.conductor(), /*stall_seconds=*/60.0);
-  constexpr unsigned kThreads = 16;
+  constexpr unsigned kChildren = 16;
   constexpr std::uint64_t kRounds = 4;
   std::uint64_t last = rt.conductor().progress();
   for (std::uint64_t r = 0; r < kRounds; ++r) {
     rt.run([&] {
-      rt.parallel(kThreads, rt::Placement::kUniform,
+      rt.parallel(kChildren, rt::Placement::kUniform,
                   [&](unsigned, unsigned) { rt.work_flops(500); });
     });
     const std::uint64_t now = rt.conductor().progress();
-    EXPECT_GE(now - last, 2u * kThreads) << "round " << r;
+    EXPECT_GE(now - last, 2u * kChildren) << "round " << r;
     last = now;
   }
 }

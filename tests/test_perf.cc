@@ -1,8 +1,8 @@
 // Regression tests for the wall-clock fast paths (docs/PERFORMANCE.md):
-// the FlatMap backing the home directory, the fiber conductor backend's
-// bit-exactness against the OS-thread backend, and the pvm message buffer
-// pre-sizing.  None of these may change simulated time or counters; the
-// digest comparisons here are the oracle that they do not.  The oracle
+// the FlatMap backing the home directory, the inline L1-hit path's
+// bit-exactness against the out-of-line protocol walk, and the pvm message
+// buffer pre-sizing.  None of these may change simulated time or counters;
+// the digest comparisons here are the oracle that they do not.  The oracle
 // itself, PerfCounters::digest, is pinned to a constant below.
 #include <algorithm>
 #include <cstdint>
@@ -151,7 +151,7 @@ TEST(DirectoryFlatMap, ChurnAcrossNodesKeepsInvariants) {
 }
 
 // ---------------------------------------------------------------------------
-// Fiber backend vs OS-thread backend: bit-exact simulation
+// Digest workloads
 // ---------------------------------------------------------------------------
 
 struct RunDigest {
@@ -160,8 +160,8 @@ struct RunDigest {
 };
 
 /// Conductor-switch-heavy sync microbenchmark (dynamic loop scheduling).
-RunDigest sync_micro(rt::ConductorBackend be) {
-  rt::Runtime runtime(Topology{.nodes = 2}, arch::CostModel{}, be);
+RunDigest sync_micro() {
+  rt::Runtime runtime(Topology{.nodes = 2});
   rt::LoopOptions opts;
   opts.schedule = rt::Schedule::kDynamic;
   opts.chunk = 8;
@@ -177,9 +177,8 @@ RunDigest sync_micro(rt::ConductorBackend be) {
 
 /// Small real application (barriers, shared scratch, streaming memory).
 /// `observer`, when set, is attached to the machine for the whole run.
-RunDigest small_app(rt::ConductorBackend be,
-                    arch::MemObserver* observer = nullptr) {
-  rt::Runtime runtime(Topology{.nodes = 2}, arch::CostModel{}, be);
+RunDigest small_app(arch::MemObserver* observer) {
+  rt::Runtime runtime(Topology{.nodes = 2});
   runtime.machine().set_observer(observer);
   rt::GlobalArray<double> data(runtime, 2048, arch::MemClass::kFarShared,
                                "sort.bitexact");
@@ -191,23 +190,6 @@ RunDigest small_app(rt::ConductorBackend be,
   EXPECT_TRUE(std::is_sorted(&data.raw(0), &data.raw(0) + data.size()));
   return {runtime.elapsed(),
           runtime.machine().perf().digest(runtime.elapsed())};
-}
-
-TEST(Conductor, FibersVsThreadsBitExact) {
-  if (!rt::fibers_available()) {
-    GTEST_SKIP() << "fiber backend not available in this build";
-  }
-  const RunDigest micro_f = sync_micro(rt::ConductorBackend::kFibers);
-  const RunDigest micro_t = sync_micro(rt::ConductorBackend::kThreads);
-  EXPECT_EQ(micro_f.elapsed, micro_t.elapsed);
-  EXPECT_EQ(micro_f.digest, micro_t.digest)
-      << "sync micro: whole-PerfCounters digests must be bit-identical";
-
-  const RunDigest app_f = small_app(rt::ConductorBackend::kFibers);
-  const RunDigest app_t = small_app(rt::ConductorBackend::kThreads);
-  EXPECT_EQ(app_f.elapsed, app_t.elapsed);
-  EXPECT_EQ(app_f.digest, app_t.digest)
-      << "psort app: whole-PerfCounters digests must be bit-identical";
 }
 
 // ---------------------------------------------------------------------------
@@ -244,9 +226,7 @@ TEST(HitPath, InlineMatchesOutOfLineOnRealApps) {
   };
   const auto no_init = [](auto&) {};
 
-  expect_same("psort", [](arch::MemObserver* obs) {
-    return small_app(rt::default_conductor_backend(), obs);
-  });
+  expect_same("psort", [](arch::MemObserver* obs) { return small_app(obs); });
   expect_same("pic", [&](arch::MemObserver* obs) {
     pic::PicConfig cfg;
     cfg.nx = cfg.ny = cfg.nz = 8;
@@ -281,10 +261,10 @@ TEST(HitPath, InlineMatchesOutOfLineOnRealApps) {
 }
 
 TEST(Conductor, RepeatRunsDigestIdentically) {
-  // Same backend twice: digests depend only on the workload, never on host
-  // scheduling or allocator state.
-  const RunDigest a = sync_micro(rt::default_conductor_backend());
-  const RunDigest b = sync_micro(rt::default_conductor_backend());
+  // Digests depend only on the workload, never on host scheduling or
+  // allocator state.
+  const RunDigest a = sync_micro();
+  const RunDigest b = sync_micro();
   EXPECT_EQ(a.elapsed, b.elapsed);
   EXPECT_EQ(a.digest, b.digest);
 }

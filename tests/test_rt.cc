@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <chrono>
 #include <stdexcept>
-#include <string>
 #include <vector>
 
 #include "spp/rt/garray.h"
@@ -99,27 +98,39 @@ TEST(Conductor, DeadlockIsDetected) {
       std::runtime_error);
 }
 
-// SPP_CONDUCTOR=thread (or the removed pdes) must fail loudly, not silently
-// run the default backend.
-TEST(Conductor, ParsesOnlyThreadsAndFibers) {
-  EXPECT_EQ(parse_conductor_backend("threads"), ConductorBackend::kThreads);
-  EXPECT_EQ(parse_conductor_backend("fibers"), ConductorBackend::kFibers);
-  for (const char* bad : {"thread", "pdes", "", "Fibers"}) {
-    try {
-      (void)parse_conductor_backend(bad);
-      ADD_FAILURE() << "accepted '" << bad << "'";
-    } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find("threads|fibers"),
-                std::string::npos)
-          << e.what();
-    }
-  }
-}
-
-TEST(Conductor, RejectsRemovedPdesBackend) {
-  arch::Machine m(Topology{.nodes = 2});
-  EXPECT_THROW({ Conductor c(m, ConductorBackend::kPdes); },
-               std::invalid_argument);
+// Every SThread shares one host thread, whose C++ runtime keeps a single
+// caught-exception chain; Fiber swaps it per fiber.  Each thread suspends
+// inside its handler while the other throws, so a shared chain would hand
+// each rethrow the other thread's exception.
+TEST(Conductor, EachThreadRethrowsItsOwnException) {
+  Runtime rt(Topology{.nodes = 1});
+  std::vector<int> got(2, -1);
+  rt.run([&] {
+    Semaphore zero_caught(rt, 0);
+    Semaphore one_caught(rt, 0);
+    Semaphore zero_done(rt, 0);
+    rt.parallel(2, Placement::kHighLocality, [&](unsigned i, unsigned) {
+      if (i == 1) zero_caught.p();  // thread 0 is in its handler first
+      try {
+        throw static_cast<int>(i);
+      } catch (int) {
+        if (i == 0) {
+          zero_caught.v();
+          one_caught.p();
+        } else {
+          one_caught.v();
+          zero_done.p();
+        }
+        try {
+          throw;
+        } catch (int v) {
+          got[i] = v;
+        }
+        if (i == 0) zero_done.v();
+      }
+    });
+  });
+  EXPECT_EQ(got, (std::vector<int>{0, 1}));
 }
 
 TEST(Placement, HighLocalityFillsFirstNode) {

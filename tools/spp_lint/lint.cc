@@ -185,8 +185,7 @@ void check_host_thread(const SourceFile& f, Result& res) {
       "shared_lock",   "counting_semaphore", "binary_semaphore",
       "barrier",       "latch",         "call_once",
       "once_flag",     "this_thread",   "stop_token"};
-  static const std::set<std::string> kBadWrappers = {"HostMutex", "HostLock",
-                                                     "HostCondVar"};
+  static const std::set<std::string> kBadWrappers = {"HostMutex", "HostLock"};
   const auto& t = f.toks;
   for (std::size_t i = 0; i < t.size(); ++i) {
     if (t[i].kind != Token::Kind::kIdent) continue;

@@ -1,16 +1,15 @@
 // sppsim-bench: wall-clock benchmark harness for the simulator itself.
 //
-// Runs a fixed set of deterministic workloads and times the HOST wall clock
-// under one or both conductor backends, emitting one BENCH_<name>.json per
-// bench with records of {bench, backend, wall_ns, sim_ns, digest}.  The
-// simulated time and the whole-machine PerfCounters digest are the
-// correctness oracle: they must be bit-identical across backends, across
-// runs, and against a committed baseline (--check).  wall_ns is the only
-// field allowed to vary between hosts and is never compared.
+// Runs a fixed set of deterministic workloads once each and times the HOST
+// wall clock, emitting one BENCH_<name>.json per bench with a record of
+// {bench, wall_ns, sim_ns, digest}.  The simulated time and the
+// whole-machine PerfCounters digest are the correctness oracle: they must be
+// bit-identical across runs and against a committed baseline (--check).
+// wall_ns is the only field allowed to vary between hosts and is never
+// compared.
 //
 // Format and CI usage: docs/PERFORMANCE.md.  Exit status: 0 = ok, 1 = sim
-// time or digest divergence (between backends or against a baseline),
-// 2 = usage or I/O error.
+// time or digest divergence from a baseline, 2 = usage or I/O error.
 #include <chrono>
 #include <cinttypes>
 #include <cstdint>
@@ -32,7 +31,6 @@
 #include "spp/ckpt/durable.h"
 #include "spp/lib/psort.h"
 #include "spp/lib/scatter_add.h"
-#include "spp/rt/conductor.h"
 #include "spp/rt/garray.h"
 #include "spp/rt/loops.h"
 #include "spp/rt/runtime.h"
@@ -59,11 +57,11 @@ Measurement seal(rt::Runtime& runtime) {
 
 // --- workloads -------------------------------------------------------------
 // Each bench is deterministic: fixed topology, fixed seeds, no host state.
-// "scheduling" is conductor-switch bound (the fiber backend's best case);
+// "scheduling" is conductor-switch bound (fiber switches dominate);
 // the others stress the memory system through real app/library code.
 
-Measurement bench_scheduling(rt::ConductorBackend be, bool smoke) {
-  rt::Runtime runtime(arch::Topology{.nodes = 2}, arch::CostModel{}, be);
+Measurement bench_scheduling(bool smoke) {
+  rt::Runtime runtime(arch::Topology{.nodes = 2}, arch::CostModel{});
   const std::size_t n = smoke ? 2048 : 16384;
   rt::LoopOptions opts;
   opts.schedule = rt::Schedule::kDynamic;
@@ -77,8 +75,8 @@ Measurement bench_scheduling(rt::ConductorBackend be, bool smoke) {
   return seal(runtime);
 }
 
-Measurement bench_psort(rt::ConductorBackend be, bool smoke) {
-  rt::Runtime runtime(arch::Topology{.nodes = 2}, arch::CostModel{}, be);
+Measurement bench_psort(bool smoke) {
+  rt::Runtime runtime(arch::Topology{.nodes = 2}, arch::CostModel{});
   const std::size_t n = smoke ? 4096 : 65536;
   rt::GlobalArray<double> data(runtime, n, arch::MemClass::kFarShared,
                                "bench.sort");
@@ -88,8 +86,8 @@ Measurement bench_psort(rt::ConductorBackend be, bool smoke) {
   return seal(runtime);
 }
 
-Measurement bench_scatter(rt::ConductorBackend be, bool smoke) {
-  rt::Runtime runtime(arch::Topology{.nodes = 2}, arch::CostModel{}, be);
+Measurement bench_scatter(bool smoke) {
+  rt::Runtime runtime(arch::Topology{.nodes = 2}, arch::CostModel{});
   const std::size_t n = 1u << 14;
   const std::size_t m = smoke ? (1u << 14) : (1u << 17);
   rt::GlobalArray<double> target(runtime, n, arch::MemClass::kFarShared,
@@ -105,8 +103,8 @@ Measurement bench_scatter(rt::ConductorBackend be, bool smoke) {
   return seal(runtime);
 }
 
-Measurement bench_nbody(rt::ConductorBackend be, bool smoke) {
-  rt::Runtime runtime(arch::Topology{.nodes = 1}, arch::CostModel{}, be);
+Measurement bench_nbody(bool smoke) {
+  rt::Runtime runtime(arch::Topology{.nodes = 1}, arch::CostModel{});
   nbody::NbodyConfig cfg;
   cfg.n = smoke ? 256 : 1024;
   cfg.steps = 2;
@@ -125,8 +123,8 @@ Measurement bench_nbody(rt::ConductorBackend be, bool smoke) {
 // 4-hypernode topology, so the multi-node phase/fusion schedule drains four
 // shards per phase (docs/PERFORMANCE.md, "Multi-node schedule").
 
-Measurement bench_pdes_scheduling(rt::ConductorBackend be, bool smoke) {
-  rt::Runtime runtime(arch::Topology{.nodes = 4}, arch::CostModel{}, be);
+Measurement bench_pdes_scheduling(bool smoke) {
+  rt::Runtime runtime(arch::Topology{.nodes = 4}, arch::CostModel{});
   const std::size_t n = smoke ? 4096 : 65536;
   rt::LoopOptions opts;
   opts.schedule = rt::Schedule::kStatic;
@@ -139,8 +137,8 @@ Measurement bench_pdes_scheduling(rt::ConductorBackend be, bool smoke) {
   return seal(runtime);
 }
 
-Measurement bench_ppm(rt::ConductorBackend be, bool smoke) {
-  rt::Runtime runtime(arch::Topology{.nodes = 2}, arch::CostModel{}, be);
+Measurement bench_ppm(bool smoke) {
+  rt::Runtime runtime(arch::Topology{.nodes = 2}, arch::CostModel{});
   ppm::PpmConfig cfg;
   cfg.nx = smoke ? 48 : 96;
   cfg.ny = smoke ? 48 : 96;
@@ -153,8 +151,8 @@ Measurement bench_ppm(rt::ConductorBackend be, bool smoke) {
   return seal(runtime);
 }
 
-Measurement bench_fem(rt::ConductorBackend be, bool smoke) {
-  rt::Runtime runtime(arch::Topology{.nodes = 2}, arch::CostModel{}, be);
+Measurement bench_fem(bool smoke) {
+  rt::Runtime runtime(arch::Topology{.nodes = 2}, arch::CostModel{});
   fem::FemConfig cfg;
   cfg.nx = smoke ? 32 : 64;
   cfg.ny = smoke ? 24 : 48;
@@ -165,8 +163,8 @@ Measurement bench_fem(rt::ConductorBackend be, bool smoke) {
   return seal(runtime);
 }
 
-Measurement bench_pdes_nbody(rt::ConductorBackend be, bool smoke) {
-  rt::Runtime runtime(arch::Topology{.nodes = 4}, arch::CostModel{}, be);
+Measurement bench_pdes_nbody(bool smoke) {
+  rt::Runtime runtime(arch::Topology{.nodes = 4}, arch::CostModel{});
   nbody::NbodyConfig cfg;
   cfg.n = smoke ? 512 : 2048;
   cfg.steps = 2;
@@ -177,7 +175,7 @@ Measurement bench_pdes_nbody(rt::ConductorBackend be, bool smoke) {
 
 struct BenchDef {
   const char* name;
-  Measurement (*fn)(rt::ConductorBackend, bool);
+  Measurement (*fn)(bool);
 };
 
 constexpr BenchDef kBenches[] = {
@@ -193,27 +191,16 @@ constexpr BenchDef kBenches[] = {
 
 // --- harness ---------------------------------------------------------------
 
-const char* backend_name(rt::ConductorBackend be) {
-  switch (be) {
-    case rt::ConductorBackend::kFibers:
-      return "fibers";
-    default:
-      return "threads";
-  }
-}
-
 struct RunRecord {
-  rt::ConductorBackend backend;
   std::uint64_t wall_ns = 0;
   Measurement m;
 };
 
-RunRecord timed_run(const BenchDef& b, rt::ConductorBackend be, bool smoke) {
+RunRecord timed_run(const BenchDef& b, bool smoke) {
   const auto t0 = std::chrono::steady_clock::now();
-  const Measurement m = b.fn(be, smoke);
+  const Measurement m = b.fn(smoke);
   const auto t1 = std::chrono::steady_clock::now();
-  return {be,
-          static_cast<std::uint64_t>(
+  return {static_cast<std::uint64_t>(
               std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
                   .count()),
           m};
@@ -249,7 +236,7 @@ std::string host_json() {
 }
 
 bool write_json(const std::string& dir, const char* bench, bool smoke,
-                const std::vector<RunRecord>& runs) {
+                const RunRecord& r) {
   const std::string path = json_path(dir, bench);
   std::ofstream out(path);
   if (!out) {
@@ -257,24 +244,18 @@ bool write_json(const std::string& dir, const char* bench, bool smoke,
     return false;
   }
   char digest_buf[32];
-  std::snprintf(digest_buf, sizeof digest_buf, "0x%016" PRIx64,
-                runs.front().m.digest);
+  std::snprintf(digest_buf, sizeof digest_buf, "0x%016" PRIx64, r.m.digest);
   out << "{\n"
       << "  \"bench\": \"" << bench << "\",\n"
       << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
       << "  \"host\": " << host_json() << ",\n"
-      << "  \"sim_ns\": " << runs.front().m.sim_ns << ",\n"
+      << "  \"sim_ns\": " << r.m.sim_ns << ",\n"
       << "  \"digest\": \"" << digest_buf << "\",\n"
-      << "  \"runs\": [\n";
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    const RunRecord& r = runs[i];
-    std::snprintf(digest_buf, sizeof digest_buf, "0x%016" PRIx64, r.m.digest);
-    out << "    {\"bench\": \"" << bench << "\", \"backend\": \""
-        << backend_name(r.backend) << "\", \"wall_ns\": " << r.wall_ns
-        << ", \"sim_ns\": " << r.m.sim_ns << ", \"digest\": \"" << digest_buf
-        << "\"}" << (i + 1 < runs.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
+      << "  \"runs\": [\n"
+      << "    {\"bench\": \"" << bench << "\", \"wall_ns\": " << r.wall_ns
+      << ", \"sim_ns\": " << r.m.sim_ns << ", \"digest\": \"" << digest_buf
+      << "\"}\n"
+      << "  ]\n}\n";
   return static_cast<bool>(out);
 }
 
@@ -347,17 +328,14 @@ int check_against(const std::string& dir, const char* bench, bool smoke,
 int usage() {
   std::fprintf(
       stderr,
-      "usage: sppsim-bench [--smoke] [--backend threads|fibers|both]\n"
-      "                    [--bench NAME]...\n"
+      "usage: sppsim-bench [--smoke] [--bench NAME]...\n"
       "                    [--out DIR | --check DIR]\n"
       "                    [--ckpt-dir DIR [--ckpt-wall-interval SEC] "
       "[--resume]]\n"
       "\n"
       "Benches: scheduling psort scatter nbody ppm fem pdes_scheduling\n"
       "pdes_nbody\n"
-      "(default: all).  --backend both runs each bench under every built\n"
-      "conductor backend (fibers, threads) and fails if simulated time or\n"
-      "the counter digest differ.\n"
+      "(default: all).\n"
       "--out writes BENCH_<name>.json baselines; --check compares\n"
       "against committed ones (sim time + digest only; wall time is\n"
       "informational).\n"
@@ -372,7 +350,6 @@ int usage() {
 
 int main(int argc, char** argv) {
   bool smoke = false;
-  std::string backend = "both";
   std::string out_dir = ".";
   std::string check_dir;
   bool checking = false;
@@ -385,10 +362,6 @@ int main(int argc, char** argv) {
     };
     if (arg == "--smoke") {
       smoke = true;
-    } else if (arg == "--backend") {
-      const char* v = value();
-      if (v == nullptr) return usage();
-      backend = v;
     } else if (arg == "--bench") {
       const char* v = value();
       if (v == nullptr) return usage();
@@ -423,33 +396,8 @@ int main(int argc, char** argv) {
     return usage();
   }
 
-  std::vector<rt::ConductorBackend> backends;
-  if (backend == "threads") {
-    backends = {rt::ConductorBackend::kThreads};
-  } else if (backend == "fibers") {
-    if (!rt::fibers_available()) {
-      std::fprintf(stderr,
-                   "sppsim-bench: fiber backend unavailable in this build\n");
-      return 2;
-    }
-    backends = {rt::ConductorBackend::kFibers};
-  } else if (backend == "both") {
-    // Divergence oracle: the fiber backend is the reference and runs first;
-    // the OS-thread backend must match it bit for bit.
-    if (rt::fibers_available()) {
-      backends = {rt::ConductorBackend::kFibers, rt::ConductorBackend::kThreads};
-    } else {
-      std::fprintf(stderr,
-                   "sppsim-bench: fiber backend unavailable; running the "
-                   "OS-thread backend only\n");
-      backends = {rt::ConductorBackend::kThreads};
-    }
-  } else {
-    return usage();
-  }
-
-  std::printf("%-16s %6s | %12s %18s | per-backend wall ms\n", "bench",
-              "mode", "sim_ms", "digest");
+  std::printf("%-16s %6s | %12s %18s | wall ms\n", "bench", "mode", "sim_ms",
+              "digest");
   int rc = 0;
   for (const BenchDef& b : kBenches) {
     if (!only.empty()) {
@@ -458,48 +406,17 @@ int main(int argc, char** argv) {
       if (!wanted) continue;
     }
 
-    std::vector<RunRecord> runs;
-    for (const rt::ConductorBackend be : backends) {
-      runs.push_back(timed_run(b, be, smoke));
-    }
-    const Measurement canon = runs.front().m;
-    for (const RunRecord& r : runs) {
-      if (r.m.sim_ns != canon.sim_ns || r.m.digest != canon.digest) {
-        std::fprintf(stderr,
-                     "sppsim-bench: %s BACKEND DIVERGENCE: %s got sim_ns "
-                     "%" PRIu64 " digest 0x%016" PRIx64 ", %s got sim_ns "
-                     "%" PRIu64 " digest 0x%016" PRIx64 "\n",
-                     b.name, backend_name(runs.front().backend),
-                     static_cast<std::uint64_t>(canon.sim_ns), canon.digest,
-                     backend_name(r.backend),
-                     static_cast<std::uint64_t>(r.m.sim_ns), r.m.digest);
-        rc = 1;
-      }
-    }
-
-    std::printf("%-16s %6s | %12.3f 0x%016" PRIx64 " |", b.name,
+    const RunRecord run = timed_run(b, smoke);
+    std::printf("%-16s %6s | %12.3f 0x%016" PRIx64 " | %.1f\n", b.name,
                 smoke ? "smoke" : "full",
-                static_cast<double>(canon.sim_ns) / 1e6, canon.digest);
-    for (const RunRecord& r : runs) {
-      std::printf(" %s=%.1f", backend_name(r.backend),
-                  static_cast<double>(r.wall_ns) / 1e6);
-    }
-    // Speedup of each later backend relative to the first (the reference):
-    // >1 means faster.  Wall clock only; never part of the pass/fail oracle.
-    for (std::size_t i = 1; i < runs.size(); ++i) {
-      if (runs[0].wall_ns > 0 && runs[i].wall_ns > 0) {
-        std::printf(" (%s %.2fx)", backend_name(runs[i].backend),
-                    static_cast<double>(runs[0].wall_ns) /
-                        static_cast<double>(runs[i].wall_ns));
-      }
-    }
-    std::printf("\n");
+                static_cast<double>(run.m.sim_ns) / 1e6, run.m.digest,
+                static_cast<double>(run.wall_ns) / 1e6);
 
     if (checking) {
-      const int c = check_against(check_dir, b.name, smoke, canon);
-      if (c != 0 && (rc == 0 || c == 1)) rc = (rc == 0) ? c : rc;
+      const int c = check_against(check_dir, b.name, smoke, run.m);
+      if (rc == 0) rc = c;
     } else {
-      if (!write_json(out_dir, b.name, smoke, runs)) rc = 2;
+      if (!write_json(out_dir, b.name, smoke, run)) rc = 2;
     }
   }
   return rc;
