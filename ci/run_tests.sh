@@ -134,6 +134,8 @@ if [[ "$MODE" == "all" || "$MODE" == "--sanitize-only" ]]; then
   unset UBSAN_OPTIONS
 fi
 
+# The three smokes without the sanitized ctest, for local use
+# (docs/RECOVERY.md); CI runs them in --sanitize-only.
 if [[ "$MODE" == "--survive-only" ]]; then
   cmake -B build-asan -S . \
     -DSPP_SANITIZE=address,undefined \

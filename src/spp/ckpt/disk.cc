@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cerrno>
 #include <cinttypes>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <type_traits>
 
 #include "spp/io/io.h"
 
@@ -87,79 +89,17 @@ struct Reader {
 // ---------------------------------------------------------------------------
 // PerfCounters serialization
 // ---------------------------------------------------------------------------
-// Explicit field-by-field visitation, shared by save and load so the two can
-// never disagree on order.  `flops` is a double and rides along bit-cast;
-// everything else is a 64-bit integer.  The io_* counters are deliberately
-// NOT serialized: they describe the host's filesystem weather during one
-// process's lifetime, and a resumed process must start them at zero (see
-// perf.h).
-
-template <typename C, typename F>
-void visit_cpu_counters(C& c, F&& f) {
-  f(c.loads);
-  f(c.stores);
-  f(c.l1_hits);
-  f(c.upgrades);
-  f(c.miss_fu_local);
-  f(c.miss_node);
-  f(c.miss_gcache);
-  f(c.miss_remote);
-  f(c.writebacks);
-  f(c.uncached_ops);
-  f(c.atomic_ops);
-  f(c.invals_received);
-  f(c.mem_stall);
-  f(c.compute);
-}
-
-template <typename P, typename F>
-void visit_global_counters(P& p, F&& f) {
-  f(p.ring_packets);
-  f(p.sci_purges);
-  f(p.sci_purge_targets);
-  f(p.invals_sent);
-  f(p.gcache_evictions);
-  f(p.l1_evictions);
-  f(p.faults_injected);
-  f(p.pvm_msgs_dropped);
-  f(p.pvm_msgs_duplicated);
-  f(p.pvm_msgs_delayed);
-  f(p.pvm_retries);
-  f(p.pvm_retransmitted_bytes);
-  f(p.ring_reroutes);
-  f(p.ring_reroute_hops);
-  f(p.cpu_recoveries);
-  f(p.recovery_ns);
-  f(p.checkpoints_taken);
-  f(p.ckpt_bytes);
-  f(p.rollbacks);
-  f(p.tasks_failed);
-  f(p.task_notifications);
-  f(p.ckpt_ns);
-  f(p.rollback_ns);
-  f(p.check_events);
-  f(p.check_violations);
-  f(p.races_detected);
-  f(p.deadlock_cycles);
-  f(p.deadlock_reports);
-}
+// The CPU count, then every saved counter in PerfCounters::for_each_saved
+// order (the table's, arch/perf.h) as one 64-bit word; `flops` rides along
+// bit-cast.  The io_* rows are never saved: they describe the host's
+// filesystem weather during one process's lifetime, and a resumed process
+// must start them at zero.
 
 void save_perf(std::vector<std::uint8_t>& out, const arch::PerfCounters& p) {
   put32(out, static_cast<std::uint32_t>(p.cpu.size()));
-  const auto put_field = [&out](const auto& v) {
-    if constexpr (std::is_same_v<std::decay_t<decltype(v)>, double>) {
-      std::uint64_t bits;
-      std::memcpy(&bits, &v, sizeof bits);
-      put64(out, bits);
-    } else {
-      put64(out, v);
-    }
-  };
-  for (const arch::CpuCounters& c : p.cpu) {
-    visit_cpu_counters(c, put_field);
-    put_field(c.flops);
-  }
-  visit_global_counters(p, put_field);
+  arch::PerfCounters::for_each_saved(p, [&out](const auto& v) {
+    put64(out, std::bit_cast<std::uint64_t>(v));
+  });
 }
 
 arch::PerfCounters load_perf(Reader& r) {
@@ -169,19 +109,9 @@ arch::PerfCounters load_perf(Reader& r) {
                 " CPUs; rejecting as corrupt");
   }
   arch::PerfCounters p(ncpus);
-  const auto get_field = [&r](auto& v) {
-    if constexpr (std::is_same_v<std::decay_t<decltype(v)>, double>) {
-      const std::uint64_t bits = r.get64();
-      std::memcpy(&v, &bits, sizeof v);
-    } else {
-      v = r.get64();
-    }
-  };
-  for (arch::CpuCounters& c : p.cpu) {
-    visit_cpu_counters(c, get_field);
-    get_field(c.flops);
-  }
-  visit_global_counters(p, get_field);
+  arch::PerfCounters::for_each_saved(p, [&r](auto& v) {
+    v = std::bit_cast<std::remove_reference_t<decltype(v)>>(r.get64());
+  });
   return p;
 }
 

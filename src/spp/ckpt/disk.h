@@ -21,7 +21,7 @@
 // load_newest() walks the on-disk epochs newest-first and returns the first
 // one that passes full validation, so a corrupted latest epoch degrades the
 // resume point by one interval instead of killing the run; every epoch it
-// falls past is counted (epochs_skipped()) and surfaces in the recovery
+// falls past is counted (epochs_skipped()) and surfaces in the host-I/O
 // report via PerfCounters::io_epochs_skipped.
 //
 // All host file I/O routes through the spp::io seam: host failures and

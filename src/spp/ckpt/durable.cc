@@ -64,8 +64,10 @@ std::uint64_t DurableSession::begin() {
                       e.what());
     return 0;
   }
-  drain_injected();
-  if (!spec_.resume) return 0;
+  if (!spec_.resume) {
+    drain_injected();
+    return 0;
+  }
 
   std::optional<EpochData> epoch = disk_->load_newest();
   if (!epoch) {
@@ -82,7 +84,9 @@ std::uint64_t DurableSession::begin() {
   store_->seed_epoch(epoch->step, std::move(epoch->snapshot));
   perf = epoch->perf;
   // The io_* family is never serialized (disk.cc), so the assignment above
-  // zeroed it; account now for what this process's load path experienced.
+  // zeroed it; account now for what this process's open and load paths
+  // experienced.  Draining only here keeps a fault the Disk constructor
+  // swallowed (a failed read of a dead writer's LOCK) from being erased.
   perf.io_epochs_skipped += disk_->epochs_skipped();
   drain_injected();
   rt::Conductor::self().set_clock(epoch->clock);

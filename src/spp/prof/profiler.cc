@@ -19,6 +19,11 @@ double Profiler::PhaseStats::imbalance() const {
 }
 
 void Profiler::begin(unsigned tid, const std::string& phase) {
+  if (tid >= nthreads_) {
+    throw std::out_of_range("profiler: tid " + std::to_string(tid) +
+                            " beyond thread count " +
+                            std::to_string(nthreads_));
+  }
   OpenPhase& op = open_[{phase, tid}];
   if (op.open) throw std::logic_error("profiler: phase already open: " + phase);
   op.open = true;
@@ -83,96 +88,40 @@ void Profiler::memory_map(std::FILE* out) const {
   }
 }
 
-void Profiler::fault_report(std::FILE* out) const {
+void Profiler::print_family(std::FILE* out, const char* title,
+                            const char* none, CounterRows rows) const {
   const arch::PerfCounters& p = rt_->machine().perf();
-  if (p.faults_injected == 0 && p.cpu_recoveries == 0 &&
-      p.ring_reroutes == 0 && p.pvm_retries == 0) {
-    std::fprintf(out, "faults: none injected\n");
+  if (std::all_of(rows.begin(), rows.end(),
+                  [&p](const auto& row) { return p.*row.field == 0; })) {
+    std::fprintf(out, "%s\n", none);
     return;
   }
-  auto row = [out](const char* name, unsigned long long v) {
-    std::fprintf(out, "%-24s %12llu\n", name, v);
-  };
-  std::fprintf(out, "%-24s %12s\n", "fault/recovery", "count");
-  row("faults_injected", p.faults_injected);
-  row("pvm_msgs_dropped", p.pvm_msgs_dropped);
-  row("pvm_msgs_duplicated", p.pvm_msgs_duplicated);
-  row("pvm_msgs_delayed", p.pvm_msgs_delayed);
-  row("pvm_retries", p.pvm_retries);
-  row("pvm_retransmitted_bytes", p.pvm_retransmitted_bytes);
-  row("ring_reroutes", p.ring_reroutes);
-  row("ring_reroute_hops", p.ring_reroute_hops);
-  row("cpu_recoveries", p.cpu_recoveries);
-  std::fprintf(out, "%-24s %12.3f\n", "recovery_ms",
-               sim::to_seconds(p.recovery_ns) * 1e3);
+  std::fprintf(out, "%-24s %12s\n", title, "count");
+  for (const auto& row : rows) {
+    std::fprintf(out, "%-24s %12llu\n", row.name,
+                 static_cast<unsigned long long>(p.*row.field));
+  }
+}
+
+void Profiler::fault_report(std::FILE* out) const {
+  print_family(out, "fault/recovery", "faults: none injected",
+               arch::kFaultCounters);
 }
 
 void Profiler::recovery_report(std::FILE* out) const {
-  const arch::PerfCounters& p = rt_->machine().perf();
-  if (p.checkpoints_taken == 0 && p.rollbacks == 0 && p.tasks_failed == 0 &&
-      p.io_epochs_skipped == 0) {
-    std::fprintf(out, "recovery: no checkpoints or failures\n");
-    return;
-  }
-  auto row = [out](const char* name, unsigned long long v) {
-    std::fprintf(out, "%-24s %12llu\n", name, v);
-  };
-  std::fprintf(out, "%-24s %12s\n", "checkpoint/recovery", "count");
-  row("checkpoints_taken", p.checkpoints_taken);
-  row("ckpt_bytes", p.ckpt_bytes);
-  row("rollbacks", p.rollbacks);
-  row("tasks_failed", p.tasks_failed);
-  row("task_notifications", p.task_notifications);
-  if (p.io_epochs_skipped != 0) {
-    // Corrupt/unreadable epochs the resume had to fall past: each one
-    // degraded the resume point by one checkpoint interval (disk.h).
-    row("io_epochs_skipped", p.io_epochs_skipped);
-  }
-  std::fprintf(out, "%-24s %12.3f\n", "ckpt_ms",
-               sim::to_seconds(p.ckpt_ns) * 1e3);
-  std::fprintf(out, "%-24s %12.3f\n", "rollback_ms",
-               sim::to_seconds(p.rollback_ns) * 1e3);
+  print_family(out, "checkpoint/recovery",
+               "recovery: no checkpoints or failures", arch::kCkptCounters);
 }
 
 void Profiler::check_report(std::FILE* out) const {
-  const arch::PerfCounters& p = rt_->machine().perf();
-  if (p.check_events == 0 && p.deadlock_reports == 0) {
-    std::fprintf(out, "check: no checker attached\n");
-    return;
-  }
-  auto row = [out](const char* name, unsigned long long v) {
-    std::fprintf(out, "%-24s %12llu\n", name, v);
-  };
-  std::fprintf(out, "%-24s %12s\n", "verification", "count");
-  row("check_events", p.check_events);
-  row("check_violations", p.check_violations);
-  row("races_detected", p.races_detected);
-  row("deadlock_cycles", p.deadlock_cycles);
-  row("deadlock_reports", p.deadlock_reports);
+  print_family(out, "verification", "check: no checker attached",
+               arch::kCheckCounters);
 }
 
 void Profiler::io_report(std::FILE* out) const {
+  print_family(out, "host-I/O", "io: no host-I/O faults or degradation",
+               arch::kIoCounters);
   const arch::PerfCounters& p = rt_->machine().perf();
-  const std::uint64_t activity =
-      p.io_faults_injected + p.io_transient_errors + p.io_permanent_errors +
-      p.io_retries + p.io_commit_failures + p.io_degradations +
-      p.io_memory_only_epochs + p.io_epochs_skipped;
-  if (activity == 0) {
-    std::fprintf(out, "io: no host-I/O faults or degradation\n");
-    return;
-  }
-  auto row = [out](const char* name, unsigned long long v) {
-    std::fprintf(out, "%-24s %12llu\n", name, v);
-  };
-  std::fprintf(out, "%-24s %12s\n", "host-I/O", "count");
-  row("io_faults_injected", p.io_faults_injected);
-  row("io_transient_errors", p.io_transient_errors);
-  row("io_permanent_errors", p.io_permanent_errors);
-  row("io_retries", p.io_retries);
-  row("io_commit_failures", p.io_commit_failures);
-  row("io_degradations", p.io_degradations);
-  row("io_memory_only_epochs", p.io_memory_only_epochs);
-  row("io_epochs_skipped", p.io_epochs_skipped);
   if (p.io_memory_only_epochs != 0) {
     std::fprintf(out,
                  "io: *** DEGRADED: %llu epoch(s) were IN-MEMORY ONLY -- "

@@ -15,6 +15,7 @@
 
 #include <cstdio>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -29,6 +30,7 @@ class Profiler {
       : rt_(&rt), nthreads_(nthreads) {}
 
   /// Marks phase entry for the calling thread (inside a parallel region).
+  /// Throws std::out_of_range for a tid at or beyond the thread count.
   void begin(unsigned tid, const std::string& phase);
   /// Marks phase exit; accumulates time + counter deltas.
   void end(unsigned tid, const std::string& phase);
@@ -74,26 +76,32 @@ class Profiler {
   /// Prints the machine's allocation map (region, class, size, home).
   void memory_map(std::FILE* out = stdout) const;
 
+  // Each family report prints every row of one family of the counter table
+  // (arch/perf.h) under its table name, or a single "none" line when every
+  // counter of the family is zero.
+
   /// Prints the fault-injection and recovery counters (docs/FAULTS.md).
-  /// Prints a single "no faults" line when the run was fault-free.
   void fault_report(std::FILE* out = stdout) const;
 
   /// Prints the simulation-time verification counters (docs/CHECKER.md).
-  /// Prints a single "no checker" line when nothing was attached.
   void check_report(std::FILE* out = stdout) const;
 
   /// Prints the checkpoint/restart and failure-notification counters
-  /// (docs/RECOVERY.md).  Prints a single "no recovery" line when the run
-  /// neither checkpointed nor lost a task.
+  /// (docs/RECOVERY.md).
   void recovery_report(std::FILE* out = stdout) const;
 
   /// Prints the host-I/O fault and durable-layer degradation counters
   /// (docs/RECOVERY.md, "Host I/O faults & the degradation ladder"),
   /// with a loud alarm line if the run fell back to in-memory-only epochs.
-  /// Prints a single "no host-I/O faults" line for a clean run.
   void io_report(std::FILE* out = stdout) const;
 
  private:
+  using CounterRows = std::span<const arch::Counter<arch::PerfCounters>>;
+
+  /// Prints `rows` under `title`, or just `none` when all of them are zero.
+  void print_family(std::FILE* out, const char* title, const char* none,
+                    CounterRows rows) const;
+
   struct OpenPhase {
     sim::Time t0 = 0;
     arch::CpuCounters c0;

@@ -11,8 +11,13 @@
 //   * DurableSession's recovery ladder: transient faults retry and leave
 //     the digest untouched, persistent ENOSPC degrades to memory-only but
 //     still completes bit-exactly, and a resume through rotting media skips
-//     the corrupt epoch and still reaches the uninterrupted digest.
+//     the corrupt epoch and still reaches the uninterrupted digest;
+//   * a host-I/O fault swallowed while a resume takes over a dead writer's
+//     LOCK is still counted in the resumed process.
 #include <gtest/gtest.h>
+
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
@@ -378,6 +383,35 @@ TEST(IoDurable, ResumeThroughBitRotSkipsTheCorruptEpoch) {
   EXPECT_EQ(got.skipped, 1u) << "the rotted epoch must be counted";
   EXPECT_EQ(got.injected, 1u);
   EXPECT_EQ(got.commit_failures, 0u);
+}
+
+TEST(IoDurable, ResumeCountsAFaultSwallowedWhileTakingOverTheLock) {
+  const std::string base = fresh_dir("lock-takeover");
+  const Outcome want = durable_fem(base + "/clean", 4, false);
+
+  // A clean partial run, then the LOCK a SIGKILLed writer would leave: the
+  // pid of a reaped child, guaranteed dead.
+  const std::string dir = base + "/resumed";
+  (void)durable_fem(dir, 2, false);
+  const pid_t child = fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) _exit(0);
+  int wstatus = 0;
+  ASSERT_EQ(waitpid(child, &wstatus, 0), child);
+  const std::string pid = std::to_string(child) + "\n";
+  write_file(dir + "/LOCK", std::vector<std::uint8_t>(pid.begin(), pid.end()));
+
+  // Read #1 is the stale LOCK's pid.  Its failure is swallowed (the lock is
+  // taken over anyway), but the fault was delivered and must be counted in
+  // the resumed process, not erased by the counter restore.
+  FaultPlan plan;
+  plan.fail_nth(Op::kRead, 1, EIO);
+  ArmGuard armed(plan);
+  const Outcome got = durable_fem(dir, 4, true);
+
+  EXPECT_EQ(plan.injected(), 1u);
+  EXPECT_EQ(got.injected, 1u);
+  EXPECT_EQ(got.digest, want.digest);
 }
 
 }  // namespace

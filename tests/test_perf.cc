@@ -5,7 +5,12 @@
 // the digest comparisons here are the oracle that they do not.  The oracle
 // itself, PerfCounters::digest, is pinned to a constant below.
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -17,6 +22,7 @@
 #include "spp/apps/ppm/ppm.h"
 #include "spp/arch/flat_map.h"
 #include "spp/arch/machine.h"
+#include "spp/ckpt/disk.h"
 #include "spp/lib/psort.h"
 #include "spp/pvm/pvm.h"
 #include "spp/rt/conductor.h"
@@ -277,7 +283,9 @@ TEST(Conductor, RepeatRunsDigestIdentically) {
 // bench, so only this pin covers their place in it.
 
 /// A 2-CPU PerfCounters with a distinct value in every field, digest-
-/// excluded ones included.
+/// excluded ones included.  It names every field by hand on purpose: it is
+/// the reference the pins stand on.  Filled from the counter table, values
+/// would follow table positions, and a reordered row would pass both pins.
 arch::PerfCounters populated_counters() {
   arch::PerfCounters p(2);
   std::uint64_t k = 0;
@@ -362,24 +370,68 @@ TEST(PerfDigest, IgnoresFlopsMemoAndIoCounters) {
       EXPECT_EQ(p.digest(kPinElapsed), want) << "memo_* counter, cpu " << cpu;
     }
   }
-  unsigned i = 0;
-  for (std::uint64_t arch::PerfCounters::*f :
-       {&arch::PerfCounters::io_faults_injected,
-        &arch::PerfCounters::io_transient_errors,
-        &arch::PerfCounters::io_permanent_errors,
-        &arch::PerfCounters::io_retries,
-        &arch::PerfCounters::io_commit_failures,
-        &arch::PerfCounters::io_degradations,
-        &arch::PerfCounters::io_memory_only_epochs,
-        &arch::PerfCounters::io_epochs_skipped}) {
+  // Every host-side row, straight from the table: a future io row is
+  // covered without touching this test.
+  for (const auto& row : arch::kIoCounters) {
     arch::PerfCounters p = base;
-    p.*f += 1;
-    EXPECT_EQ(p.digest(kPinElapsed), want) << "io counter #" << i++;
+    p.*row.field += 1;
+    EXPECT_EQ(p.digest(kPinElapsed), want) << row.name;
   }
   // Control: a digested counter does move it.
   arch::PerfCounters p = base;
   p.cpu[1].compute += 1;
   EXPECT_NE(p.digest(kPinElapsed), want);
+}
+
+// ---------------------------------------------------------------------------
+// Epoch-file bytes pinned
+// ---------------------------------------------------------------------------
+// A --resume reads epoch files an earlier build wrote, so the counters'
+// save order and the saved/unsaved split are pinned like the digest: the
+// size and CRC-32 of one epoch file with every field populated.
+
+/// Every saved field of `p` as its 64-bit pattern, in epoch-file order.
+std::vector<std::uint64_t> saved_words(const arch::PerfCounters& p) {
+  std::vector<std::uint64_t> words;
+  arch::PerfCounters::for_each_saved(p, [&words](const auto& v) {
+    words.push_back(std::bit_cast<std::uint64_t>(v));
+  });
+  return words;
+}
+
+TEST(PerfEpochFile, PinnedForFullyPopulatedCounters) {
+  const std::string dir = ::testing::TempDir() + "sppperf-epoch-pin";
+  std::filesystem::remove_all(dir);
+  ckpt::EpochData epoch;
+  epoch.step = 3;
+  epoch.clock = kPinElapsed;
+  epoch.perf = populated_counters();
+  epoch.snapshot.names = {"alpha"};
+  epoch.snapshot.blobs = {{1, 2, 3}};
+  {
+    ckpt::Disk disk(dir);
+    disk.write_epoch(epoch);
+  }
+
+  std::ifstream in(dir + "/" + ckpt::Disk::epoch_filename(3),
+                   std::ios::binary);
+  const std::vector<char> bytes{std::istreambuf_iterator<char>(in),
+                                std::istreambuf_iterator<char>()};
+  EXPECT_EQ(bytes.size(), 540u);
+  EXPECT_EQ(ckpt::crc32(bytes.data(), bytes.size()), 0x345d0ac8u);
+
+  // Loading returns every saved field exactly, flops included; the
+  // unsaved io_* and memo_* come back zero.
+  const arch::PerfCounters got = ckpt::Disk(dir, true).load_epoch(3).perf;
+  EXPECT_EQ(saved_words(got), saved_words(epoch.perf));
+  for (unsigned cpu = 0; cpu < got.cpu.size(); ++cpu) {
+    EXPECT_EQ(got.cpu[cpu].memo_hits, 0u) << cpu;
+    EXPECT_EQ(got.cpu[cpu].memo_misses, 0u) << cpu;
+    EXPECT_EQ(got.cpu[cpu].memo_invalidations, 0u) << cpu;
+  }
+  for (const auto& row : arch::kIoCounters) {
+    EXPECT_EQ(got.*row.field, 0u) << row.name;
+  }
 }
 
 // ---------------------------------------------------------------------------

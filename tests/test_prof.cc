@@ -1,8 +1,10 @@
 // Tests for the CXpa-style profiler: phase accounting, imbalance detection,
-// counter deltas, and the memory map report.
+// counter deltas, the counter-family reports, and the memory map report.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <span>
+#include <string>
 
 #include "spp/prof/profiler.h"
 #include "spp/rt/garray.h"
@@ -93,6 +95,78 @@ TEST(Profiler, MisuseThrows) {
     });
   });
   EXPECT_THROW(prof.stats("unknown"), std::out_of_range);
+}
+
+TEST(Profiler, RejectsTidBeyondThreadCount) {
+  // A Profiler sized for 2 threads, used by 4: the extra tids must be
+  // refused up front, not written past the per-thread table at end().
+  rt::Runtime runtime(Topology{.nodes = 1});
+  Profiler prof(runtime, 2);
+  runtime.run([&] {
+    runtime.parallel(4, Placement::kHighLocality, [&](unsigned tid, unsigned) {
+      if (tid < 2) {
+        Profiler::Scope scope(prof, tid, "p");
+        runtime.work_flops(350);
+      } else {
+        EXPECT_THROW(prof.begin(tid, "p"), std::out_of_range) << tid;
+      }
+    });
+  });
+  EXPECT_EQ(prof.stats("p").per_thread.size(), 2u);
+}
+
+/// What `report` prints to a stream.
+template <typename Report>
+std::string printed(Report report) {
+  char buf[4096] = {};
+  std::FILE* f = fmemopen(buf, sizeof(buf) - 1, "w");
+  EXPECT_NE(f, nullptr);
+  if (f == nullptr) return {};
+  report(f);
+  std::fclose(f);
+  return buf;
+}
+
+TEST(Profiler, ReportsEveryCounterOfItsFamily) {
+  rt::Runtime runtime(Topology{.nodes = 1});
+  Profiler prof(runtime, 1);
+  arch::PerfCounters& p = runtime.machine().perf();
+  struct Family {
+    std::span<const arch::Counter<arch::PerfCounters>> rows;
+    void (Profiler::*report)(std::FILE*) const;
+    const char* none;
+  };
+  const Family families[] = {
+      {arch::kFaultCounters, &Profiler::fault_report, "faults: none injected"},
+      {arch::kCkptCounters, &Profiler::recovery_report,
+       "recovery: no checkpoints or failures"},
+      {arch::kCheckCounters, &Profiler::check_report,
+       "check: no checker attached"},
+      {arch::kIoCounters, &Profiler::io_report,
+       "io: no host-I/O faults or degradation"},
+  };
+  std::uint64_t k = 0;
+  for (const Family& fam : families) {
+    const auto print = [&] {
+      return printed([&](std::FILE* f) { (prof.*fam.report)(f); });
+    };
+    EXPECT_EQ(print(), std::string(fam.none) + "\n");
+    // Any one nonzero counter of the family is enough to print the table.
+    for (const auto& row : fam.rows) {
+      p.*row.field = 1;
+      EXPECT_EQ(print().find(fam.none), std::string::npos) << row.name;
+      p.*row.field = 0;
+    }
+    // Every row prints under its table name, with its own value.
+    for (const auto& row : fam.rows) p.*row.field = ++k;
+    const std::string out = print();
+    for (const auto& row : fam.rows) {
+      char line[64];
+      std::snprintf(line, sizeof line, "\n%-24s %12llu\n", row.name,
+                    static_cast<unsigned long long>(p.*row.field));
+      EXPECT_NE(out.find(line), std::string::npos) << row.name << "\n" << out;
+    }
+  }
 }
 
 TEST(Profiler, ReportsWithoutCrashing) {
