@@ -14,11 +14,14 @@
 // every thread, many trials, minima reported.
 #include <algorithm>
 #include <cstdio>
+#include <numeric>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_common.h"
 #include "spp/rt/runtime.h"
 #include "spp/rt/sync.h"
+#include "spp/sim/rng.h"
 
 namespace {
 
@@ -33,16 +36,24 @@ BarrierCost barrier_cost(unsigned nodes, unsigned nthreads,
                          rt::Placement placement, unsigned trials) {
   rt::Runtime runtime(arch::Topology{.nodes = nodes});
   double best_lifo = 1e300, best_lilo = 1e300;
+  sim::Rng rng;
   runtime.run([&] {
     rt::Barrier barrier(runtime, nthreads);
     std::vector<sim::Time> entry(nthreads), exit_t(nthreads);
+    std::vector<unsigned> order(nthreads);
     for (unsigned k = 0; k < trials; ++k) {
+      // A fresh arrival order per trial (Fisher-Yates): every thread arrives
+      // at its own instant, and the minimum over trials samples favorable
+      // orderings, as the paper's minima do.
+      std::iota(order.begin(), order.end(), 0u);
+      for (unsigned j = nthreads - 1; j > 0; --j) {
+        std::swap(order[j], order[rng.below(j + 1)]);
+      }
       runtime.parallel(nthreads, placement, [&](unsigned i, unsigned) {
         // Align first (cancels thread-creation stagger), then stagger
-        // arrivals in a per-trial permuted order so the minimum over trials
-        // samples favorable orderings, as the paper's minima do.
+        // arrivals in this trial's order.
         barrier.wait();
-        runtime.work_flops(5000.0 * ((i * 5 + k * 3) % nthreads) + 130.0 * (k % 3));
+        runtime.work_flops(5000.0 * order[i] + 130.0 * (k % 3));
         entry[i] = runtime.now();
         barrier.wait();
         exit_t[i] = runtime.now();
@@ -69,10 +80,16 @@ int main(int argc, char** argv) {
   std::printf("%8s | %12s %12s | %12s %12s | %12s %12s\n", "threads",
               "hl_lifo_us", "hl_lilo_us", "uni_lifo_us", "uni_lilo_us",
               "1node_lifo", "1node_lilo");
+  bool hl_rising = true, un_rising = true;
+  BarrierCost hl_prev{0, 0}, un_prev{0, 0};
   for (unsigned n = 2; n <= 16; ++n) {
     const BarrierCost hl =
         barrier_cost(2, n, rt::Placement::kHighLocality, trials);
     const BarrierCost un = barrier_cost(2, n, rt::Placement::kUniform, trials);
+    hl_rising = hl_rising && hl.lifo_us >= hl_prev.lifo_us;
+    un_rising = un_rising && un.lifo_us >= un_prev.lifo_us;
+    hl_prev = hl;
+    un_prev = un;
     if (n <= 8) {
       const BarrierCost one =
           barrier_cost(1, n, rt::Placement::kHighLocality, trials);
@@ -91,12 +108,19 @@ int main(int argc, char** argv) {
       barrier_cost(2, 16, rt::Placement::kHighLocality, trials);
   const BarrierCost one2 =
       barrier_cost(1, 2, rt::Placement::kHighLocality, trials);
+  const double slope = (one8.lilo_us - one2.lilo_us) / 6.0;
   std::printf("\nderived metrics                          measured   paper\n");
   std::printf("one-node last-in/first-out (us)          %8.2f   ~3.5\n",
               one8.lifo_us);
   std::printf("two-node extra lifo cost (us)            %8.2f   ~1\n",
               hl16.lifo_us - one8.lifo_us);
-  std::printf("one-node release slope (us/thread)       %8.2f   ~2\n",
-              (one8.lilo_us - one2.lilo_us) / 6.0);
-  return 0;
+  std::printf("one-node release slope (us/thread)       %8.2f   ~2\n", slope);
+
+  spp::bench::Gate gate;
+  gate.near("one-node last-in/first-out (us)", one8.lifo_us, 3.5, 0.7);
+  gate.near("one-node release slope (us/thread)", slope, 2, 0.4);
+  gate.expect("two-node lifo non-decreasing in threads, high locality",
+              hl_rising);
+  gate.expect("two-node lifo non-decreasing in threads, uniform", un_rising);
+  return gate.exit_code();
 }

@@ -85,5 +85,8 @@ int main(int argc, char** argv) {
               dipped ? "yes" : "no");
   std::printf("useful Mflop/s = updates/us x %.0f flops/point-update\n",
               fem::kFlopsPerPointUpdate);
-  return 0;
+
+  spp::bench::Gate gate;
+  gate.expect("small1 rate at 9 processors below the rate at 8", dipped);
+  return gate.exit_code();
 }

@@ -65,12 +65,17 @@ int main(int argc, char** argv) {
   const double hl9 = sim::to_usec(
       forkjoin_time(9, rt::Placement::kHighLocality, trials));
 
+  const double pair_hl = (hl8 - hl2) / 3.0;
+  const double pair_un = (un16 - un2) / 7.0;
+  const double step = hl9 - hl8 - pair_hl;
   std::printf("\nderived metrics                      measured   paper\n");
-  std::printf("us per thread pair, high locality    %8.1f   ~10\n",
-              (hl8 - hl2) / 3.0);
-  std::printf("us per thread pair, uniform          %8.1f   ~20\n",
-              (un16 - un2) / 7.0);
-  std::printf("second-hypernode step (us)           %8.1f   ~50\n",
-              hl9 - hl8 - (hl8 - hl2) / 3.0);
-  return 0;
+  std::printf("us per thread pair, high locality    %8.1f   ~10\n", pair_hl);
+  std::printf("us per thread pair, uniform          %8.1f   ~20\n", pair_un);
+  std::printf("second-hypernode step (us)           %8.1f   ~50\n", step);
+
+  spp::bench::Gate gate;
+  gate.near("us per thread pair, high locality", pair_hl, 10, 2);
+  gate.near("us per thread pair, uniform", pair_un, 20, 4);
+  gate.near("second-hypernode step (us)", step, 50, 10);
+  return gate.exit_code();
 }

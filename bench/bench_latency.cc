@@ -102,5 +102,8 @@ int main(int argc, char** argv) {
   std::printf("\nderived metrics                    measured   paper\n");
   std::printf("remote / hypernode miss ratio      %8.2f   ~8 (4-10)\n",
               c_remote / c_node);
-  return 0;
+
+  spp::bench::Gate gate;
+  gate.within("remote / hypernode miss ratio", c_remote / c_node, 4, 10);
+  return gate.exit_code();
 }

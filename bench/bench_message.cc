@@ -8,6 +8,8 @@
 // Paper targets: ~30 us local round trip and ~70 us global (ratio ~2.3),
 // approximately flat below 8 KB; above 8 KB, page-granular growth.
 #include <cstdio>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -57,11 +59,13 @@ int main(int argc, char** argv) {
 
   std::printf("%10s %12s %12s %8s\n", "bytes", "local_us", "global_us",
               "ratio");
+  std::map<std::size_t, std::pair<double, double>> rtt;  // bytes -> (l, g)
   for (std::size_t bytes = 64; bytes <= (256u << 10); bytes *= 2) {
     const double local =
         round_trip_us(1, rt::Placement::kHighLocality, bytes, trials);
     const double global =
         round_trip_us(2, rt::Placement::kUniform, bytes, trials);
+    rtt[bytes] = {local, global};
     std::printf("%10zu %12.1f %12.1f %8.2f\n", bytes, local, global,
                 global / local);
   }
@@ -72,5 +76,18 @@ int main(int argc, char** argv) {
   std::printf("local round trip, 1KB (us)   %8.1f   ~30\n", l1k);
   std::printf("global round trip, 1KB (us)  %8.1f   ~70\n", g1k);
   std::printf("global/local ratio           %8.2f   ~2.3\n", g1k / l1k);
-  return 0;
+
+  // The 8 KB knee: one step past 8 KB costs more than the whole rise below.
+  const auto [l64, g64] = rtt[64];
+  const auto [l8k, g8k] = rtt[8192];
+  const auto [l16k, g16k] = rtt[16384];
+  spp::bench::Gate gate;
+  gate.near("local round trip, 1KB (us)", l1k, 30, 6);
+  gate.near("global round trip, 1KB (us)", g1k, 70, 14);
+  gate.near("global/local ratio", g1k / l1k, 2.3, 0.3);
+  gate.expect("8KB->16KB step above the 64B->8KB rise, local",
+              l16k - l8k > l8k - l64);
+  gate.expect("8KB->16KB step above the 64B->8KB rise, global",
+              g16k - g8k > g8k - g64);
+  return gate.exit_code();
 }

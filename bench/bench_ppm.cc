@@ -15,6 +15,8 @@
 // tiling uniformly slower (more frame overhead per zone), and the 2x-bigger
 // grid matching the small grid's rate at equal processors.
 #include <cstdio>
+#include <map>
+#include <utility>
 
 #include "bench/bench_common.h"
 #include "spp/apps/ppm/ppm.h"
@@ -64,6 +66,7 @@ int main(int argc, char** argv) {
 
   std::printf("%10s %8s %6s | %10s %10s\n", "grid", "tiles", "procs",
               "Mflop/s", "paper");
+  std::map<std::pair<unsigned, unsigned>, double> small_grid;  // (tx, p)
   for (const Row& r : paper_rows) {
     const auto nx = static_cast<std::size_t>(static_cast<double>(r.nx) * shrink);
     const auto ny = static_cast<std::size_t>(static_cast<double>(r.ny) * shrink);
@@ -73,8 +76,17 @@ int main(int argc, char** argv) {
     std::snprintf(tiles, sizeof tiles, "%ux%u", r.tx, r.ty);
     std::printf("%10s %8s %6u | %10.1f %10.1f\n", grid, tiles, r.procs,
                 mflops, r.paper);
+    if (r.nx == 120) small_grid[{r.tx, r.procs}] = mflops;
   }
   std::printf("\nshapes to check: ~linear scaling 1->8; 12x48 tiling slower\n"
               "than 4x16 at every processor count; 240x960@4 ~= 120x480@4.\n");
-  return 0;
+
+  bool finer_slower = true;
+  for (const unsigned p : {1u, 2u, 4u, 8u}) {
+    finer_slower = finer_slower && small_grid[{12, p}] < small_grid[{4, p}];
+  }
+  spp::bench::Gate gate;
+  gate.expect("12x48 tiling slower than 4x16 at every processor count",
+              finer_slower);
+  return gate.exit_code();
 }

@@ -26,9 +26,8 @@
 # The sanitized leg also runs a kill-resume smoke (docs/RECOVERY.md):
 # nbody runs with durable on-disk checkpoints (--ckpt-dir), is SIGKILLed
 # mid-run, and a --resume run must reproduce the digest of an
-# uninterrupted run bit-for-bit.  Its default 2-hypernode run goes through
-# the multi-node phase/fusion schedule, so this also covers that
-# schedule's crash/resume.
+# uninterrupted run bit-for-bit.  Its default run is on two hypernodes, so
+# this also covers a multi-node crash/resume.
 #
 # The sanitized leg also runs the disk-chaos smoke (sppsim-explore
 # chaos-disk, docs/RECOVERY.md "Host I/O faults & the degradation

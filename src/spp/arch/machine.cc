@@ -72,38 +72,6 @@ PAddr Machine::tlb_fill(unsigned cpu, VAddr va) {
 sim::Time Machine::access_at(unsigned cpu, VAddr va, PAddr pa, bool write,
                              sim::Time now) {
   const LineAddr line = line_of(pa);
-
-  // PDES cross-shard gate: if this access could leave the CPU's own shard,
-  // park at the fusion rendezvous BEFORE reading any protocol state the
-  // dispatch below depends on.  The whole decision tree (L1 state, upgrade
-  // vs. fill, gcache hit) then re-runs against fusion-time state, so no
-  // branch downstream can act on a pre-park snapshot.  The probe here is
-  // conservative: a stale "cross" answer only serializes the access, it
-  // never corrupts state.
-  if (gate_ != nullptr) {
-    const LineState pst = l1_[cpu].state_of(line);
-    if (pst == LineState::kInvalid || (pst == LineState::kShared && write)) {
-      const unsigned my_node = topo_.node_of_cpu(cpu);
-      const unsigned home_fu = home_fu_of(pa);
-      bool cross;
-      if (topo_.node_of_fu(home_fu) == my_node) {
-        // Home is local: only a remote-dirty recall or an SCI purge walk
-        // leaves the shard.
-        const HomeEntry* e = directory_[my_node].find(line);
-        cross = e != nullptr &&
-                (e->remote_dirty || (write && !e->sci_list.empty()));
-      } else if (pst == LineState::kShared) {
-        cross = true;  // Write upgrade negotiates through the remote home.
-      } else {
-        // Remote-home miss: node-local only on a usable gcache buffer hit.
-        const sci::GCache::Entry& ge =
-            gcache_for(my_node, topo_.ring_of_fu(home_fu)).slot(line);
-        cross = !(ge.line == line && (!write || ge.dirty));
-      }
-      if (cross) gate_->on_cross();
-    }
-  }
-
   const LineState st = l1_[cpu].state_of(line);
 
   // Snapshot checker-visible pre-state before the protocol mutates anything
@@ -660,8 +628,6 @@ sim::Time Machine::access_uncached(unsigned cpu, VAddr va, bool write,
   const unsigned home_fu = home_fu_of(pa);
   const unsigned my_node = topo_.node_of_cpu(cpu);
   const unsigned home_node = topo_.node_of_fu(home_fu);
-  // PDES gate: a remote-home uncached op always rides the ring.
-  if (gate_ != nullptr && home_node != my_node) gate_->on_cross();
   CpuCounters& c = perf_.cpu[cpu];
   ++c.uncached_ops;
   (write ? c.stores : c.loads)++;
@@ -711,8 +677,6 @@ sim::Time Machine::atomic_rmw(unsigned cpu, VAddr va, sim::Time now) {
   const unsigned home_fu = home_fu_of(pa);
   const unsigned my_node = topo_.node_of_cpu(cpu);
   const unsigned home_node = topo_.node_of_fu(home_fu);
-  // PDES gate: a remote-home fetch-and-op always rides the ring.
-  if (gate_ != nullptr && home_node != my_node) gate_->on_cross();
   CpuCounters& c = perf_.cpu[cpu];
   ++c.atomic_ops;
 

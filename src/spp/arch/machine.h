@@ -31,21 +31,6 @@
 
 namespace spp::arch {
 
-/// Cross-shard gate for the multi-node phase/fusion schedule
-/// (rt/conductor.h).  When a gate is attached, a charged operation that
-/// could touch state owned by another shard (hypernode) calls on_cross()
-/// BEFORE reading or mutating anything beyond its own shard.  Inside a phase
-/// the call parks the simulated thread until the next fusion rendezvous and
-/// returns with the caller serialized; at every other time it returns
-/// immediately.  The
-/// pre-checks that decide whether to call it are conservative: a false
-/// positive only costs serialization, never correctness.
-class CrossGate {
- public:
-  virtual ~CrossGate() = default;
-  virtual void on_cross() = 0;
-};
-
 class Machine {
  public:
   explicit Machine(Topology topo, CostModel cm = CostModel{});
@@ -106,10 +91,6 @@ class Machine {
   /// test per access when null; observers never alter timing or state.
   void set_observer(MemObserver* observer) { observer_ = observer; }
   MemObserver* observer() const { return observer_; }
-
-  /// Attaches (or clears, with nullptr) the conductor's cross-shard gate.
-  void set_gate(CrossGate* gate) { gate_ = gate; }
-  CrossGate* gate() const { return gate_; }
 
   // --- test-only protocol mutations (mutation harness; tests/test_check) ----
   /// Deliberate protocol bugs, compiled in but dead until set.  Used to prove
@@ -178,8 +159,8 @@ class Machine {
     std::vector<sim::Resource> banks;
   };
 
-  /// The home directory shard owning `line` (indexed by the line's home
-  /// node, so a phase only ever touches its own shard's maps).
+  /// The home directory map owning `line` (indexed by the line's home
+  /// node).
   FlatMap<LineAddr, HomeEntry>& dir_for(LineAddr line) {
     return directory_[topo_.node_of_fu(home_fu_of(line_base(line)))];
   }
@@ -295,14 +276,12 @@ class Machine {
   std::vector<sci::GCache> gcaches_;  ///< [node * 4 + ring]
   /// Home directory: open-addressing flat maps (docs/PERFORMANCE.md) -- one
   /// cache-friendly probe per access() instead of an unordered_map node
-  /// chase, and no per-line heap allocation.  One map per home node, so a
-  /// phase only ever touches its own shard's map (everything else gates).
+  /// chase, and no per-line heap allocation.  One map per home node.
   std::vector<FlatMap<LineAddr, HomeEntry>> directory_;
   /// Per-CPU page TLBs (tlb_slot()).  Each CPU only ever touches its own
   /// 4 KB slice.
   std::vector<TlbEntry> tlb_;
   MemObserver* observer_ = nullptr;
-  CrossGate* gate_ = nullptr;  ///< cross-shard gate, when attached.
   TestMutation mutation_;
 };
 

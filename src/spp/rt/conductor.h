@@ -1,40 +1,14 @@
 // The conductor: a deterministic sequencer for simulated threads.
 //
-// Single-node topologies run the classic sequencer: EXACTLY ONE simulated
-// thread (SThread) runs at any moment -- the conductor always resumes the
-// ready thread with the smallest (local clock, thread id).  Application code
-// is therefore race-free and bit-reproducible; parallelism exists only in
-// simulated time, where each thread carries its own clock and contended
-// hardware is modeled by spp::sim::Resource busy-until queues (DESIGN.md
-// section 5.1).
-//
-// Multi-node topologies run the phase/fusion schedule (docs/PERFORMANCE.md
-// "Multi-node schedule"): the machine is sharded one shard per hypernode,
-// and execution alternates between
-//
-//   PHASES   -- each shard in turn drains its own (clock, tid)-ordered ready
-//               set up to a conservative horizon: the globally earliest
-//               runnable clock plus a lookahead window derived from the SCI
-//               ring's minimum transit cost (spp/pdes/window.h).  A charged
-//               operation that would touch another shard's state hits a
-//               *gate* (Machine::CrossGate / Conductor::defer_cross) and
-//               parks: the thread is suspended and an event keyed by
-//               (timestamp, shard, seq) is appended to the shard's list.
-//   FUSION   -- at the rendezvous ending a phase, the conductor collects
-//               every shard's parked events, sorts by pdes::EventKey, and
-//               resumes each parked thread in that order.  The resumed
-//               thread is marked `fusing_`; gates no-op while fusing, so the
-//               deferred operation executes the existing inline code path.
-//               Fusion for a thread ends at its next scheduling point
-//               outside any gated region (yield with gate_depth_ == 0, a
-//               real block, or completion); the thread then rejoins its
-//               shard's ready set for the next phase.
-//
-// Phase membership, horizons, per-shard dispatch order, park sequence
-// numbers, and fusion order are all pure functions of *simulated* state, so
-// every simulated observable (PerfCounters::digest included) is
-// bit-identical from run to run.  The schedule is part of the multi-node
-// timing model; every phase runs on the conductor's own host thread.
+// EXACTLY ONE simulated thread (SThread) runs at any moment: the conductor
+// always resumes the ready thread with the smallest (local clock, thread
+// id), on every topology.  Application code is therefore race-free and
+// bit-reproducible; parallelism exists only in simulated time, where each
+// thread carries its own clock and contended hardware is modeled by
+// spp::sim::Resource busy-until queues (DESIGN.md section 5.1).  Thread ids
+// are numbered in spawn order, which is itself a pure function of simulated
+// state, so every simulated observable (PerfCounters::digest included) is
+// bit-identical from run to run.
 //
 // An SThread advances its clock locally (compute charges, memory access
 // latencies) and returns control to the conductor at scheduling points:
@@ -60,7 +34,6 @@
 
 #include "spp/arch/machine.h"
 #include "spp/arch/topology.h"
-#include "spp/pdes/event.h"
 #include "spp/rt/fiber.h"
 #include "spp/sim/time.h"
 
@@ -103,7 +76,6 @@ struct BlockReason {
     kSemaphore,
     kJoin,
     kMessage,
-    kFusion,  ///< parked at a cross-shard gate; resumed at the next fusion.
   };
 
   Kind kind = Kind::kUnknown;
@@ -122,8 +94,6 @@ class SThread {
 
   unsigned tid() const { return tid_; }
   unsigned cpu() const { return cpu_; }
-  /// The hypernode (= PDES shard) the thread currently runs on.
-  unsigned node() const { return node_; }
   sim::Time clock() const { return clock_; }
   State state() const { return state_; }
 
@@ -133,13 +103,8 @@ class SThread {
 
   /// Rebinds the thread to another CPU (fault migration off a fail-stopped
   /// processor).  Subsequent charged accesses use the new CPU's L1, so the
-  /// cold-cache cost of the move is modeled, not assumed.  A cross-node
-  /// rebind also moves the thread between shards, keeping the engine's
-  /// per-shard ready sets and blocked counts consistent.
-  void rebind_cpu(unsigned cpu);
-
-  /// Simulated time of the last scheduling point (quantum bookkeeping).
-  sim::Time last_yield() const { return last_yield_; }
+  /// cold-cache cost of the move is modeled, not assumed.
+  void rebind_cpu(unsigned cpu) { cpu_ = cpu; }
 
   /// Why the thread is blocked (meaningful only while Blocked).
   const BlockReason& block_reason() const { return reason_; }
@@ -148,10 +113,9 @@ class SThread {
 
  private:
   friend class Conductor;
-  friend class FusionScope;
 
-  SThread(Conductor* c, unsigned tid, unsigned cpu, unsigned node,
-          sim::Time start, std::function<void()> fn);
+  SThread(Conductor* c, unsigned tid, unsigned cpu, sim::Time start,
+          std::function<void()> fn);
 
   static void fiber_entry(void* self);
   void fiber_body();
@@ -163,17 +127,11 @@ class SThread {
   Conductor* conductor_;
   unsigned tid_;
   unsigned cpu_;
-  unsigned node_;  ///< shard = topo.node_of_cpu(cpu_), kept in sync.
   sim::Time clock_ = 0;
-  sim::Time last_yield_ = 0;
+  sim::Time last_yield_ = 0;  ///< clock at the last yield (quantum_yield).
   State state_ = State::kReady;
   BlockReason reason_;  ///< wait-for edge while Blocked.
   std::function<void()> fn_;
-
-  // Phase/fusion state.  Both fields are touched only by the thread itself
-  // or by whoever is about to resume it, never concurrently.
-  bool fusing_ = false;  ///< resumed at a fusion point; gates no-op.
-  int gate_depth_ = 0;   ///< FusionScope nesting (sync-op bodies).
 
   std::exception_ptr error_;  // exception that escaped fn_, if any
 
@@ -184,30 +142,11 @@ class SThread {
   bool fiber_shutdown_ = false;  ///< conductor asks the fiber to unwind.
 };
 
-/// RAII marker for a gated multi-access operation (sync-primitive bodies,
-/// grouped spawns): while at least one scope is open, a fusing thread's
-/// internal yields do NOT end its fusion, so the whole operation stays
-/// serialized.  When the outermost scope closes during fusion, the thread
-/// leaves the rendezvous eagerly instead of running on until its next
-/// natural scheduling point.
-class FusionScope {
- public:
-  FusionScope();
-  ~FusionScope();
-
-  FusionScope(const FusionScope&) = delete;
-  FusionScope& operator=(const FusionScope&) = delete;
-
- private:
-  SThread* me_;  ///< null when constructed outside a simulated thread.
-  int uncaught_at_entry_ = 0;
-};
-
 /// Owns all simulated threads and runs the scheduling loop.
-class Conductor : public arch::CrossGate {
+class Conductor {
  public:
   explicit Conductor(arch::Machine& machine);
-  ~Conductor() override;
+  ~Conductor();
 
   Conductor(const Conductor&) = delete;
   Conductor& operator=(const Conductor&) = delete;
@@ -236,10 +175,7 @@ class Conductor : public arch::CrossGate {
 
   // --- called from inside simulated threads ---------------------------------
   /// Creates a new ready thread.  Returns a stable pointer (owned here).
-  /// Thread ids are allocated per shard (tid = node + nodes * seq), so they
-  /// are a pure function of simulated spawn order within each shard and do
-  /// not depend on how phases interleave across shards.  On single-node
-  /// topologies this degenerates to the classic sequential numbering.
+  /// Thread ids are numbered in spawn order from 0 within each run().
   SThread* spawn(std::function<void()> fn, unsigned cpu, sim::Time start);
   /// Scheduling point: lets an earlier-clocked thread run first.  Cheap
   /// no-op if the caller is still the earliest (within `slack`).  A nonzero
@@ -247,8 +183,6 @@ class Conductor : public arch::CrossGate {
   /// caller keeps running until it is `slack` ahead of the earliest ready
   /// thread, bounding the resource-order error by `slack` (DESIGN.md
   /// section 5.1).
-  /// Under the engine the comparison is against the caller's own shard, and
-  /// a caller past the phase horizon hands back so the phase can end.
   void yield(sim::Time slack = 0);
   /// Quantum-based scheduling point used by charged operations: checks every
   /// `quantum` of local progress and hands off with hysteresis, so
@@ -276,29 +210,9 @@ class Conductor : public arch::CrossGate {
     t->reason_.waits_for = std::move(waits_for);
     t->reason_.what = std::move(what);
   }
-  /// Earliest clock among other ready threads (max value if none).
-  sim::Time min_other_ready_clock() const;
-
-  /// The cross-shard gate (called via arch::CrossGate from Machine, and
-  /// directly by sync primitives and the runtime).  Outside a phase -- the
-  /// sequential loop, fusion, or host code -- this is a no-op and the
-  /// operation runs inline.  Inside a phase it parks the calling thread on
-  /// its shard's event queue until the next fusion point; on return the
-  /// caller is serialized and may touch any shard's state.
-  void defer_cross();
-  void on_cross() override { defer_cross(); }
-
-  /// True when this conductor runs the phase/fusion schedule (multi-node
-  /// topology); single-node machines keep the classic sequential loop
-  /// bit-for-bit.
-  bool engine_active() const { return nodes_ > 1; }
-  unsigned nodes() const { return nodes_; }
 
   /// Always 1; kept only because perfbench/ reports it.
   unsigned workers() const { return 1; }
-
-  /// The lookahead window of the current run (0 when the engine is off).
-  sim::Time lookahead() const { return lookahead_; }
 
   /// Monotonic count of scheduling dispatches.  The only cross-thread-
   /// readable signal the conductor exports: the rt::Watchdog polls it from
@@ -325,7 +239,6 @@ class Conductor : public arch::CrossGate {
 
  private:
   friend class SThread;
-  friend class FusionScope;
 
   struct Order {
     bool operator()(const SThread* a, const SThread* b) const {
@@ -336,28 +249,8 @@ class Conductor : public arch::CrossGate {
 
   using ReadySet = std::set<SThread*, Order>;
 
-  /// A thread parked at a cross-shard gate, awaiting fusion.
-  struct Parked {
-    pdes::EventKey key;
-    SThread* thread = nullptr;
-  };
-
-  /// Classic sequential scheduling loop (single-node topologies).
+  /// The scheduling loop: runs the earliest ready thread until none is left.
   void loop();
-  /// Multi-node schedule: alternate phases and fusions until quiescence.
-  void engine_loop();
-  /// Drains shard `n`'s ready set up to the phase horizon.  A thread error
-  /// is recorded in node_errors_[n] and ends the shard's phase; the other
-  /// shards still drain before the error propagates.
-  void drain_node(unsigned n);
-  /// Collects every shard's parked events, sorts by EventKey, and resumes
-  /// each parked thread in that order (the fusion rendezvous).
-  void fuse();
-  /// Rethrows the recorded error of the lowest-numbered shard, if any,
-  /// counting deadlock diagnoses exactly once on the way out.
-  void propagate_node_errors();
-  /// Rethrows a thread error, counting a deadlock diagnosis exactly once.
-  [[noreturn]] void propagate_thread_error(std::exception_ptr err);
   /// Common post-run teardown (both success and error paths).
   void cleanup_run();
   void bump_progress() { progress_.fetch_add(1, std::memory_order_relaxed); }
@@ -368,35 +261,23 @@ class Conductor : public arch::CrossGate {
   /// wait-for report the deadlock throw would have carried.
   void shutdown_all();
 
-  /// tid -> thread under the per-shard allocation scheme (null if unknown).
-  SThread* thread_by_tid(unsigned tid) const;
-  std::size_t total_blocked() const;
+  /// tid -> thread (null if unknown).
+  SThread* thread_by_tid(unsigned tid) const {
+    return tid < owned_.size() ? owned_[tid].get() : nullptr;
+  }
 
   /// Follows waits-for edges from `start` through blocked threads; returns
   /// the tid cycle (start first) or empty when none is reachable.
   std::vector<unsigned> find_cycle(const SThread& start) const;
 
   arch::Machine& machine_;
-  unsigned nodes_;  ///< shard count = hypernode count (fixed per machine).
 
   /// The conductor's own (host-thread) context slot.
   Fiber main_ctx_;
 
-  // Per-shard scheduling state.  Single-node machines use slot 0
-  // exclusively, which is the classic sequencer's state verbatim.
-  std::vector<std::vector<std::unique_ptr<SThread>>> owned_;
-  std::vector<ReadySet> ready_by_node_;
-  std::vector<std::size_t> blocked_by_node_;
-  std::vector<unsigned> next_seq_;  ///< per-shard spawn counter (tid alloc).
-  std::vector<std::vector<Parked>> parked_;  ///< per-shard gate events.
-  std::vector<std::uint64_t> park_seq_;  ///< per-shard event sequence.
-  std::vector<std::exception_ptr> node_errors_;
-
-  // Engine run state.
-  bool in_phase_ = false;
-  sim::Time horizon_ = 0;
-  sim::Time lookahead_ = 0;
-  std::vector<Parked> fusion_order_;  ///< scratch, reused across fusions.
+  std::vector<std::unique_ptr<SThread>> owned_;  ///< indexed by tid.
+  ReadySet ready_;
+  std::size_t blocked_ = 0;  ///< threads in State::kBlocked.
 
   std::atomic<std::uint64_t> progress_{0};  ///< see progress().
   bool running_ = false;

@@ -20,20 +20,6 @@ void SelfScheduler::reset() {
 
 bool SelfScheduler::next(unsigned tid, std::size_t& begin, std::size_t& end) {
   (void)tid;
-  // PDES: the host-side iteration cursor is one shared structure; a caller
-  // off the counter's home node parks at the fusion rendezvous BEFORE the
-  // exhaustion check so the read, the charged fetch-and-add, and the cursor
-  // bump all happen serialized against every other grab.  Home-node callers
-  // run inline (their shard owns the counter line while no remote grab is in
-  // flight; remote grabs are parked, not running).
-  if (options_.schedule != Schedule::kStatic) {
-    Conductor& cond = rt_->conductor();
-    if (cond.engine_active() &&
-        rt_->topo().node_of_cpu(Conductor::self().cpu()) !=
-            options_.counter_home) {
-      cond.defer_cross();
-    }
-  }
   switch (options_.schedule) {
     case Schedule::kStatic:
       throw std::logic_error(

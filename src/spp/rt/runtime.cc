@@ -17,11 +17,6 @@ struct AsyncGroup::State {
   std::vector<bool> done;      ///< per-child completion, for the wait-for graph.
   sim::Time last_finish = 0;
   bool joined = false;
-  /// PDES: true when the group spans hypernodes (any child placed off the
-  /// parent's node).  Completion bookkeeping and join then serialize at the
-  /// fusion rendezvous; a single-node group stays entirely inside its shard
-  /// and needs no gate.
-  bool cross_group = false;
 };
 
 Runtime::Runtime(arch::Topology topo, arch::CostModel cm)
@@ -114,25 +109,12 @@ std::vector<SThread*> Runtime::spawn_group(
   const arch::Topology& topo = machine_.topo();
   const unsigned parent_node = topo.node_of_cpu(parent.cpu());
 
-  // PDES: a fork that places children on other hypernodes mutates those
-  // shards' scheduler state, so the whole spawn serializes at the fusion
-  // rendezvous.  The placement probe is pure, so the decision (and the
-  // group's cross flag) is identical on every run.
-  bool cross_group = false;
-  if (conductor_.engine_active()) {
-    for (unsigned i = 0; i < n && !cross_group; ++i) {
-      cross_group = topo.node_of_cpu(place_cpu(i, n, placement)) != parent_node;
-    }
-    if (cross_group) conductor_.defer_cross();
-  }
-
   auto st = std::make_shared<AsyncGroup::State>();
   st->remaining = n;
   st->finish.resize(n, 0);
   st->remote.resize(n, false);
   st->tids.resize(n, 0);
   st->done.resize(n, false);
-  st->cross_group = cross_group;
   out.state_ = st;
 
   parent.advance(cm.fork_fixed);
@@ -156,10 +138,6 @@ std::vector<SThread*> Runtime::spawn_group(
     kids.push_back(conductor_.spawn(
         [st, body, i, n, cond, this] {
           body(i, n);
-          // PDES: a cross-node group's shared completion record (and the
-          // possible wake of a joiner on another shard) serializes at the
-          // fusion rendezvous.
-          if (st->cross_group) cond->defer_cross();
           SThread& me = Conductor::self();
           st->finish[i] = me.clock();
           st->done[i] = true;
@@ -197,10 +175,6 @@ void Runtime::join(AsyncGroup& group) {
   auto st = group.state_;
   if (st->joined) throw std::logic_error("group joined twice");
   st->joined = true;
-
-  // PDES: joining a cross-node group reads completion state the children
-  // publish at fusion time; read it there too.
-  if (st->cross_group) conductor_.defer_cross();
 
   SThread& parent = Conductor::self();
   if (st->remaining > 0) {

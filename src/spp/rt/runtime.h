@@ -159,10 +159,6 @@ class Runtime {
   arch::VAddr alloc(std::uint64_t bytes, arch::MemClass mem_class,
                     const std::string& label, unsigned home_node = 0,
                     std::uint64_t block_bytes = arch::kPageBytes) {
-    // PDES: the region table is one machine-wide structure; an in-phase
-    // allocation serializes at the fusion rendezvous (no-op outside a
-    // phase or outside simulated threads).
-    conductor_.defer_cross();
     return machine_.vm().allocate(bytes, mem_class, label, home_node,
                                   block_bytes);
   }

@@ -45,22 +45,6 @@ void Barrier::wait() {
   SyncObserver* obs = rt.sync_observer();
   if (obs != nullptr) obs->on_release(this, me.tid());
 
-  // PDES: a thread whose arrival completes the barrier wakes every waiter,
-  // and waking a waiter on another shard mutates that shard's scheduler
-  // state.  An arrival from off the home node already parked inside the
-  // uncached rmw above (remote-home memory op); this handles the home-node
-  // releaser, whose rmw is shard-local.  Parking before the increment keeps
-  // the whole release branch atomic at the fusion rendezvous.
-  if (cond.engine_active() && count_ + 1 >= parties_) {
-    const unsigned my_node = rt.topo().node_of_cpu(me.cpu());
-    for (SThread* w : waiters_) {
-      if (w->node() != my_node) {
-        cond.defer_cross();
-        break;
-      }
-    }
-  }
-
   if (++count_ < parties_) {
     // Cache the release flag's line, then spin (modeled as a block; the
     // refetch after invalidation is charged on wakeup below).
@@ -145,20 +129,6 @@ void Lock::release() {
   SyncObserver* obs = rt.sync_observer();
   if (obs != nullptr) obs->on_release(this, me.tid());
 
-  // PDES: handing the lock to (or retargeting) a waiter on another shard
-  // mutates that shard's scheduler state; a home-node releaser's uncached
-  // store below is shard-local, so park explicitly.  The holder keeps the
-  // lock while parked, so in-phase acquirers just queue behind it.
-  if (rt.conductor().engine_active() && !queue_.empty()) {
-    const unsigned my_node = rt.topo().node_of_cpu(me.cpu());
-    for (SThread* w : queue_) {
-      if (w->node() != my_node) {
-        rt.conductor().defer_cross();
-        break;
-      }
-    }
-  }
-
   me.set_clock(rt.machine().access_uncached(me.cpu(), va_, true, me.clock()));
   if (queue_.empty()) {
     held_ = false;
@@ -210,13 +180,6 @@ void Semaphore::v() {
   SThread& me = Conductor::self();
   SyncObserver* obs = rt.sync_observer();
   if (obs != nullptr) obs->on_release(this, me.tid());
-  // PDES: v() wakes at most the front waiter; park a home-node signaller
-  // whose wake would cross shards (a remote signaller parks in the rmw).
-  if (rt.conductor().engine_active() && !queue_.empty() &&
-      queue_.front()->node() !=
-          rt.topo().node_of_cpu(me.cpu())) {
-    rt.conductor().defer_cross();
-  }
   me.set_clock(rt.machine().atomic_rmw(me.cpu(), va_, me.clock()));
   if (!queue_.empty()) {
     SThread* next = queue_.front();

@@ -382,9 +382,8 @@ TEST(CkptDurable, GracefulShutdownFlushesThenResumesBitExact) {
 TEST(CkptDurable, WallIntervalGatesDiskWritesOnly) {
   // An hour-long wall interval suppresses every write but the forced first
   // one; the charged captures still happen at every boundary, so the digest
-  // cannot move.  On two hypernodes the conductor's cross-shard gate is
-  // attached, and every counter bumped between boundaries must survive a
-  // boundary that skips its disk write.
+  // cannot move.  On two hypernodes too, every counter bumped between
+  // boundaries must survive a boundary that skips its disk write.
   for (const unsigned nodes : {1u, 2u}) {
     SCOPED_TRACE("nodes=" + std::to_string(nodes));
     const std::string base = fresh_dir("wall-" + std::to_string(nodes));

@@ -65,7 +65,6 @@ TEST(Lint, SelfTestFlagsEveryFixture) {
   EXPECT_NE(r.out.find("posix_io.cc"), std::string::npos) << r.out;
   EXPECT_NE(r.out.find("arch_mutation.cc"), std::string::npos) << r.out;
   EXPECT_NE(r.out.find("digest_iter.cc"), std::string::npos) << r.out;
-  EXPECT_NE(r.out.find("cross_shard.cc"), std::string::npos) << r.out;
 }
 
 TEST(Lint, TreeIsClean) {

@@ -4,9 +4,13 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
+#include "spp/apps/nbody/nbody.h"
+#include "spp/apps/ppm/ppm.h"
 #include "spp/rt/garray.h"
 #include "spp/rt/runtime.h"
 #include "spp/rt/sync.h"
@@ -74,6 +78,69 @@ TEST(Conductor, DeterministicTiming) {
     }
   }
   EXPECT_GT(first, 0u);
+}
+
+// The conductor runs the earliest ready thread on every topology, not only
+// on one hypernode.  Two threads on different hypernodes align at 100 us and
+// yield after every 100 ns step, so the clocks they record, in the order the
+// steps execute, must never go backwards.
+TEST(Conductor, MultiNodeDispatchFollowsGlobalClockOrder) {
+  Runtime rt(Topology{.nodes = 2});
+  constexpr int kSteps = 40;
+  std::vector<std::pair<unsigned, sim::Time>> steps;  // (thread, clock)
+  rt.run([&] {
+    rt.parallel(2, Placement::kUniform, [&](unsigned i, unsigned) {
+      ASSERT_EQ(rt.topo().node_of_cpu(rt.cpu()), i);
+      SThread& me = Conductor::self();
+      me.set_clock(100 * sim::kMicrosecond);
+      for (int k = 0; k < kSteps; ++k) {
+        me.advance(100 * sim::kNanosecond);
+        steps.emplace_back(i, me.clock());
+        rt.conductor().yield();
+      }
+    });
+  });
+  ASSERT_EQ(steps.size(), 2u * kSteps);
+  unsigned inversions = 0;
+  for (std::size_t k = 1; k < steps.size(); ++k) {
+    if (steps[k].second < steps[k - 1].second) ++inversions;
+  }
+  EXPECT_EQ(inversions, 0u);
+  // Equal clocks break ties by tid, so the two threads strictly alternate.
+  for (std::size_t k = 0; k < steps.size(); ++k) {
+    EXPECT_EQ(steps[k].first, k % 2) << "step " << k;
+  }
+}
+
+std::uint64_t nbody_digest() {
+  Runtime rt(Topology{.nodes = 4});
+  nbody::NbodyConfig cfg;
+  cfg.n = 192;
+  cfg.steps = 2;
+  nbody::NbodyShared nb(rt, cfg, 16, Placement::kUniform);
+  rt.run([&] { (void)nb.run(); });
+  return rt.machine().perf().digest(rt.elapsed());
+}
+
+std::uint64_t ppm_digest() {
+  Runtime rt(Topology{.nodes = 4});
+  ppm::PpmConfig cfg;
+  cfg.nx = 24;
+  cfg.ny = 24;
+  cfg.tiles_x = 4;
+  cfg.tiles_y = 4;
+  cfg.steps = 3;
+  ppm::PpmTiled ppm(rt, cfg, 16, Placement::kUniform);
+  ppm.init_blast(3.0, 4.0);
+  rt.run([&] { (void)ppm.run(); });
+  return rt.machine().perf().digest(rt.elapsed());
+}
+
+// Multi-node determinism: whole apps on four hypernodes give the same
+// digest on every run (no host state leaks into the schedule).
+TEST(Conductor, MultiNodeRepeatRunsAreBitStable) {
+  EXPECT_EQ(nbody_digest(), nbody_digest());
+  EXPECT_EQ(ppm_digest(), ppm_digest());
 }
 
 TEST(Conductor, AsyncSpawnAndJoin) {

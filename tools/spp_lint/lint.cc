@@ -311,12 +311,11 @@ void check_posix_io(const SourceFile& f, Result& res) {
 const std::set<std::string> kCharged = {"access", "access_block",
                                         "access_uncached", "atomic_rmw",
                                         "flush_l1", "allocate"};
-/// Cold-path host/recovery controls: legal, but inventoried because the
-/// multi-node schedule routes them between shards explicitly (set_gate is
-/// the conductor's own attach point).
+/// Cold-path host/recovery controls: legal, but inventoried because they
+/// change machine state without charging simulated time.
 const std::set<std::string> kControl = {
     "reset_stats",    "power_cycle",      "set_observer",
-    "set_link_alive", "set_link_degrade", "set_gate"};
+    "set_link_alive", "set_link_degrade"};
 
 /// Names that denote an arch::Machine in this codebase (locals, members,
 /// and the ubiquitous `machine()` accessor on sim state).
@@ -498,51 +497,6 @@ void check_arch_mutation(const SourceFile& f, Result& res) {
         }
         classified = true;
       }
-    }
-    i = end - 1;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// cross-shard-event-queue
-// ---------------------------------------------------------------------------
-
-void check_cross_shard(const SourceFile& f, Result& res) {
-  static const char kCheck[] = "cross-shard-event-queue";
-  // Under the multi-node phase/fusion schedule a phase only touches its own
-  // hypernode's slice of machine state (its home-directory map, its
-  // gcaches).  The one sanctioned way to affect another shard is to park at
-  // arch::CrossGate, so the effect replays in pdes::EventKey order at the
-  // fusion rendezvous.  Only the engine itself (src/spp/pdes/,
-  // src/spp/rt/) and arch may touch these or the gate; a direct reach from
-  // anywhere else would mutate a foreign shard mid-phase, at a point the
-  // fusion order does not define.
-  if (!starts_with(f.path, "src/")) return;  // tools/ and tests/ are host code.
-  if (starts_with(f.path, "src/spp/arch/") ||
-      starts_with(f.path, "src/spp/rt/") ||
-      starts_with(f.path, "src/spp/pdes/")) {
-    return;
-  }
-
-  /// Machine members that address one shard's slice of coherence state, plus
-  /// the gate attach point.  Reaching them from outside the engine skips the
-  /// fusion ordering.
-  static const std::set<std::string> kShardOwned = {
-      "home_entry", "dir_for", "gcache_for", "directory_", "gcaches_",
-      "set_gate"};
-
-  const auto& t = f.toks;
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    if (!is_machine_receiver(t, i)) continue;
-    std::vector<std::pair<std::string, int>> members;
-    std::size_t end = walk_chain(t, i, members);
-    for (const auto& [name, line] : members) {
-      if (kShardOwned.count(name) == 0) continue;
-      emit(res, f, kCheck, line,
-           "'" + name + "' reaches shard-owned machine state directly; "
-           "outside the engine, cross-shard mutation must park at "
-           "arch::CrossGate so it replays in fusion order, not mid-phase");
-      break;
     }
     i = end - 1;
   }
@@ -799,7 +753,6 @@ Result run_checks(const std::vector<SourceFile>& files) {
     check_host_thread(f, res);
     check_posix_io(f, res);
     check_arch_mutation(f, res);
-    check_cross_shard(f, res);
   }
   check_digest_iter(files, res);
 

@@ -1,6 +1,6 @@
 // spp-lint check engine (docs/STATIC_ANALYSIS.md).
 //
-// Six project-specific checks over the token streams lexer.h produces:
+// Five project-specific checks over the token streams lexer.h produces:
 //
 //   sim-no-wallclock        no wall-clock or entropy sources in simulated
 //                           code (allowlist: rt::Watchdog, ckpt::Disk,
@@ -15,17 +15,10 @@
 //                           must be charged accessors (or accumulating
 //                           counter bumps / cold-path control calls, which
 //                           are inventoried); emits the full site inventory
-//                           as JSON -- the cross-shard mutation list the
-//                           ROADMAP item 1 event-queue refactor needs
+//                           as JSON
 //   digest-iter-determinism flags range-for over unordered containers in
 //                           functions reachable from PerfCounters::digest
 //                           or ckpt::Store::capture
-//   cross-shard-event-queue outside the multi-node engine (src/spp/pdes/,
-//                           src/spp/rt/) and arch itself, code must not
-//                           reach shard-owned machine state (per-node
-//                           directory maps, gcaches, the gate) directly;
-//                           cross-shard effects park at arch::CrossGate
-//                           and replay in fusion order
 //
 // Suppression: a `// spp-lint: allow(<check>): reason` comment on the same
 // line or the line above a finding silences it; fixtures under
@@ -67,7 +60,7 @@ struct Result {
   std::vector<MutationSite> sites;
 };
 
-/// Runs all six checks over `files` (one entry per analyzed file; the
+/// Runs all five checks over `files` (one entry per analyzed file; the
 /// digest-iter-determinism call graph spans all of them).
 Result run_checks(const std::vector<SourceFile>& files);
 

@@ -5,7 +5,7 @@
 //
 // Without explicit files, walks <repo-root>/src and <repo-root>/tools for
 // .h/.cc sources (plus any in-tree .cc listed in the compile database) and
-// runs all four checks.  Findings print as `file:line: [check] message`.
+// runs all five checks.  Findings print as `file:line: [check] message`.
 // --json-out writes the arch-mutation inventory (docs/STATIC_ANALYSIS.md,
 // "The mutation inventory").
 //

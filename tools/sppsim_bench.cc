@@ -119,11 +119,10 @@ Measurement bench_nbody(bool smoke) {
   return seal(runtime);
 }
 
-// The pdes_* benches run the same scheduling and nbody codes on a
-// 4-hypernode topology, so the multi-node phase/fusion schedule drains four
-// shards per phase (docs/PERFORMANCE.md, "Multi-node schedule").
+// The *_4n benches run the same scheduling and nbody codes on a
+// 4-hypernode topology.
 
-Measurement bench_pdes_scheduling(bool smoke) {
+Measurement bench_scheduling_4n(bool smoke) {
   rt::Runtime runtime(arch::Topology{.nodes = 4}, arch::CostModel{});
   const std::size_t n = smoke ? 4096 : 65536;
   rt::LoopOptions opts;
@@ -163,7 +162,7 @@ Measurement bench_fem(bool smoke) {
   return seal(runtime);
 }
 
-Measurement bench_pdes_nbody(bool smoke) {
+Measurement bench_nbody_4n(bool smoke) {
   rt::Runtime runtime(arch::Topology{.nodes = 4}, arch::CostModel{});
   nbody::NbodyConfig cfg;
   cfg.n = smoke ? 512 : 2048;
@@ -185,8 +184,8 @@ constexpr BenchDef kBenches[] = {
     {"nbody", bench_nbody},
     {"ppm", bench_ppm},
     {"fem", bench_fem},
-    {"pdes_scheduling", bench_pdes_scheduling},
-    {"pdes_nbody", bench_pdes_nbody},
+    {"scheduling_4n", bench_scheduling_4n},
+    {"nbody_4n", bench_nbody_4n},
 };
 
 // --- harness ---------------------------------------------------------------
@@ -333,8 +332,8 @@ int usage() {
       "                    [--ckpt-dir DIR [--ckpt-wall-interval SEC] "
       "[--resume]]\n"
       "\n"
-      "Benches: scheduling psort scatter nbody ppm fem pdes_scheduling\n"
-      "pdes_nbody\n"
+      "Benches: scheduling psort scatter nbody ppm fem scheduling_4n\n"
+      "nbody_4n\n"
       "(default: all).\n"
       "--out writes BENCH_<name>.json baselines; --check compares\n"
       "against committed ones (sim time + digest only; wall time is\n"
