@@ -39,14 +39,6 @@ class FlatMap {
     size_ = 0;
   }
 
-  /// Grows the table so `n` entries fit without rehashing.
-  void reserve(std::size_t n) {
-    std::size_t cap = kMinCapacity;
-    // Stay under the 7/8 load factor after n inserts.
-    while (cap - cap / 8 < n) cap <<= 1;
-    if (cap > capacity()) rehash(cap);
-  }
-
   V* find(const K& key) {
     if (size_ == 0) return nullptr;
     for (std::size_t i = hash(key);; i = (i + 1) & mask_) {

@@ -30,7 +30,6 @@ Machine::Machine(Topology topo, CostModel cm)
     gcaches_.emplace_back(cm_.gcache_bytes, topo.num_fus());
   }
   directory_.resize(topo_.nodes);
-  for (auto& dir : directory_) dir.reserve((1u << 16) / topo_.nodes + 1);
 }
 
 void Machine::power_cycle() {
@@ -45,12 +44,6 @@ void Machine::power_cycle() {
   }
   std::fill(tlb_.begin(), tlb_.end(), TlbEntry{});
   rings_.reset_contention();
-}
-
-void Machine::maybe_erase(LineAddr line) {
-  FlatMap<LineAddr, HomeEntry>& dir = dir_for(line);
-  const HomeEntry* e = dir.find(line);
-  if (e != nullptr && e->empty()) dir.erase(line);
 }
 
 // ---------------------------------------------------------------------------

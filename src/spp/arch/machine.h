@@ -168,7 +168,6 @@ class Machine {
     return directory_[topo_.node_of_fu(home_fu_of(line_base(line)))];
   }
   HomeEntry& home_entry(LineAddr line) { return dir_for(line)[line]; }
-  void maybe_erase(LineAddr line);
 
   sim::Resource& bank_for(PAddr pa) {
     FuState& fu = fus_[home_fu_of(pa)];
@@ -276,7 +275,9 @@ class Machine {
   std::vector<sci::GCache> gcaches_;  ///< [node * 4 + ring]
   /// Home directory: open-addressing flat maps (docs/PERFORMANCE.md) -- one
   /// cache-friendly probe per access() instead of an unordered_map node
-  /// chase, and no per-line heap allocation.  One map per home node.
+  /// chase, and no per-line heap allocation.  One map per home node; each
+  /// starts empty and doubles as lines arrive, like the L1 and gcache
+  /// arrays, so a machine that touches few lines pays for few.
   std::vector<FlatMap<LineAddr, HomeEntry>> directory_;
   /// Per-CPU page TLBs (tlb_slot()).  Each CPU only ever touches its own
   /// 4 KB slice.

@@ -167,6 +167,8 @@ void Conductor::loop() {
         ++blocked_;
         break;
       case SThread::State::kDone:
+        // Live stacks track live threads: the next spawn reuses this one.
+        t->fiber_.release();
         if (t->error_) {
           // The thread died on an application exception: the simulation
           // cannot meaningfully continue.  run() shuts the rest down and

@@ -76,9 +76,11 @@ std::size_t page_size() {
 // fine-grained simulation spawns thousands of short-lived SThreads, and a
 // fresh mmap per spawn costs two syscalls plus a first-touch page fault for
 // every stack page the fiber ever uses.  A recycled stack keeps its guard
-// page and its warm pages.  All stacks are the same size in practice, so the
-// list holds only exact-size matches; a mutex keeps the (rare) case of
-// multiple host threads running conductors safe.
+// page and its warm pages.  The conductor releases a stack as soon as its
+// thread finishes, so live stacks track live threads and the list serves
+// every spawn after a run's first region.  All stacks are the same size in
+// practice, so the list holds only exact-size matches; a mutex keeps the
+// (rare) case of multiple host threads running conductors safe.
 struct StackPool {
   static constexpr std::size_t kMaxFree = 64;
   struct Item {
@@ -269,13 +271,17 @@ Fiber::~Fiber() {
 #if defined(SPP_FIBER_UCONTEXT)
   delete static_cast<UctxState*>(uctx_);
 #endif
+  release();
+}
+
+void Fiber::release() {
+  if (!created()) return;
 #if defined(SPP_FIBER_TSAN)
-  // A host slot holds its OS thread's own context, not ours to destroy.
-  if (created() && tsan_fiber_ != nullptr) __tsan_destroy_fiber(tsan_fiber_);
+  if (tsan_fiber_ != nullptr) __tsan_destroy_fiber(tsan_fiber_);
+  tsan_fiber_ = nullptr;
 #endif
-  if (stack_ != nullptr && !stack_pool().release(stack_, map_bytes_)) {
-    munmap(stack_, map_bytes_);
-  }
+  if (!stack_pool().release(stack_, map_bytes_)) munmap(stack_, map_bytes_);
+  stack_ = nullptr;
 }
 
 void Fiber::create(void (*entry)(void*), void* arg, std::size_t stack_bytes) {

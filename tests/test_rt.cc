@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <fstream>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -198,6 +200,43 @@ TEST(Conductor, EachThreadRethrowsItsOwnException) {
     });
   });
   EXPECT_EQ(got, (std::vector<int>{0, 1}));
+}
+
+/// Lines in /proc/self/maps, one per mapping; -1 where it cannot be read.
+long mapping_count() {
+  std::ifstream maps("/proc/self/maps");
+  if (!maps) return -1;
+  long lines = 0;
+  for (std::string line; std::getline(maps, line);) ++lines;
+  return lines;
+}
+
+// A finished thread's fiber stack goes back to the pool as soon as the
+// conductor sees it finish, so one run of many short regions keeps only as
+// many stacks mapped as it has live threads.  A stack held until run()
+// returns costs two mappings (stack and guard page): the 2,000 threads here
+// would add about 4,000, and a run of some 33,000 threads would exhaust the
+// default vm.max_map_count (65,530) and fail in Fiber::create.
+TEST(Conductor, FinishedThreadsReturnTheirStacks) {
+  Runtime rt(Topology{.nodes = 2});
+  constexpr unsigned kRegions = 125;
+  constexpr unsigned kThreads = 16;
+  const long before = mapping_count();
+  if (before < 0) GTEST_SKIP() << "/proc/self/maps cannot be read";
+  long last_region = -1;
+  unsigned bodies = 0;
+  rt.run([&] {
+    for (unsigned r = 0; r < kRegions; ++r) {
+      rt.parallel(kThreads, Placement::kUniform, [&](unsigned i, unsigned) {
+        ++bodies;
+        if (r + 1 == kRegions && i == 0) last_region = mapping_count();
+      });
+    }
+  });
+  EXPECT_EQ(bodies, kRegions * kThreads);
+  EXPECT_LT(last_region - before, 1000)
+      << before << " mappings before the run, " << last_region
+      << " in its last region";
 }
 
 TEST(Placement, HighLocalityFillsFirstNode) {
