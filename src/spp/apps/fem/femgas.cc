@@ -5,7 +5,7 @@
 #include <cmath>
 #include <limits>
 
-#include "spp/ckpt/ckpt.h"
+#include "spp/ckpt/loop.h"
 
 namespace spp::fem {
 
@@ -239,64 +239,34 @@ FemDiagnostics FemGas::diagnostics() const {
   return d;
 }
 
-FemResult FemGas::run() {
+void FemGas::step(unsigned tid, unsigned nthreads) {
+  const double dt = wave_speed_phase(tid, nthreads);
+  if (cfg_.coding == Coding::kStoreResiduals) {
+    element_phase(tid, nthreads);
+  } else {
+    copy_state_phase(tid, nthreads);
+  }
+  barrier_->wait();
+  point_phase(tid, nthreads, dt);
+  barrier_->wait();
+}
+
+FemResult FemGas::run(const ckpt::DurableSpec& spec) {
   FemResult res;
   res.initial = diagnostics();
   rt_.machine().reset_stats();
   const sim::Time t0 = rt_.now();
 
-  // Migrate-and-restore recovery (docs/RECOVERY.md): the point state u_ is
-  // the only step-to-step state, so snapshotting it every K steps and
-  // replaying from the last epoch after a fail-stop reproduces the
-  // fault-free run bit-exactly.  With ckpt_interval == 0 nothing below
-  // allocates, charges, or synchronizes.
-  std::unique_ptr<ckpt::Store> store;
-  if (cfg_.ckpt_interval > 0) {
-    store = std::make_unique<ckpt::Store>(rt_);
-    store->registrar().add("fem.u", *u_);
-  }
-  std::uint64_t seen_recoveries = rt_.machine().perf().cpu_recoveries;
-  unsigned next_step = 0;
-
-  rt_.parallel(nthreads_, placement_, [&](unsigned tid, unsigned n) {
-    for (unsigned step = 0; step < cfg_.steps;) {
-      if (store) {
-        if (tid == 0 && step % cfg_.ckpt_interval == 0 &&
-            !store->has_epoch(step)) {
-          store->capture(step);
-        }
-        barrier_->wait();
-      }
-      const double dt = wave_speed_phase(tid, n);
-      if (cfg_.coding == Coding::kStoreResiduals) {
-        element_phase(tid, n);
-      } else {
-        copy_state_phase(tid, n);
-      }
-      barrier_->wait();
-      point_phase(tid, n, dt);
-      barrier_->wait();
-      if (store) {
-        if (tid == 0) {
-          const std::uint64_t rec = rt_.machine().perf().cpu_recoveries;
-          if (rec != seen_recoveries && store->latest() >= 0) {
-            // A thread migrated off a fail-stopped CPU this step: the data
-            // is intact but mid-step work interleaved with the failure, so
-            // roll back to the last epoch and replay.
-            store->restore(static_cast<std::uint64_t>(store->latest()));
-            next_step = static_cast<unsigned>(store->latest());
-          } else {
-            next_step = step + 1;
-          }
-          seen_recoveries = rec;
-        }
-        barrier_->wait();
-        step = next_step;
-      } else {
-        ++step;
-      }
-    }
-  });
+  // The point state u_ is the only step-to-step state (dt_ and the residual
+  // scratch are recomputed every step), so an epoch of it is enough both to
+  // replay from after a fail-stop and to resume from disk, bit-exactly.
+  ckpt::Store store(rt_);
+  store.registrar().add("fem.u", *u_);
+  ckpt::run_steps(rt_, nthreads_, placement_, *barrier_, store,
+                  cfg_.ckpt_interval, spec, cfg_.steps,
+                  [&](unsigned tid, unsigned n, std::uint64_t) {
+                    step(tid, n);
+                  });
 
   res.sim_time = rt_.now() - t0;
   const auto total = rt_.machine().perf().total();
@@ -306,52 +276,6 @@ FemResult FemGas::run() {
   res.updates_per_usec = res.point_updates / sim::to_usec(res.sim_time);
   // The paper's "useful Mflop/s": minimal serial flops per point update
   // divided by wall time, regardless of coding.
-  res.mflops = res.point_updates * kFlopsPerPointUpdate /
-               (sim::to_seconds(res.sim_time) * 1e6);
-  res.final = diagnostics();
-  return res;
-}
-
-FemResult FemGas::run_durable(const ckpt::DurableSpec& spec) {
-  FemResult res;
-  res.initial = diagnostics();
-  rt_.machine().reset_stats();
-  const sim::Time t0 = rt_.now();
-
-  // The point state u_ is the only step-to-step state (dt_ and the residual
-  // scratch are recomputed every step), so the durable region set is just
-  // the in-memory recovery loop's.
-  ckpt::Store store(rt_);
-  store.registrar().add("fem.u", *u_);
-
-  ckpt::DurableSession session(rt_, store, spec);
-  std::uint64_t step = session.begin();
-
-  while (session.boundary(step) && step < cfg_.steps) {
-    const std::uint64_t end =
-        std::min<std::uint64_t>(step + session.interval(), cfg_.steps);
-    rt_.parallel(nthreads_, placement_, [&](unsigned tid, unsigned n) {
-      for (std::uint64_t s = step; s < end; ++s) {
-        const double dt = wave_speed_phase(tid, n);
-        if (cfg_.coding == Coding::kStoreResiduals) {
-          element_phase(tid, n);
-        } else {
-          copy_state_phase(tid, n);
-        }
-        barrier_->wait();
-        point_phase(tid, n, dt);
-        barrier_->wait();
-      }
-    });
-    step = end;
-  }
-
-  res.sim_time = rt_.now() - t0;
-  const auto total = rt_.machine().perf().total();
-  res.flops = total.flops;
-  res.point_updates =
-      static_cast<double>(mesh_.num_points()) * cfg_.steps;
-  res.updates_per_usec = res.point_updates / sim::to_usec(res.sim_time);
   res.mflops = res.point_updates * kFlopsPerPointUpdate /
                (sim::to_seconds(res.sim_time) * 1e6);
   res.final = diagnostics();

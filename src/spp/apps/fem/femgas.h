@@ -92,14 +92,15 @@ class FemGas {
   /// Gaussian pressure blast in a quiescent medium.
   void init_blast(double p_peak, double radius);
 
-  FemResult run();
-
-  /// Durable variant of run(): epoch-sized chunks under a
-  /// ckpt::DurableSession (capture + disk commit + machine power-cycle at
-  /// every boundary; docs/RECOVERY.md).  With spec.resume the run continues
-  /// from the newest valid disk epoch and reaches the same final digest as
-  /// an uninterrupted durable run.
-  FemResult run_durable(const ckpt::DurableSpec& spec);
+  /// Runs cfg.steps time steps (docs/RECOVERY.md).  Without `spec` the
+  /// steps run in one parallel region, with migrate-and-restore recovery
+  /// when cfg.ckpt_interval is set.  An enabled `spec` makes the run durable:
+  /// epoch-sized chunks with a capture, disk commit and machine power-cycle
+  /// at every boundary; with spec.resume it continues from the newest valid
+  /// disk epoch to the uninterrupted run's digest.  The durable path ignores
+  /// cfg.ckpt_interval and never rolls back: after a CPU fail-stop, thread
+  /// migration alone keeps the answer.
+  FemResult run(const ckpt::DurableSpec& spec = {});
 
   FemDiagnostics diagnostics() const;
 
@@ -117,6 +118,8 @@ class FemGas {
   std::array<double, 4> element_residual(std::size_t e, int k, bool charged,
                                          bool from_old = false) const;
   void copy_state_phase(unsigned tid, unsigned nthreads);
+  /// One time step of thread `tid`: all phases, ending at a barrier.
+  void step(unsigned tid, unsigned nthreads);
 
   rt::Runtime& rt_;
   FemConfig cfg_;

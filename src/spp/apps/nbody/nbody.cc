@@ -7,7 +7,7 @@
 #include <numbers>
 #include <stdexcept>
 
-#include "spp/ckpt/ckpt.h"
+#include "spp/ckpt/loop.h"
 #include "spp/sim/rng.h"
 
 namespace spp::nbody {
@@ -261,7 +261,7 @@ std::array<double, 3> NbodyShared::tree_force(std::size_t i, bool charged) {
       az += nd.mass * dz * inv;
       if (charged) {
         rt_.work_flops(kInteractFlops);
-        ++interactions_;
+        ++tally_.interactions;
       }
       continue;
     }
@@ -289,7 +289,7 @@ std::array<double, 3> NbodyShared::tree_force(std::size_t i, bool charged) {
       az += mp * ddz * inv;
       if (charged) {
         rt_.work_flops(kInteractFlops);
-        ++interactions_;
+        ++tally_.interactions;
       }
     }
   }
@@ -373,94 +373,29 @@ NbodyDiagnostics NbodyShared::diagnostics() const {
   return d;
 }
 
-NbodyResult NbodyShared::run() {
-  NbodyResult res;
-  rt_.machine().reset_stats();
-  interactions_ = 0;
-  res.initial = diagnostics();
-  const sim::Time t0 = rt_.now();
-  sim::Time force_time = 0;
-
-  // Migrate-and-restore recovery (docs/RECOVERY.md): positions and
-  // velocities carry all step-to-step state (the tree and forces are
-  // rebuilt every step), so a rollback-and-replay after a fail-stop
-  // reproduces the fault-free trajectory bit-exactly.  Note interactions_
-  // keeps counting during replay: it reports work performed, which
-  // legitimately includes the replayed steps.
-  std::unique_ptr<ckpt::Store> store;
-  if (cfg_.ckpt_interval > 0) {
-    store = std::make_unique<ckpt::Store>(rt_);
-    store->registrar().add("nbody.px", *px_);
-    store->registrar().add("nbody.py", *py_);
-    store->registrar().add("nbody.pz", *pz_);
-    store->registrar().add("nbody.vx", *vx_);
-    store->registrar().add("nbody.vy", *vy_);
-    store->registrar().add("nbody.vz", *vz_);
-  }
-  std::uint64_t seen_recoveries = rt_.machine().perf().cpu_recoveries;
-  unsigned next_step = 0;
-
-  rt_.parallel(nthreads_, placement_, [&](unsigned tid, unsigned n) {
-    for (unsigned step = 0; step < cfg_.steps;) {
-      if (store) {
-        if (tid == 0 && step % cfg_.ckpt_interval == 0 &&
-            !store->has_epoch(step)) {
-          store->capture(step);
-        }
-        barrier_->wait();
-      }
-      if (tid == 0) build_tree();
-      barrier_->wait();
-      const sim::Time f0 = rt_.now();
-      force_phase(tid, n);
-      barrier_->wait();
-      if (tid == 0) force_time += rt_.now() - f0;
-      push_phase(tid, n);
-      barrier_->wait();
-      if (store) {
-        if (tid == 0) {
-          const std::uint64_t rec = rt_.machine().perf().cpu_recoveries;
-          if (rec != seen_recoveries && store->latest() >= 0) {
-            store->restore(static_cast<std::uint64_t>(store->latest()));
-            next_step = static_cast<unsigned>(store->latest());
-          } else {
-            next_step = step + 1;
-          }
-          seen_recoveries = rec;
-        }
-        barrier_->wait();
-        step = next_step;
-      } else {
-        ++step;
-      }
-    }
-  });
-
-  res.sim_time = rt_.now() - t0;
-  res.force_time = force_time;
-  const auto total = rt_.machine().perf().total();
-  res.flops = total.flops;
-  res.mflops = res.flops / (sim::to_seconds(res.sim_time) * 1e6);
-  res.interactions = interactions_;
-  res.final = diagnostics();
-  return res;
+void NbodyShared::step(unsigned tid, unsigned nthreads) {
+  if (tid == 0) build_tree();
+  barrier_->wait();
+  const sim::Time f0 = rt_.now();
+  force_phase(tid, nthreads);
+  barrier_->wait();
+  if (tid == 0) tally_.force_time += rt_.now() - f0;
+  push_phase(tid, nthreads);
+  barrier_->wait();
 }
 
-NbodyResult NbodyShared::run_durable(const ckpt::DurableSpec& spec) {
+NbodyResult NbodyShared::run(const ckpt::DurableSpec& spec) {
   NbodyResult res;
   rt_.machine().reset_stats();
-  interactions_ = 0;
+  tally_ = {};
   res.initial = diagnostics();
   const sim::Time t0 = rt_.now();
 
-  // Host-side running totals that must survive a host kill: checkpointed as
-  // a POD region alongside the particle state.
-  struct Tally {
-    std::uint64_t interactions = 0;
-    sim::Time force_time = 0;
-  };
-  Tally tally;
-
+  // Positions and velocities carry all step-to-step state (the tree and
+  // forces are rebuilt every step), so an epoch of them is enough both to
+  // replay from after a fail-stop and to resume from disk, bit-exactly.  A
+  // resumed run must also report the same totals, so the durable epochs
+  // carry the tally too.
   ckpt::Store store(rt_);
   store.registrar().add("nbody.px", *px_);
   store.registrar().add("nbody.py", *py_);
@@ -468,38 +403,19 @@ NbodyResult NbodyShared::run_durable(const ckpt::DurableSpec& spec) {
   store.registrar().add("nbody.vx", *vx_);
   store.registrar().add("nbody.vy", *vy_);
   store.registrar().add("nbody.vz", *vz_);
-  store.registrar().add_pod("nbody.tally", tally);
-
-  ckpt::DurableSession session(rt_, store, spec);
-  std::uint64_t step = session.begin();
-  interactions_ = tally.interactions;  // restored on resume, else still 0.
-
-  for (;;) {
-    tally.interactions = interactions_;
-    if (!session.boundary(step) || step >= cfg_.steps) break;
-    const std::uint64_t end =
-        std::min<std::uint64_t>(step + session.interval(), cfg_.steps);
-    rt_.parallel(nthreads_, placement_, [&](unsigned tid, unsigned n) {
-      for (std::uint64_t s = step; s < end; ++s) {
-        if (tid == 0) build_tree();
-        barrier_->wait();
-        const sim::Time f0 = rt_.now();
-        force_phase(tid, n);
-        barrier_->wait();
-        if (tid == 0) tally.force_time += rt_.now() - f0;
-        push_phase(tid, n);
-        barrier_->wait();
-      }
-    });
-    step = end;
-  }
+  if (spec.enabled()) store.registrar().add_pod("nbody.tally", tally_);
+  ckpt::run_steps(rt_, nthreads_, placement_, *barrier_, store,
+                  cfg_.ckpt_interval, spec, cfg_.steps,
+                  [&](unsigned tid, unsigned n, std::uint64_t) {
+                    step(tid, n);
+                  });
 
   res.sim_time = rt_.now() - t0;
-  res.force_time = tally.force_time;
+  res.force_time = tally_.force_time;
   const auto total = rt_.machine().perf().total();
   res.flops = total.flops;
   res.mflops = res.flops / (sim::to_seconds(res.sim_time) * 1e6);
-  res.interactions = interactions_;
+  res.interactions = tally_.interactions;
   res.final = diagnostics();
   return res;
 }

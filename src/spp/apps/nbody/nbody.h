@@ -84,14 +84,15 @@ class NbodyShared {
   /// example).
   void load_collision(double separation, double approach_speed);
 
-  NbodyResult run();
-
-  /// Durable variant of run(): executes the time loop in epoch-sized chunks
-  /// under a ckpt::DurableSession (capture + disk commit + machine
-  /// power-cycle between chunks; docs/RECOVERY.md).  `spec` must be enabled.
-  /// With spec.resume the run continues from the newest valid disk epoch and
-  /// reaches the same final digest as an uninterrupted durable run.
-  NbodyResult run_durable(const ckpt::DurableSpec& spec);
+  /// Runs cfg.steps time steps (docs/RECOVERY.md).  Without `spec` the
+  /// steps run in one parallel region, with migrate-and-restore recovery
+  /// when cfg.ckpt_interval is set.  An enabled `spec` makes the run durable:
+  /// epoch-sized chunks with a capture, disk commit and machine power-cycle
+  /// at every boundary; with spec.resume it continues from the newest valid
+  /// disk epoch to the uninterrupted run's digest.  The durable path ignores
+  /// cfg.ckpt_interval and never rolls back: after a CPU fail-stop, thread
+  /// migration alone keeps the answer.
+  NbodyResult run(const ckpt::DurableSpec& spec = {});
 
   /// Direct O(N^2) force on particle `i` (verification; uncharged).
   std::array<double, 3> direct_force(std::size_t i) const;
@@ -111,6 +112,8 @@ class NbodyShared {
   std::array<double, 3> tree_force(std::size_t i, bool charged);
   void force_phase(unsigned tid, unsigned nthreads);
   void push_phase(unsigned tid, unsigned nthreads);
+  /// One time step of thread `tid`: tree build, forces, push.
+  void step(unsigned tid, unsigned nthreads);
 
   rt::Runtime& rt_;
   NbodyConfig cfg_;
@@ -125,7 +128,13 @@ class NbodyShared {
   std::vector<std::int32_t> order_;  ///< particle order within leaves.
   std::int32_t node_count_ = 0;
   std::unique_ptr<rt::Barrier> barrier_;
-  std::uint64_t interactions_ = 0;  ///< host-side tally of force terms.
+  /// Host-side running totals of a run; a durable run checkpoints them.
+  /// Replays after a rollback keep counting: they report work performed.
+  struct Tally {
+    std::uint64_t interactions = 0;  ///< force terms evaluated.
+    sim::Time force_time = 0;        ///< simulated time of the force phases.
+  };
+  Tally tally_;
 };
 
 }  // namespace spp::nbody

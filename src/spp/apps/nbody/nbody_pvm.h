@@ -32,16 +32,17 @@ class NbodyPvm {
   NbodyPvm(rt::Runtime& rt, const NbodyConfig& cfg, unsigned ntasks,
            rt::Placement placement);
 
-  /// Loads the same deterministic Plummer sphere as NbodyShared.
-  NbodyResult run();
-
-  /// Durable variant of run(): one pvm spawn per epoch-sized chunk, slices
-  /// gathered back to the host mirror at every chunk end so each boundary's
-  /// ckpt::Store capture (and disk commit) sees the current particle state
-  /// (docs/RECOVERY.md).  With spec.resume the run continues from the newest
-  /// valid disk epoch and reaches the same final digest as an uninterrupted
-  /// durable run.
-  NbodyResult run_durable(const ckpt::DurableSpec& spec);
+  /// Loads the same deterministic Plummer sphere as NbodyShared and runs
+  /// cfg.steps steps (docs/RECOVERY.md).  Without `spec` the tasks run in
+  /// one spawn, with shrink-and-rollback recovery when cfg.ckpt_interval is
+  /// set.  An enabled `spec` makes the run durable: one spawn per
+  /// epoch-sized chunk, the slices gathered back to the host mirror at every
+  /// chunk end so each boundary's capture and disk commit see the current
+  /// state; with spec.resume it continues from the newest valid disk epoch
+  /// to the uninterrupted run's digest.  The durable path ignores
+  /// cfg.ckpt_interval and never rolls back: after a CPU fail-stop, thread
+  /// migration alone keeps the answer.
+  NbodyResult run(const ckpt::DurableSpec& spec = {});
 
  private:
   rt::Runtime& rt_;

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <numbers>
 
-#include "spp/ckpt/ckpt.h"
+#include "spp/ckpt/loop.h"
 #include "spp/fft/fft.h"
 
 namespace spp::pic {
@@ -401,104 +401,40 @@ PicDiagnostics PicShared::diagnostics() const {
   return d;
 }
 
-PicResult PicShared::run() {
-  PicResult res;
-  rt_.machine().reset_stats();
-  const sim::Time t0 = rt_.now();
-
-  // Migrate-and-restore recovery (docs/RECOVERY.md): the particle arrays
-  // carry all step-to-step state (rho and the fields are rebuilt every
-  // step), so rolling them back to the last epoch after a fail-stop and
-  // replaying -- truncating the per-step history to the epoch -- reproduces
-  // the fault-free run bit-exactly.  ckpt_interval == 0 leaves this path
-  // untouched.
-  std::unique_ptr<ckpt::Store> store;
-  if (cfg_.ckpt_interval > 0) {
-    store = std::make_unique<ckpt::Store>(rt_);
-    store->registrar().add("pic.px", *px_);
-    store->registrar().add("pic.py", *py_);
-    store->registrar().add("pic.pz", *pz_);
-    store->registrar().add("pic.vx", *vx_);
-    store->registrar().add("pic.vy", *vy_);
-    store->registrar().add("pic.vz", *vz_);
+void PicShared::step(unsigned tid, unsigned nthreads, std::uint64_t s) {
+  sim::Time p0 = rt_.now();
+  deposit(tid, nthreads);
+  barrier_->wait();
+  if (tid == 0) tally_.phase_time[0] += rt_.now() - p0, p0 = rt_.now();
+  reduce_charge(tid, nthreads);
+  barrier_->wait();
+  if (tid == 0) tally_.phase_time[1] += rt_.now() - p0, p0 = rt_.now();
+  solve_fields(tid, nthreads);
+  if (tid == 0) tally_.phase_time[2] += rt_.now() - p0, p0 = rt_.now();
+  gather_push(tid, nthreads);
+  barrier_->wait();
+  if (tid == 0) tally_.phase_time[3] += rt_.now() - p0;
+  if (tid == 0) {
+    const PicDiagnostics d = diagnostics();
+    history_[s] = d.field_energy;
+    tally_.history_count = s + 1;
+    if (s == 0) tally_.initial = d;
   }
-  std::uint64_t seen_recoveries = rt_.machine().perf().cpu_recoveries;
-  unsigned next_step = 0;
-
-  rt_.parallel(nthreads_, placement_, [&](unsigned tid, unsigned n) {
-    for (unsigned step = 0; step < cfg_.steps;) {
-      if (store) {
-        if (tid == 0 && step % cfg_.ckpt_interval == 0 &&
-            !store->has_epoch(step)) {
-          store->capture(step);
-        }
-        barrier_->wait();
-      }
-      sim::Time p0 = rt_.now();
-      deposit(tid, n);
-      barrier_->wait();
-      if (tid == 0) res.phase_time[0] += rt_.now() - p0, p0 = rt_.now();
-      reduce_charge(tid, n);
-      barrier_->wait();
-      if (tid == 0) res.phase_time[1] += rt_.now() - p0, p0 = rt_.now();
-      solve_fields(tid, n);
-      if (tid == 0) res.phase_time[2] += rt_.now() - p0, p0 = rt_.now();
-      gather_push(tid, n);
-      barrier_->wait();
-      if (tid == 0) res.phase_time[3] += rt_.now() - p0;
-      if (tid == 0) {
-        PicDiagnostics d = diagnostics();
-        res.field_energy_history.push_back(d.field_energy);
-        if (step == 0) res.initial = d;
-      }
-      barrier_->wait();
-      if (store) {
-        if (tid == 0) {
-          const std::uint64_t rec = rt_.machine().perf().cpu_recoveries;
-          if (rec != seen_recoveries && store->latest() >= 0) {
-            const auto epoch = static_cast<unsigned>(store->latest());
-            store->restore(epoch);
-            // Entries for steps >= epoch belong to the abandoned timeline.
-            res.field_energy_history.resize(epoch);
-            next_step = epoch;
-          } else {
-            next_step = step + 1;
-          }
-          seen_recoveries = rec;
-        }
-        barrier_->wait();
-        step = next_step;
-      } else {
-        ++step;
-      }
-    }
-  });
-
-  res.sim_time = rt_.now() - t0;
-  res.final = diagnostics();
-  const auto total = rt_.machine().perf().total();
-  res.flops = total.flops;
-  res.mflops = res.flops / (sim::to_seconds(res.sim_time) * 1e6);
-  return res;
+  barrier_->wait();
 }
 
-PicResult PicShared::run_durable(const ckpt::DurableSpec& spec) {
+PicResult PicShared::run(const ckpt::DurableSpec& spec) {
   PicResult res;
   rt_.machine().reset_stats();
   const sim::Time t0 = rt_.now();
+  tally_ = {};
+  history_.assign(cfg_.steps, 0.0);
 
-  // Host-side running results that must survive a host kill: phase times,
-  // the step-0 diagnostics, and the per-step field-energy history.  The
-  // history buffer is fixed-size (count + pre-sized vector) so the durable
-  // region set never changes size between epochs.
-  struct Tally {
-    sim::Time phase_time[4] = {0, 0, 0, 0};
-    PicDiagnostics initial;
-    std::uint64_t history_count = 0;
-  };
-  Tally tally;
-  std::vector<double> history(cfg_.steps, 0.0);
-
+  // The particle arrays carry all step-to-step state (rho and the fields
+  // are rebuilt every step), so an epoch of them is enough both to replay
+  // from after a fail-stop and to resume from disk, bit-exactly.  A resumed
+  // run must also report the same result, so the durable epochs carry the
+  // tally and history too.
   ckpt::Store store(rt_);
   store.registrar().add("pic.px", *px_);
   store.registrar().add("pic.py", *py_);
@@ -506,50 +442,26 @@ PicResult PicShared::run_durable(const ckpt::DurableSpec& spec) {
   store.registrar().add("pic.vx", *vx_);
   store.registrar().add("pic.vy", *vy_);
   store.registrar().add("pic.vz", *vz_);
-  store.registrar().add_pod("pic.tally", tally);
-  store.registrar().add_host("pic.history", history);
-
-  ckpt::DurableSession session(rt_, store, spec);
-  std::uint64_t step = session.begin();
-
-  while (session.boundary(step) && step < cfg_.steps) {
-    const std::uint64_t end =
-        std::min<std::uint64_t>(step + session.interval(), cfg_.steps);
-    rt_.parallel(nthreads_, placement_, [&](unsigned tid, unsigned n) {
-      for (std::uint64_t s = step; s < end; ++s) {
-        sim::Time p0 = rt_.now();
-        deposit(tid, n);
-        barrier_->wait();
-        if (tid == 0) tally.phase_time[0] += rt_.now() - p0, p0 = rt_.now();
-        reduce_charge(tid, n);
-        barrier_->wait();
-        if (tid == 0) tally.phase_time[1] += rt_.now() - p0, p0 = rt_.now();
-        solve_fields(tid, n);
-        if (tid == 0) tally.phase_time[2] += rt_.now() - p0, p0 = rt_.now();
-        gather_push(tid, n);
-        barrier_->wait();
-        if (tid == 0) tally.phase_time[3] += rt_.now() - p0;
-        if (tid == 0) {
-          PicDiagnostics d = diagnostics();
-          history[tally.history_count++] = d.field_energy;
-          if (s == 0) tally.initial = d;
-        }
-        barrier_->wait();
-      }
-    });
-    step = end;
+  if (spec.enabled()) {
+    store.registrar().add_pod("pic.tally", tally_);
+    store.registrar().add_host("pic.history", history_);
   }
+  ckpt::run_steps(rt_, nthreads_, placement_, *barrier_, store,
+                  cfg_.ckpt_interval, spec, cfg_.steps,
+                  [&](unsigned tid, unsigned n, std::uint64_t s) {
+                    step(tid, n, s);
+                  });
 
   res.sim_time = rt_.now() - t0;
   res.final = diagnostics();
   const auto total = rt_.machine().perf().total();
   res.flops = total.flops;
   res.mflops = res.flops / (sim::to_seconds(res.sim_time) * 1e6);
-  for (int i = 0; i < 4; ++i) res.phase_time[i] = tally.phase_time[i];
-  res.initial = tally.initial;
+  for (int i = 0; i < 4; ++i) res.phase_time[i] = tally_.phase_time[i];
+  res.initial = tally_.initial;
   res.field_energy_history.assign(
-      history.begin(),
-      history.begin() + static_cast<std::ptrdiff_t>(tally.history_count));
+      history_.begin(),
+      history_.begin() + static_cast<std::ptrdiff_t>(tally_.history_count));
   return res;
 }
 

@@ -84,16 +84,17 @@ class PicShared {
   PicShared(rt::Runtime& rt, const PicConfig& cfg, unsigned nthreads,
             rt::Placement placement);
 
-  /// Runs cfg.steps timesteps inside the current Runtime::run context.
-  PicResult run();
-
-  /// Durable variant of run(): epoch-sized chunks under a
-  /// ckpt::DurableSession (capture + disk commit + machine power-cycle at
-  /// every boundary; docs/RECOVERY.md).  Host-side running results --
-  /// per-phase times, initial diagnostics, the field-energy history -- are
-  /// checkpointed alongside the particles so a resumed run reports the same
-  /// result and reaches the same final digest as an uninterrupted one.
-  PicResult run_durable(const ckpt::DurableSpec& spec);
+  /// Runs cfg.steps timesteps inside the current Runtime::run context
+  /// (docs/RECOVERY.md).  Without `spec` the steps run in one parallel
+  /// region, with migrate-and-restore recovery when cfg.ckpt_interval is
+  /// set.  An enabled `spec` makes the run durable: epoch-sized chunks with a
+  /// capture, disk commit and machine power-cycle at every boundary, the
+  /// host-side running results checkpointed with the particles; with
+  /// spec.resume it continues from the newest valid disk epoch to the
+  /// uninterrupted run's result and digest.  The durable path ignores
+  /// cfg.ckpt_interval and never rolls back: after a CPU fail-stop, thread
+  /// migration alone keeps the answer.
+  PicResult run(const ckpt::DurableSpec& spec = {});
 
   /// Diagnostics of the current particle/field state (uncharged).
   PicDiagnostics diagnostics() const;
@@ -104,6 +105,9 @@ class PicShared {
   void reduce_charge(unsigned tid, unsigned nthreads);
   void solve_fields(unsigned tid, unsigned nthreads);
   void gather_push(unsigned tid, unsigned nthreads);
+  /// Time step `s` of thread `tid`: all phases, then thread 0 records the
+  /// step's diagnostics.
+  void step(unsigned tid, unsigned nthreads, std::uint64_t s);
 
   std::size_t cell_index(std::size_t ix, std::size_t iy, std::size_t iz) const {
     return (iz * cfg_.ny + iy) * cfg_.nx + ix;
@@ -127,6 +131,17 @@ class PicShared {
   std::unique_ptr<rt::GlobalArray<std::complex<double>>> phik_;
 
   std::unique_ptr<rt::Barrier> barrier_;
+
+  /// Host-side running results of a run, recorded by thread 0; a durable
+  /// run checkpoints them with the fixed-size history.  history_[s] holds
+  /// step s's field energy, so a replay rewrites what it rolled back.
+  struct Tally {
+    sim::Time phase_time[4] = {0, 0, 0, 0};
+    PicDiagnostics initial;
+    std::uint64_t history_count = 0;
+  };
+  Tally tally_;
+  std::vector<double> history_;
 };
 
 }  // namespace spp::pic

@@ -38,15 +38,16 @@ class PicPvm {
   PicPvm(rt::Runtime& rt, const PicConfig& cfg, unsigned ntasks,
          rt::Placement placement);
 
-  PicResult run();
-
-  /// Durable variant of run(): one pvm spawn per epoch-sized chunk, particle
-  /// slices gathered back to the host mirror at every chunk end so each
-  /// boundary's ckpt::Store capture (and disk commit) sees the current state
-  /// (docs/RECOVERY.md).  With spec.resume the run continues from the newest
-  /// valid disk epoch and reaches the same final digest as an uninterrupted
-  /// durable run.
-  PicResult run_durable(const ckpt::DurableSpec& spec);
+  /// Runs cfg.steps steps (docs/RECOVERY.md).  Without `spec` the tasks run
+  /// in one spawn, with shrink-and-rollback recovery when cfg.ckpt_interval
+  /// is set.  An enabled `spec` makes the run durable: one spawn per
+  /// epoch-sized chunk, the slices gathered back to the host mirror at every
+  /// chunk end so each boundary's capture and disk commit see the current
+  /// state; with spec.resume it continues from the newest valid disk epoch
+  /// to the uninterrupted run's digest.  The durable path ignores
+  /// cfg.ckpt_interval and never rolls back: after a CPU fail-stop, thread
+  /// migration alone keeps the answer.
+  PicResult run(const ckpt::DurableSpec& spec = {});
 
  private:
   rt::Runtime& rt_;

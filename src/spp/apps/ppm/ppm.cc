@@ -5,7 +5,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "spp/ckpt/ckpt.h"
+#include "spp/ckpt/loop.h"
 
 namespace spp::ppm {
 
@@ -463,152 +463,59 @@ PpmDiagnostics PpmTiled::diagnostics() const {
   return d;
 }
 
-PpmResult PpmTiled::run() {
-  PpmResult res;
-  res.initial = diagnostics();
-  rt_.machine().reset_stats();
-  const sim::Time t0 = rt_.now();
-
-  // Migrate-and-restore recovery (docs/RECOVERY.md): the tile arrays carry
-  // all step-to-step state (ghost frames are refilled every step), so
-  // rolling every tile back to the last epoch after a fail-stop and
-  // replaying reproduces the fault-free run bit-exactly.  ckpt_interval == 0
-  // leaves this path untouched.
-  std::unique_ptr<ckpt::Store> store;
-  if (cfg_.ckpt_interval > 0) {
-    store = std::make_unique<ckpt::Store>(rt_);
-    for (std::size_t i = 0; i < tiles_.size(); ++i) {
-      store->registrar().add("ppm.tile" + std::to_string(i), *tiles_[i].u);
+void PpmTiled::step(unsigned proc, unsigned nprocs) {
+  // Stable time step: local max wave speed, then a global reduction.
+  double lmax = 1e-12;
+  for (Tile& t : tiles_) {
+    if (t.owner == proc) {
+      lmax = std::max(lmax, wave_speed_tile(t, /*charged=*/true));
     }
   }
-  std::uint64_t seen_recoveries = rt_.machine().perf().cpu_recoveries;
-  unsigned next_step = 0;
-
-  rt_.parallel(nprocs_, placement_, [&](unsigned proc, unsigned nprocs) {
-    for (unsigned step = 0; step < cfg_.steps;) {
-      if (store) {
-        if (proc == 0 && step % cfg_.ckpt_interval == 0 &&
-            !store->has_epoch(step)) {
-          store->capture(step);
-        }
-        barrier_->wait();
-      }
-      // Stable time step: local max wave speed, then a global reduction.
-      double lmax = 1e-12;
-      for (Tile& t : tiles_) {
-        if (t.owner == proc) {
-          lmax = std::max(lmax, wave_speed_tile(t, /*charged=*/true));
-        }
-      }
-      reduce_->write(proc, lmax);
-      barrier_->wait();
-      if (proc == 0) {
-        double gmax = 0;
-        for (unsigned q = 0; q < nprocs; ++q) {
-          gmax = std::max(gmax, reduce_->read(q));
-        }
-        dt_ = cfg_.cfl / gmax;
-      }
-      barrier_->wait();
-      const double dt = dt_;
-
-      // One ghost exchange per step ("the only communication required").
-      for (Tile& t : tiles_) {
-        if (t.owner == proc) exchange_ghosts(t);
-      }
-      barrier_->wait();
-
-      for (Tile& t : tiles_) {
-        if (t.owner == proc) {
-          sweep_x(t, dt);
-          sweep_y(t, dt);
-        }
-      }
-      barrier_->wait();
-      if (store) {
-        if (proc == 0) {
-          const std::uint64_t rec = rt_.machine().perf().cpu_recoveries;
-          if (rec != seen_recoveries && store->latest() >= 0) {
-            store->restore(static_cast<std::uint64_t>(store->latest()));
-            next_step = static_cast<unsigned>(store->latest());
-          } else {
-            next_step = step + 1;
-          }
-          seen_recoveries = rec;
-        }
-        barrier_->wait();
-        step = next_step;
-      } else {
-        ++step;
-      }
+  reduce_->write(proc, lmax);
+  barrier_->wait();
+  if (proc == 0) {
+    double gmax = 0;
+    for (unsigned q = 0; q < nprocs; ++q) {
+      gmax = std::max(gmax, reduce_->read(q));
     }
-  });
+    dt_ = cfg_.cfl / gmax;
+  }
+  barrier_->wait();
+  const double dt = dt_;
 
-  res.sim_time = rt_.now() - t0;
-  const auto total = rt_.machine().perf().total();
-  res.flops = total.flops;
-  res.mflops = res.flops / (sim::to_seconds(res.sim_time) * 1e6);
-  res.zone_updates = static_cast<double>(cfg_.zones()) * cfg_.steps;
-  res.final = diagnostics();
-  return res;
+  // One ghost exchange per step ("the only communication required").
+  for (Tile& t : tiles_) {
+    if (t.owner == proc) exchange_ghosts(t);
+  }
+  barrier_->wait();
+
+  for (Tile& t : tiles_) {
+    if (t.owner == proc) {
+      sweep_x(t, dt);
+      sweep_y(t, dt);
+    }
+  }
+  barrier_->wait();
 }
 
-PpmResult PpmTiled::run_durable(const ckpt::DurableSpec& spec) {
+PpmResult PpmTiled::run(const ckpt::DurableSpec& spec) {
   PpmResult res;
   res.initial = diagnostics();
   rt_.machine().reset_stats();
   const sim::Time t0 = rt_.now();
 
   // The tile arrays carry all step-to-step state (ghost frames are refilled
-  // and dt_ recomputed every step), so the durable region set is just the
-  // in-memory recovery loop's.
+  // and dt_ recomputed every step), so an epoch of them is enough both to
+  // replay from after a fail-stop and to resume from disk, bit-exactly.
   ckpt::Store store(rt_);
   for (std::size_t i = 0; i < tiles_.size(); ++i) {
     store.registrar().add("ppm.tile" + std::to_string(i), *tiles_[i].u);
   }
-
-  ckpt::DurableSession session(rt_, store, spec);
-  std::uint64_t step = session.begin();
-
-  while (session.boundary(step) && step < cfg_.steps) {
-    const std::uint64_t end =
-        std::min<std::uint64_t>(step + session.interval(), cfg_.steps);
-    rt_.parallel(nprocs_, placement_, [&](unsigned proc, unsigned nprocs) {
-      for (std::uint64_t s = step; s < end; ++s) {
-        double lmax = 1e-12;
-        for (Tile& t : tiles_) {
-          if (t.owner == proc) {
-            lmax = std::max(lmax, wave_speed_tile(t, /*charged=*/true));
-          }
-        }
-        reduce_->write(proc, lmax);
-        barrier_->wait();
-        if (proc == 0) {
-          double gmax = 0;
-          for (unsigned q = 0; q < nprocs; ++q) {
-            gmax = std::max(gmax, reduce_->read(q));
-          }
-          dt_ = cfg_.cfl / gmax;
-        }
-        barrier_->wait();
-        const double dt = dt_;
-
-        for (Tile& t : tiles_) {
-          if (t.owner == proc) exchange_ghosts(t);
-        }
-        barrier_->wait();
-
-        for (Tile& t : tiles_) {
-          if (t.owner == proc) {
-            sweep_x(t, dt);
-            sweep_y(t, dt);
-          }
-        }
-        barrier_->wait();
-      }
-    });
-    step = end;
-  }
+  ckpt::run_steps(rt_, nprocs_, placement_, *barrier_, store,
+                  cfg_.ckpt_interval, spec, cfg_.steps,
+                  [&](unsigned proc, unsigned n, std::uint64_t) {
+                    step(proc, n);
+                  });
 
   res.sim_time = rt_.now() - t0;
   const auto total = rt_.machine().perf().total();

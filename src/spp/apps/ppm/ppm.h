@@ -92,14 +92,15 @@ class PpmTiled {
   /// touching the hydrodynamic state (requires nspecies >= 2).
   void tag_two_fluids();
 
-  PpmResult run();
-
-  /// Durable variant of run(): epoch-sized chunks under a
-  /// ckpt::DurableSession (capture + disk commit + machine power-cycle at
-  /// every boundary; docs/RECOVERY.md).  With spec.resume the run continues
-  /// from the newest valid disk epoch and reaches the same final digest as
-  /// an uninterrupted durable run.
-  PpmResult run_durable(const ckpt::DurableSpec& spec);
+  /// Runs cfg.steps time steps (docs/RECOVERY.md).  Without `spec` the
+  /// steps run in one parallel region, with migrate-and-restore recovery
+  /// when cfg.ckpt_interval is set.  An enabled `spec` makes the run durable:
+  /// epoch-sized chunks with a capture, disk commit and machine power-cycle
+  /// at every boundary; with spec.resume it continues from the newest valid
+  /// disk epoch to the uninterrupted run's digest.  The durable path ignores
+  /// cfg.ckpt_interval and never rolls back: after a CPU fail-stop, thread
+  /// migration alone keeps the answer.
+  PpmResult run(const ckpt::DurableSpec& spec = {});
 
   PpmDiagnostics diagnostics() const;
   /// Conserved state (rho, mx, my, E) of global zone (i, j); uncharged.
@@ -137,6 +138,9 @@ class PpmTiled {
   void exchange_ghosts(const Tile& t);
   void sweep_x(Tile& t, double dt);
   void sweep_y(Tile& t, double dt);
+  /// One time step of processor `proc`: dt reduction, ghost exchange, and
+  /// both sweeps of every tile it owns.
+  void step(unsigned proc, unsigned nprocs);
 
   rt::Runtime& rt_;
   PpmConfig cfg_;

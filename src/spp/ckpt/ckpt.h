@@ -16,8 +16,8 @@
 //
 // Consistency contract: capture/restore are called by ONE thread while every
 // other participant is quiesced at a barrier (coordinated checkpointing).
-// The caller owns that protocol; see docs/RECOVERY.md for the per-app
-// recovery loops built on it.
+// The caller owns that protocol; loop.h holds the recovery loops built on
+// it (docs/RECOVERY.md).
 #pragma once
 
 #include <cstddef>

@@ -69,7 +69,7 @@ struct RecoveryPolicy {
 };
 
 /// Configuration for a durable run.  `dir` empty means durability is off and
-/// the application must use its plain run() path (zero-cost discipline).
+/// an application's run(spec) takes its plain path (zero-cost discipline).
 struct DurableSpec {
   std::string dir;                  ///< checkpoint directory ("" = disabled)
   std::uint64_t interval = 1;       ///< sim steps per epoch (chunk length)
@@ -93,21 +93,12 @@ void clear_shutdown();
 /// Installs SIGINT/SIGTERM handlers that call request_shutdown().
 void install_shutdown_handlers();
 
-/// Drives one durable run.  Usage, from inside rt.run() on simulated thread
-/// 0 after all regions are registered:
-///
-///   DurableSession s(rt, store, spec);
-///   std::uint64_t step = s.begin();            // 0, or the resumed epoch
-///   for (;;) {
-///     if (!s.boundary(step) || step >= steps) break;
-///     const std::uint64_t end = std::min(step + s.interval(), steps);
-///     /* run steps [step, end) as one parallel/spawn chunk */
-///     step = end;
-///   }
+/// Drives one durable run.  ckpt::run_chunks (loop.h) is its one driver:
+/// begin() once, then boundary() before every chunk and after the last.
 class DurableSession {
  public:
   /// Throws Error if `spec` is disabled -- a disabled spec means the caller
-  /// should have taken the application's plain run() path.
+  /// should have taken the application's plain path.
   DurableSession(rt::Runtime& rt, Store& store, const DurableSpec& spec);
 
   /// Opens the checkpoint directory (acquiring the writer lock) and, when

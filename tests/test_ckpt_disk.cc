@@ -7,6 +7,9 @@
 //     over a dead one's lock (what --resume does after a SIGKILL);
 //   * a resumed durable run reaches the exact digest of an uninterrupted
 //     one, both after a mid-run stop and after a graceful-shutdown flush;
+//   * every application, on one and two hypernodes, survives a SIGKILL of
+//     its durable run: --resume reaches the uninterrupted digest and final
+//     diagnostics, which equal the plain run()'s;
 //   * --ckpt-wall-interval gates only the host-side disk writes, never the
 //     charged capture, so it cannot perturb the digest;
 //   * injected host-I/O faults (spp::io) against the commit protocol:
@@ -19,15 +22,24 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <cmath>
+#include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "spp/apps/fem/femgas.h"
+#include "spp/apps/nbody/nbody.h"
+#include "spp/apps/nbody/nbody_pvm.h"
+#include "spp/apps/pic/pic.h"
+#include "spp/apps/pic/pic_pvm.h"
+#include "spp/apps/ppm/ppm.h"
 #include "spp/arch/topology.h"
 #include "spp/ckpt/disk.h"
 #include "spp/ckpt/durable.h"
@@ -343,7 +355,7 @@ std::uint64_t durable_fem_digest(const std::string& dir, unsigned steps,
     cfg.steps = steps;
     fem::FemGas app(runtime, cfg, 4, rt::Placement::kUniform);
     app.init_blast(2.0, 3.0);
-    (void)app.run_durable(spec);
+    (void)app.run(spec);
   });
   return runtime.machine().perf().digest(runtime.elapsed());
 }
@@ -410,6 +422,184 @@ TEST(CkptDurable, ResumeWithNoValidEpochIsAnError) {
         << e.what();
   }
 }
+
+// ---------------------------------------------------------------------------
+// Kill and resume, every application
+// ---------------------------------------------------------------------------
+
+/// What one application run leaves behind: the machine digest, its final
+/// diagnostics (plus the field-energy history for the PIC codes), and the
+/// totals its result reports.
+struct AppRun {
+  std::uint64_t digest = 0;
+  std::vector<double> diag;
+  std::vector<double> totals;
+};
+
+std::vector<double> totals_of(const nbody::NbodyResult& r) {
+  return {static_cast<double>(r.sim_time), static_cast<double>(r.force_time),
+          static_cast<double>(r.interactions), r.flops, r.initial.kinetic};
+}
+std::vector<double> totals_of(const fem::FemResult& r) {
+  return {static_cast<double>(r.sim_time), r.flops, r.initial.total_energy};
+}
+std::vector<double> totals_of(const pic::PicResult& r) {
+  std::vector<double> t{static_cast<double>(r.sim_time), r.flops,
+                        r.initial.kinetic_energy, r.initial.field_energy,
+                        r.initial.total_charge, r.initial.momentum_z};
+  for (const sim::Time p : r.phase_time) t.push_back(static_cast<double>(p));
+  return t;
+}
+std::vector<double> totals_of(const ppm::PpmResult& r) {
+  return {static_cast<double>(r.sim_time), r.flops, r.initial.energy};
+}
+
+std::vector<double> final_of(const nbody::NbodyResult& r) {
+  return {r.final.kinetic, r.final.potential, r.final.px,
+          r.final.py,      r.final.pz,        r.final.mass};
+}
+std::vector<double> final_of(const fem::FemResult& r) {
+  return {r.final.total_mass,   r.final.total_mom_x, r.final.total_mom_y,
+          r.final.total_energy, r.final.min_density, r.final.min_pressure};
+}
+std::vector<double> final_of(const pic::PicResult& r) {
+  std::vector<double> d{r.final.kinetic_energy, r.final.field_energy,
+                        r.final.total_charge, r.final.momentum_z};
+  d.insert(d.end(), r.field_energy_history.begin(),
+           r.field_energy_history.end());
+  return d;
+}
+std::vector<double> final_of(const ppm::PpmResult& r) {
+  return {r.final.mass,   r.final.mom_x,   r.final.mom_y,
+          r.final.energy, r.final.min_rho, r.final.min_p};
+}
+
+/// Runs `app` at `sppsim-explore run`'s sizes (8 uniform threads) in a fresh
+/// Runtime, durably when `spec` is enabled.
+AppRun run_app(const std::string& app, unsigned nodes,
+               const DurableSpec& spec) {
+  rt::Runtime runtime(Topology{.nodes = nodes});
+  AppRun out;
+  const auto go = [&](auto& a) {
+    const auto r = a.run(spec);
+    out.diag = final_of(r);
+    out.totals = totals_of(r);
+  };
+  runtime.run([&] {
+    const unsigned threads = 8;
+    const auto pl = rt::Placement::kUniform;
+    if (app == "nbody" || app == "nbody-pvm") {
+      nbody::NbodyConfig cfg;
+      cfg.n = 256;
+      cfg.steps = 4;
+      if (app == "nbody") {
+        nbody::NbodyShared a(runtime, cfg, threads, pl);
+        a.load_plummer();
+        go(a);
+      } else {
+        nbody::NbodyPvm a(runtime, cfg, threads, pl);
+        go(a);
+      }
+    } else if (app == "pic" || app == "pic-pvm") {
+      pic::PicConfig cfg;
+      cfg.nx = cfg.ny = cfg.nz = 8;
+      cfg.steps = 6;
+      if (app == "pic") {
+        pic::PicShared a(runtime, cfg, threads, pl);
+        go(a);
+      } else {
+        pic::PicPvm a(runtime, cfg, threads, pl);
+        go(a);
+      }
+    } else if (app == "fem") {
+      fem::FemConfig cfg;
+      cfg.nx = 24;
+      cfg.ny = 12;
+      cfg.steps = 6;
+      fem::FemGas a(runtime, cfg, threads, pl);
+      a.init_blast(2.0, 3.0);
+      go(a);
+    } else {
+      ppm::PpmConfig cfg;
+      cfg.nx = 24;
+      cfg.ny = 48;
+      cfg.tiles_x = 2;
+      cfg.tiles_y = 4;
+      cfg.steps = 4;
+      ppm::PpmTiled a(runtime, cfg, threads, pl);
+      a.init_sod_x();
+      go(a);
+    }
+  });
+  out.digest = runtime.machine().perf().digest(runtime.elapsed());
+  return out;
+}
+
+class CkptKillResume
+    : public ::testing::TestWithParam<std::tuple<std::string, unsigned>> {};
+
+TEST_P(CkptKillResume, ResumeMatchesUninterruptedAndPlainRuns) {
+  const std::string app = std::get<0>(GetParam());
+  const unsigned nodes = std::get<1>(GetParam());
+  const std::string base =
+      fresh_dir("kill-" + app + "-" + std::to_string(nodes));
+  DurableSpec spec;
+  spec.dir = base + "/full";
+  spec.interval = 2;
+  const AppRun full = run_app(app, nodes, spec);
+
+  // The child dies right after its second epoch commit, exactly as a host
+  // OOM-kill would: no unwinding, no flush, a stale LOCK left behind.
+  spec.dir = base + "/killed";
+  spec.test_kill_after_writes = 2;
+  const pid_t child = fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    // The child must never return into the test runner.
+    try {
+      (void)run_app(app, nodes, spec);
+    } catch (...) {
+    }
+    _exit(0);  // reached only if the kill never fired.
+  }
+  int wstatus = 0;
+  ASSERT_EQ(waitpid(child, &wstatus, 0), child);
+  ASSERT_TRUE(WIFSIGNALED(wstatus) && WTERMSIG(wstatus) == SIGKILL)
+      << "the durable child must die by SIGKILL, status " << wstatus;
+
+  spec.test_kill_after_writes = 0;
+  spec.resume = true;
+  const AppRun resumed = run_app(app, nodes, spec);
+  EXPECT_EQ(resumed.digest, full.digest);
+  EXPECT_EQ(resumed.diag, full.diag);
+  EXPECT_EQ(resumed.totals, full.totals);
+
+  // Durability changes what a run charges, never what it computes.  PVM PIC
+  // is the exception: rank 0 sums the charge meshes in arrival order, and
+  // arrivals shift with the charged timing.
+  const AppRun plain = run_app(app, nodes, DurableSpec{});
+  if (app != "pic-pvm") {
+    EXPECT_EQ(full.diag, plain.diag);
+  } else {
+    ASSERT_EQ(full.diag.size(), plain.diag.size());
+    for (std::size_t i = 0; i < plain.diag.size(); ++i) {
+      EXPECT_NEAR(full.diag[i], plain.diag[i],
+                  1e-12 * std::max(1.0, std::fabs(plain.diag[i])))
+          << "diagnostic " << i;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllApps, CkptKillResume,
+    ::testing::Combine(::testing::Values("nbody", "fem", "pic", "ppm",
+                                         "nbody-pvm", "pic-pvm"),
+                       ::testing::Values(1u, 2u)),
+    [](const auto& p) {
+      std::string name = std::get<0>(p.param);
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name + "_" + std::to_string(std::get<1>(p.param)) + "n";
+    });
 
 // ---------------------------------------------------------------------------
 // Watchdog

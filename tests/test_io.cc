@@ -292,7 +292,7 @@ Outcome durable_fem(const std::string& dir, unsigned steps, bool resume,
     cfg.steps = steps;
     fem::FemGas app(runtime, cfg, 4, rt::Placement::kUniform);
     app.init_blast(2.0, 3.0);
-    (void)app.run_durable(spec);
+    (void)app.run(spec);
   });
   const arch::PerfCounters& p = runtime.machine().perf();
   return {p.digest(runtime.elapsed()), p.io_faults_injected,

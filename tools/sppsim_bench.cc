@@ -14,7 +14,6 @@
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -28,7 +27,6 @@
 #include "spp/apps/fem/femgas.h"
 #include "spp/apps/nbody/nbody.h"
 #include "spp/apps/ppm/ppm.h"
-#include "spp/ckpt/durable.h"
 #include "spp/lib/psort.h"
 #include "spp/lib/scatter_add.h"
 #include "spp/rt/garray.h"
@@ -44,11 +42,6 @@ struct Measurement {
   sim::Time sim_ns = 0;
   std::uint64_t digest = 0;
 };
-
-/// Durable-checkpoint options for the nbody app bench (docs/RECOVERY.md).
-/// Disabled by default; when disabled the plain run() path executes and the
-/// benches stay bit-identical to their committed baselines.
-ckpt::DurableSpec g_durable;
 
 Measurement seal(rt::Runtime& runtime) {
   return {runtime.elapsed(),
@@ -109,13 +102,7 @@ Measurement bench_nbody(bool smoke) {
   cfg.n = smoke ? 256 : 1024;
   cfg.steps = 2;
   nbody::NbodyShared nb(runtime, cfg, 8, rt::Placement::kHighLocality);
-  runtime.run([&] {
-    if (g_durable.enabled()) {
-      (void)nb.run_durable(g_durable);
-    } else {
-      (void)nb.run();
-    }
-  });
+  runtime.run([&] { (void)nb.run(); });
   return seal(runtime);
 }
 
@@ -329,19 +316,13 @@ int usage() {
       stderr,
       "usage: sppsim-bench [--smoke] [--bench NAME]...\n"
       "                    [--out DIR | --check DIR]\n"
-      "                    [--ckpt-dir DIR [--ckpt-wall-interval SEC] "
-      "[--resume]]\n"
       "\n"
       "Benches: scheduling psort scatter nbody ppm fem scheduling_4n\n"
       "nbody_4n\n"
       "(default: all).\n"
       "--out writes BENCH_<name>.json baselines; --check compares\n"
       "against committed ones (sim time + digest only; wall time is\n"
-      "informational).\n"
-      "--ckpt-dir makes the nbody bench a durable run (epoch commits to\n"
-      "disk, bit-exact --resume; docs/RECOVERY.md) -- its digest then\n"
-      "includes the checkpoint charges, so don't mix with --check against\n"
-      "non-durable baselines.\n");
+      "informational).\n");
   return 2;
 }
 
@@ -374,25 +355,9 @@ int main(int argc, char** argv) {
       if (v == nullptr) return usage();
       check_dir = v;
       checking = true;
-    } else if (arg == "--ckpt-dir") {
-      const char* v = value();
-      if (v == nullptr) return usage();
-      g_durable.dir = v;
-    } else if (arg == "--ckpt-wall-interval") {
-      const char* v = value();
-      if (v == nullptr) return usage();
-      g_durable.wall_interval = std::atof(v);
-    } else if (arg == "--resume") {
-      g_durable.resume = true;
     } else {
       return usage();
     }
-  }
-  if (!g_durable.enabled() && (g_durable.resume || g_durable.wall_interval > 0)) {
-    std::fprintf(stderr,
-                 "sppsim-bench: --resume/--ckpt-wall-interval need "
-                 "--ckpt-dir\n");
-    return usage();
   }
 
   std::printf("%-16s %6s | %12s %18s | wall ms\n", "bench", "mode", "sim_ms",

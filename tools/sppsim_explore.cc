@@ -45,14 +45,17 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "spp/apps/fem/femgas.h"
@@ -108,8 +111,9 @@ struct Args {
   double watchdog = 0.0;            ///< stall abort threshold, 0 = off.
   unsigned kill_after_writes = 0;   ///< test hook: SIGKILL self after N commits.
 
-  /// Strict parse: unknown subcommands or flags (and flags missing their
-  /// value) fail, and the caller exits 2 with the usage line.
+  /// Strict parse: unknown subcommands or flags, flags missing their value,
+  /// and numeric values that are negative, not a number or out of range all
+  /// fail, and the caller exits 2 with the usage line.
   static bool parse(int argc, char** argv, Args& a) {
     int i = 1;
     if (i < argc && argv[i][0] != '-') a.cmd = argv[i++];
@@ -134,22 +138,55 @@ struct Args {
         }
         return argv[++i];
       };
+      // The whole value must be a decimal integer in [lo, hi].
+      const auto integer = [&](auto& field, std::uint64_t lo,
+                               std::uint64_t hi) {
+        const char* v = value();
+        if (v == nullptr) return false;
+        char* end = nullptr;
+        errno = 0;
+        const unsigned long long x = std::strtoull(v, &end, 10);
+        if (!std::isdigit(static_cast<unsigned char>(*v)) || *end != '\0' ||
+            errno != 0 || x < lo || x > hi) {
+          std::fprintf(stderr,
+                       "sppsim-explore: %s needs an integer in %llu..%llu, "
+                       "got '%s'\n",
+                       flag.c_str(), static_cast<unsigned long long>(lo),
+                       static_cast<unsigned long long>(hi), v);
+          return false;
+        }
+        field = static_cast<std::remove_reference_t<decltype(field)>>(x);
+        return true;
+      };
+      // The whole value must be a finite, non-negative number of seconds.
+      const auto seconds = [&](double& field) {
+        const char* v = value();
+        if (v == nullptr) return false;
+        char* end = nullptr;
+        const double x = std::strtod(v, &end);
+        if (end == v || *end != '\0' || !std::isfinite(x) || x < 0) {
+          std::fprintf(stderr,
+                       "sppsim-explore: %s needs a non-negative number of "
+                       "seconds, got '%s'\n",
+                       flag.c_str(), v);
+          return false;
+        }
+        field = x;
+        return true;
+      };
+      constexpr std::uint64_t kUintMax = std::numeric_limits<unsigned>::max();
       const char* v = nullptr;
+      bool ok = true;
       if (flag == "--nodes") {
-        if (!(v = value())) return false;
-        a.nodes = std::atoi(v);
+        ok = integer(a.nodes, 1, 16);
       } else if (flag == "--threads") {
-        if (!(v = value())) return false;
-        a.threads = std::atoi(v);
+        ok = integer(a.threads, 1, kUintMax);
       } else if (flag == "--bytes") {
-        if (!(v = value())) return false;
-        a.bytes = std::atoll(v);
+        ok = integer(a.bytes, 0, kUintMax);
       } else if (flag == "--l1-kb") {
-        if (!(v = value())) return false;
-        a.l1_kb = std::atoll(v);
+        ok = integer(a.l1_kb, 1, kUintMax);
       } else if (flag == "--rounds") {
-        if (!(v = value())) return false;
-        a.rounds = std::atoi(v);
+        ok = integer(a.rounds, 0, kUintMax);
       } else if (flag == "--fault-plan") {
         if (!(v = value())) return false;
         a.fault_plan = v;
@@ -157,30 +194,26 @@ struct Args {
         if (!(v = value())) return false;
         a.app = v;
       } else if (flag == "--steps") {
-        if (!(v = value())) return false;
-        a.steps = std::atoi(v);
+        ok = integer(a.steps, 0, kUintMax);
       } else if (flag == "--ckpt-dir") {
         if (!(v = value())) return false;
         a.ckpt_dir = v;
       } else if (flag == "--ckpt-interval") {
-        if (!(v = value())) return false;
-        a.ckpt_interval = std::atoll(v);
+        ok = integer(a.ckpt_interval, 0, kUintMax);
       } else if (flag == "--ckpt-wall-interval") {
-        if (!(v = value())) return false;
-        a.ckpt_wall = std::atof(v);
+        ok = seconds(a.ckpt_wall);
       } else if (flag == "--resume") {
         a.resume = true;
       } else if (flag == "--watchdog") {
-        if (!(v = value())) return false;
-        a.watchdog = std::atof(v);
+        ok = seconds(a.watchdog);
       } else if (flag == "--kill-after-writes") {
-        if (!(v = value())) return false;
-        a.kill_after_writes = std::atoi(v);
+        ok = integer(a.kill_after_writes, 0, kUintMax);
       } else {
         std::fprintf(stderr, "sppsim-explore: unknown option '%s'\n",
                      flag.c_str());
         return false;
       }
+      if (!ok) return false;
     }
     static const char* kApps[] = {"nbody", "fem",       "pic",
                                   "ppm",   "nbody-pvm", "pic-pvm"};
@@ -191,8 +224,6 @@ struct Args {
       std::fprintf(stderr, "sppsim-explore: unknown app '%s'\n", a.app.c_str());
       return false;
     }
-    if (a.nodes < 1) a.nodes = 1;
-    if (a.nodes > 16) a.nodes = 16;
     if (a.rounds < 1) a.rounds = 1;
     if (a.ckpt_interval < 1) a.ckpt_interval = 1;
     return true;
@@ -581,14 +612,14 @@ int cmd_survive(const Args& a) {
     cfg.steps = 4;
     nbody::NbodyShared app(rt, cfg, a.threads, rt::Placement::kUniform);
     app.load_plummer();
-    (void)app.run_durable(spec);
+    (void)app.run(spec);
   });
   host_kill("nbody-pvm", [&](rt::Runtime& rt, const ckpt::DurableSpec& spec) {
     nbody::NbodyConfig cfg;
     cfg.n = 256;
     cfg.steps = 4;
     nbody::NbodyPvm app(rt, cfg, a.threads, rt::Placement::kUniform);
-    (void)app.run_durable(spec);
+    (void)app.run(spec);
   });
 
   if (failures != 0) {
@@ -637,7 +668,7 @@ int cmd_chaos_disk(const Args& a) {
       cfg.steps = 4;
       nbody::NbodyShared app(runtime, cfg, a.threads, rt::Placement::kUniform);
       app.load_plummer();
-      (void)app.run_durable(spec);
+      (void)app.run(spec);
     });
     const arch::PerfCounters& p = runtime.machine().perf();
     return RunResult{p.digest(runtime.elapsed()),
@@ -897,7 +928,9 @@ int cmd_run(const Args& a) {
                  "--ckpt-wall-interval need --ckpt-dir\n");
     return rt::kExitUsage;
   }
-  ckpt::install_shutdown_handlers();
+  // Only a durable session reads the shutdown flag; a plain run keeps the
+  // default dispositions, so SIGINT and SIGTERM stop it at once.
+  if (!a.ckpt_dir.empty()) ckpt::install_shutdown_handlers();
   ckpt::DurableSpec spec;
   spec.dir = a.ckpt_dir;
   spec.interval = a.ckpt_interval;
@@ -921,7 +954,7 @@ int cmd_run(const Args& a) {
       cfg.steps = a.steps ? a.steps : 4;
       nbody::NbodyShared app(runtime, cfg, T, pl);
       app.load_plummer();
-      const auto r = spec.enabled() ? app.run_durable(spec) : app.run();
+      const auto r = app.run(spec);
       std::printf("nbody: %zu bodies, %u steps, %.1f MFLOPS\n", cfg.n,
                   cfg.steps, r.mflops);
     } else if (a.app == "fem") {
@@ -931,7 +964,7 @@ int cmd_run(const Args& a) {
       cfg.steps = a.steps ? a.steps : 6;
       fem::FemGas app(runtime, cfg, T, pl);
       app.init_blast(2.0, 3.0);
-      const auto r = spec.enabled() ? app.run_durable(spec) : app.run();
+      const auto r = app.run(spec);
       std::printf("fem: %ux%u blast, %u steps, %.1f MFLOPS\n", cfg.nx, cfg.ny,
                   cfg.steps, r.mflops);
     } else if (a.app == "pic") {
@@ -939,7 +972,7 @@ int cmd_run(const Args& a) {
       cfg.nx = cfg.ny = cfg.nz = 8;
       cfg.steps = a.steps ? a.steps : 6;
       pic::PicShared app(runtime, cfg, T, pl);
-      const auto r = spec.enabled() ? app.run_durable(spec) : app.run();
+      const auto r = app.run(spec);
       std::printf("pic: %zu^3 mesh, %u steps, %.1f MFLOPS\n", cfg.nx,
                   cfg.steps, r.mflops);
     } else if (a.app == "ppm") {
@@ -951,7 +984,7 @@ int cmd_run(const Args& a) {
       cfg.steps = a.steps ? a.steps : 4;
       ppm::PpmTiled app(runtime, cfg, T, pl);
       app.init_sod_x();
-      const auto r = spec.enabled() ? app.run_durable(spec) : app.run();
+      const auto r = app.run(spec);
       std::printf("ppm: %zux%zu sod, %u steps, %.1f MFLOPS\n", cfg.nx, cfg.ny,
                   cfg.steps, r.mflops);
     } else if (a.app == "nbody-pvm") {
@@ -959,7 +992,7 @@ int cmd_run(const Args& a) {
       cfg.n = 256;
       cfg.steps = a.steps ? a.steps : 4;
       nbody::NbodyPvm app(runtime, cfg, T, pl);
-      const auto r = spec.enabled() ? app.run_durable(spec) : app.run();
+      const auto r = app.run(spec);
       std::printf("nbody-pvm: %zu bodies, %u steps, %.1f MFLOPS\n", cfg.n,
                   cfg.steps, r.mflops);
     } else {  // pic-pvm (names validated at parse time)
@@ -967,7 +1000,7 @@ int cmd_run(const Args& a) {
       cfg.nx = cfg.ny = cfg.nz = 8;
       cfg.steps = a.steps ? a.steps : 6;
       pic::PicPvm app(runtime, cfg, T, pl);
-      const auto r = spec.enabled() ? app.run_durable(spec) : app.run();
+      const auto r = app.run(spec);
       std::printf("pic-pvm: %zu^3 mesh, %u steps, %.1f MFLOPS\n", cfg.nx,
                   cfg.steps, r.mflops);
     }
