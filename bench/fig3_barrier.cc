@@ -18,21 +18,20 @@
 #include <utility>
 #include <vector>
 
-#include "bench/bench_common.h"
+#include "bench/harness.h"
 #include "spp/rt/runtime.h"
 #include "spp/rt/sync.h"
 #include "spp/sim/rng.h"
 
+namespace spp::bench {
 namespace {
-
-using namespace spp;
 
 struct BarrierCost {
   double lifo_us;  ///< last in -> first out
   double lilo_us;  ///< last in -> last out
 };
 
-BarrierCost barrier_cost(unsigned nodes, unsigned nthreads,
+BarrierCost barrier_cost(Run& run, unsigned nodes, unsigned nthreads,
                          rt::Placement placement, unsigned trials) {
   rt::Runtime runtime(arch::Topology{.nodes = nodes});
   double best_lifo = 1e300, best_lilo = 1e300;
@@ -67,32 +66,35 @@ BarrierCost barrier_cost(unsigned nodes, unsigned nthreads,
       best_lilo = std::min(best_lilo, sim::to_usec(last_out - last_in));
     }
   });
+  run.seal(runtime);
   return {best_lifo, best_lilo};
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const auto opts = spp::bench::Options::parse(argc, argv);
-  spp::bench::header("Figure 3", "Cost of Barrier Synchronization", opts);
-  const unsigned trials = opts.full ? 40 : 8;
+void fig3_barrier(Run& run) {
+  header("Figure 3", "Cost of Barrier Synchronization", run);
+  const unsigned trials = run.full() ? 40 : 8;
 
   std::printf("%8s | %12s %12s | %12s %12s | %12s %12s\n", "threads",
               "hl_lifo_us", "hl_lilo_us", "uni_lifo_us", "uni_lilo_us",
               "1node_lifo", "1node_lilo");
   bool hl_rising = true, un_rising = true;
-  BarrierCost hl_prev{0, 0}, un_prev{0, 0};
+  BarrierCost hl_prev{0, 0}, un_prev{0, 0}, one2{0, 0}, one8{0, 0};
   for (unsigned n = 2; n <= 16; ++n) {
     const BarrierCost hl =
-        barrier_cost(2, n, rt::Placement::kHighLocality, trials);
-    const BarrierCost un = barrier_cost(2, n, rt::Placement::kUniform, trials);
+        barrier_cost(run, 2, n, rt::Placement::kHighLocality, trials);
+    const BarrierCost un =
+        barrier_cost(run, 2, n, rt::Placement::kUniform, trials);
     hl_rising = hl_rising && hl.lifo_us >= hl_prev.lifo_us;
     un_rising = un_rising && un.lifo_us >= un_prev.lifo_us;
     hl_prev = hl;
     un_prev = un;
     if (n <= 8) {
       const BarrierCost one =
-          barrier_cost(1, n, rt::Placement::kHighLocality, trials);
+          barrier_cost(run, 1, n, rt::Placement::kHighLocality, trials);
+      if (n == 2) one2 = one;
+      if (n == 8) one8 = one;
       std::printf("%8u | %12.2f %12.2f | %12.2f %12.2f | %12.2f %12.2f\n", n,
                   hl.lifo_us, hl.lilo_us, un.lifo_us, un.lilo_us, one.lifo_us,
                   one.lilo_us);
@@ -102,12 +104,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  const BarrierCost one8 =
-      barrier_cost(1, 8, rt::Placement::kHighLocality, trials);
-  const BarrierCost hl16 =
-      barrier_cost(2, 16, rt::Placement::kHighLocality, trials);
-  const BarrierCost one2 =
-      barrier_cost(1, 2, rt::Placement::kHighLocality, trials);
+  const BarrierCost hl16 = hl_prev;  // the last row
   const double slope = (one8.lilo_us - one2.lilo_us) / 6.0;
   std::printf("\nderived metrics                          measured   paper\n");
   std::printf("one-node last-in/first-out (us)          %8.2f   ~3.5\n",
@@ -116,11 +113,11 @@ int main(int argc, char** argv) {
               hl16.lifo_us - one8.lifo_us);
   std::printf("one-node release slope (us/thread)       %8.2f   ~2\n", slope);
 
-  spp::bench::Gate gate;
-  gate.near("one-node last-in/first-out (us)", one8.lifo_us, 3.5, 0.7);
-  gate.near("one-node release slope (us/thread)", slope, 2, 0.4);
-  gate.expect("two-node lifo non-decreasing in threads, high locality",
-              hl_rising);
-  gate.expect("two-node lifo non-decreasing in threads, uniform", un_rising);
-  return gate.exit_code();
+  run.near("one-node last-in/first-out (us)", one8.lifo_us, 3.5, 0.7);
+  run.near("one-node release slope (us/thread)", slope, 2, 0.4);
+  run.expect("two-node lifo non-decreasing in threads, high locality",
+             hl_rising);
+  run.expect("two-node lifo non-decreasing in threads, uniform", un_rising);
 }
+
+}  // namespace spp::bench

@@ -12,15 +12,14 @@
 #include <utility>
 #include <vector>
 
-#include "bench/bench_common.h"
+#include "bench/harness.h"
 #include "spp/pvm/pvm.h"
 #include "spp/rt/runtime.h"
 
+namespace spp::bench {
 namespace {
 
-using namespace spp;
-
-double round_trip_us(unsigned nodes, rt::Placement placement,
+double round_trip_us(Run& run, unsigned nodes, rt::Placement placement,
                      std::size_t bytes, unsigned trials) {
   rt::Runtime runtime(arch::Topology{.nodes = nodes});
   double best = 1e300;
@@ -47,31 +46,30 @@ double round_trip_us(unsigned nodes, rt::Placement placement,
       }
     });
   });
+  run.seal(runtime);
   return best;
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const auto opts = spp::bench::Options::parse(argc, argv);
-  spp::bench::header("Figure 4", "Cost of Round Trip Message Passing", opts);
-  const unsigned trials = opts.full ? 30 : 6;
+void fig4_message(Run& run) {
+  header("Figure 4", "Cost of Round Trip Message Passing", run);
+  const unsigned trials = run.full() ? 30 : 6;
 
   std::printf("%10s %12s %12s %8s\n", "bytes", "local_us", "global_us",
               "ratio");
   std::map<std::size_t, std::pair<double, double>> rtt;  // bytes -> (l, g)
   for (std::size_t bytes = 64; bytes <= (256u << 10); bytes *= 2) {
     const double local =
-        round_trip_us(1, rt::Placement::kHighLocality, bytes, trials);
+        round_trip_us(run, 1, rt::Placement::kHighLocality, bytes, trials);
     const double global =
-        round_trip_us(2, rt::Placement::kUniform, bytes, trials);
+        round_trip_us(run, 2, rt::Placement::kUniform, bytes, trials);
     rtt[bytes] = {local, global};
     std::printf("%10zu %12.1f %12.1f %8.2f\n", bytes, local, global,
                 global / local);
   }
 
-  const double l1k = round_trip_us(1, rt::Placement::kHighLocality, 1024, trials);
-  const double g1k = round_trip_us(2, rt::Placement::kUniform, 1024, trials);
+  const auto [l1k, g1k] = rtt[1024];
   std::printf("\nderived metrics              measured   paper\n");
   std::printf("local round trip, 1KB (us)   %8.1f   ~30\n", l1k);
   std::printf("global round trip, 1KB (us)  %8.1f   ~70\n", g1k);
@@ -81,13 +79,13 @@ int main(int argc, char** argv) {
   const auto [l64, g64] = rtt[64];
   const auto [l8k, g8k] = rtt[8192];
   const auto [l16k, g16k] = rtt[16384];
-  spp::bench::Gate gate;
-  gate.near("local round trip, 1KB (us)", l1k, 30, 6);
-  gate.near("global round trip, 1KB (us)", g1k, 70, 14);
-  gate.near("global/local ratio", g1k / l1k, 2.3, 0.3);
-  gate.expect("8KB->16KB step above the 64B->8KB rise, local",
-              l16k - l8k > l8k - l64);
-  gate.expect("8KB->16KB step above the 64B->8KB rise, global",
-              g16k - g8k > g8k - g64);
-  return gate.exit_code();
+  run.near("local round trip, 1KB (us)", l1k, 30, 6);
+  run.near("global round trip, 1KB (us)", g1k, 70, 14);
+  run.near("global/local ratio", g1k / l1k, 2.3, 0.3);
+  run.expect("8KB->16KB step above the 64B->8KB rise, local",
+             l16k - l8k > l8k - l64);
+  run.expect("8KB->16KB step above the 64B->8KB rise, global",
+             g16k - g8k > g8k - g64);
 }
+
+}  // namespace spp::bench

@@ -12,14 +12,14 @@
 #include <cstdio>
 #include <vector>
 
-#include "bench/bench_common.h"
+#include "bench/harness.h"
 #include "spp/apps/pic/pic.h"
 #include "spp/apps/pic/pic_pvm.h"
 #include "spp/c90/c90.h"
 
+namespace spp::bench {
 namespace {
 
-using namespace spp;
 using pic::PicConfig;
 
 struct SizeSpec {
@@ -31,7 +31,7 @@ struct SizeSpec {
 
 /// Prints one problem size's rows; true when the shared-memory code beats
 /// PVM at every processor count from 2 up (Figure 6's ordering).
-bool run_size(const SizeSpec& spec) {
+bool run_size(Run& run, const SizeSpec& spec) {
   const PicConfig& cfg = spec.cfg;
   std::printf("\n--- %s: %zux%zux%zu mesh, %zu particles, %u steps ---\n",
               spec.name, cfg.nx, cfg.ny, cfg.nz, cfg.particles(), cfg.steps);
@@ -45,22 +45,12 @@ bool run_size(const SizeSpec& spec) {
     const unsigned nodes = np > 8 ? 2u : 1u;
     const auto placement =
         nodes > 1 ? rt::Placement::kUniform : rt::Placement::kHighLocality;
-    double t_shared, t_pvm, mflops;
-    {
-      rt::Runtime runtime(arch::Topology{.nodes = nodes});
-      pic::PicShared app(runtime, cfg, np, placement);
-      pic::PicResult res;
-      runtime.run([&] { res = app.run(); });
-      t_shared = sim::to_seconds(res.sim_time) * scale_to_500;
-      mflops = res.mflops;
-    }
-    {
-      rt::Runtime runtime(arch::Topology{.nodes = nodes});
-      pic::PicPvm app(runtime, cfg, np, placement);
-      pic::PicResult res;
-      runtime.run([&] { res = app.run(); });
-      t_pvm = sim::to_seconds(res.sim_time) * scale_to_500;
-    }
+    const pic::PicResult shared =
+        run_app<pic::PicShared>(run, nodes, cfg, np, placement);
+    const pic::PicResult pvm =
+        run_app<pic::PicPvm>(run, nodes, cfg, np, placement);
+    const double t_shared = sim::to_seconds(shared.sim_time) * scale_to_500;
+    const double t_pvm = sim::to_seconds(pvm.sim_time) * scale_to_500;
     if (np == 1) {
       shared1 = t_shared;
       pvm1 = t_pvm;
@@ -68,7 +58,7 @@ bool run_size(const SizeSpec& spec) {
       shared_wins = shared_wins && t_shared < t_pvm;
     }
     std::printf("%6u | %12.2f %9.2f | %12.2f %9.2f | %10.1f\n", np, t_shared,
-                shared1 / t_shared, t_pvm, pvm1 / t_pvm, mflops);
+                shared1 / t_shared, t_pvm, pvm1 / t_pvm, shared.mflops);
   }
 
   // C90 single-head reference line (flat in Figure 6).
@@ -87,13 +77,12 @@ bool run_size(const SizeSpec& spec) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const auto opts = spp::bench::Options::parse(argc, argv);
-  spp::bench::header("Figure 6 / Table 1",
-                     "PIC time-to-solution and speedup, shared vs PVM", opts);
+void fig6_pic(Run& run) {
+  header("Figure 6 / Table 1",
+         "PIC time-to-solution and speedup, shared vs PVM", run);
 
   std::vector<SizeSpec> sizes;
-  if (opts.full) {
+  if (run.full()) {
     PicConfig small;
     small.nx = small.ny = small.nz = 32;
     small.steps = 4;
@@ -115,15 +104,17 @@ int main(int argc, char** argv) {
     sizes.push_back({"large (reduced)", large, 0, 0});
   }
   bool shared_wins = true;
-  for (const auto& spec : sizes) shared_wins = run_size(spec) && shared_wins;
+  for (const auto& spec : sizes) {
+    shared_wins = run_size(run, spec) && shared_wins;
+  }
 
   std::printf(
       "\npaper shape: shared-memory curve consistently above PVM (PVM\n"
       "reaches 'almost one half the performance'); both scale to 16 procs\n"
       "with the shared version approaching one C90 head per hypernode.\n");
 
-  spp::bench::Gate gate;
-  gate.expect("shared time below PVM time at every p >= 2, both meshes",
-              shared_wins);
-  return gate.exit_code();
+  run.expect("shared time below PVM time at every p >= 2, both meshes",
+             shared_wins);
 }
+
+}  // namespace spp::bench

@@ -14,37 +14,35 @@
 // splits (--full), reduced meshes by default.
 #include <cstdio>
 
-#include "bench/bench_common.h"
+#include "bench/harness.h"
 #include "spp/apps/fem/femgas.h"
 #include "spp/c90/c90.h"
 
+namespace spp::bench {
 namespace {
 
-using namespace spp;
 using fem::Coding;
 using fem::FemConfig;
 
-double updates_per_usec(const FemConfig& cfg, unsigned np) {
+double updates_per_usec(Run& run, const FemConfig& cfg, unsigned np) {
   const unsigned nodes = np > 8 ? 2u : 1u;
   const auto placement =
       nodes > 1 ? rt::Placement::kUniform : rt::Placement::kHighLocality;
-  rt::Runtime runtime(arch::Topology{.nodes = nodes});
-  fem::FemGas app(runtime, cfg, np, placement);
-  app.init_blast(2.0, cfg.nx / 8.0);
-  fem::FemResult res;
-  runtime.run([&] { res = app.run(); });
-  return res.updates_per_usec;
+  return run_app<fem::FemGas>(run, nodes, cfg, np, placement,
+                              [&](fem::FemGas& app) {
+                                app.init_blast(2.0, cfg.nx / 8.0);
+                              })
+      .updates_per_usec;
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const auto opts = spp::bench::Options::parse(argc, argv);
-  spp::bench::header("Figure 7", "FEM gas dynamics scaling", opts);
+void fig7_fem(Run& run) {
+  header("Figure 7", "FEM gas dynamics scaling", run);
 
   FemConfig small1;
   FemConfig large;
-  if (opts.full) {
+  if (run.full()) {
     small1.nx = 288;
     small1.ny = 160;
     small1.steps = 2;
@@ -67,9 +65,9 @@ int main(int argc, char** argv) {
   double prev_small1 = 0;
   bool dipped = false;
   for (unsigned np : {1u, 2u, 4u, 8u, 9u, 12u, 16u}) {
-    const double s1 = updates_per_usec(small1, np);
-    const double s2 = updates_per_usec(small2, np);
-    const double lg = updates_per_usec(large, np);
+    const double s1 = updates_per_usec(run, small1, np);
+    const double s2 = updates_per_usec(run, small2, np);
+    const double lg = updates_per_usec(run, large, np);
     std::printf("%6u | %12.4f %12.4f %12.4f\n", np, s1, s2, lg);
     if (np == 9 && s1 < prev_small1) dipped = true;
     if (np == 8) prev_small1 = s1;
@@ -86,7 +84,7 @@ int main(int argc, char** argv) {
   std::printf("useful Mflop/s = updates/us x %.0f flops/point-update\n",
               fem::kFlopsPerPointUpdate);
 
-  spp::bench::Gate gate;
-  gate.expect("small1 rate at 9 processors below the rate at 8", dipped);
-  return gate.exit_code();
+  run.expect("small1 rate at 9 processors below the rate at 8", dipped);
 }
+
+}  // namespace spp::bench

@@ -11,38 +11,42 @@
 // Paper sizes are 32K/256K/2M particles; default scale runs 2K/8K/32K.
 // --full runs 32K/256K (the 2M case needs >1h of host time; scale the trend).
 #include <cstdio>
-#include <vector>
 
-#include "bench/bench_common.h"
+#include "bench/harness.h"
 #include "spp/apps/nbody/nbody.h"
 #include "spp/apps/nbody/nbody_pvm.h"
 #include "spp/c90/c90.h"
 
+namespace spp::bench {
 namespace {
 
-using namespace spp;
 using nbody::NbodyConfig;
 
 struct Point {
-  unsigned procs;
   double mflops;
   double force_seconds;
 };
 
-Point run_case(const NbodyConfig& cfg, unsigned nodes, unsigned np) {
+/// Section 5.3.2's reference points: Mflop/s on 1 processor and on 16
+/// across two hypernodes.
+struct Reference {
+  double one_proc;
+  double sixteen_procs;
+};
+
+Point run_case(Run& run, const NbodyConfig& cfg, unsigned nodes,
+               unsigned np) {
   // Both configurations run on the same two-hypernode machine, as the
   // paper's do: "1 node" packs the threads onto hypernode 0, "2 node"
   // spreads them, so only the placement differs.
   const auto placement =
       nodes > 1 ? rt::Placement::kUniform : rt::Placement::kHighLocality;
-  rt::Runtime runtime(arch::Topology{.nodes = 2});
-  nbody::NbodyShared app(runtime, cfg, np, placement);
-  nbody::NbodyResult res;
-  runtime.run([&] { res = app.run(); });
-  return {np, res.mflops, sim::to_seconds(res.force_time)};
+  const nbody::NbodyResult res =
+      run_app<nbody::NbodyShared>(run, 2, cfg, np, placement);
+  return {res.mflops, sim::to_seconds(res.force_time)};
 }
 
-void run_size(std::size_t n, unsigned steps) {
+Reference run_size(Run& run, std::size_t n, unsigned steps) {
   NbodyConfig cfg;
   cfg.n = n;
   cfg.steps = steps;
@@ -50,13 +54,14 @@ void run_size(std::size_t n, unsigned steps) {
   std::printf("%6s | %14s %9s | %14s %9s | %8s\n", "procs", "1node_Mflops",
               "speedup", "2node_Mflops", "speedup", "degr_%");
 
-  double base = 0;
+  double base = 0, sixteen = 0;
   for (unsigned np : {1u, 2u, 4u, 8u, 16u}) {
-    Point one{0, 0, 0}, two{0, 0, 0};
+    Point one{0, 0}, two{0, 0};
     const bool have_one = np <= 8;
-    if (have_one) one = run_case(cfg, 1, np);
-    if (np >= 2) two = run_case(cfg, 2, np);
+    if (have_one) one = run_case(run, cfg, 1, np);
+    if (np >= 2) two = run_case(run, cfg, 2, np);
     if (np == 1) base = one.mflops;
+    if (np == 16) sixteen = two.mflops;
     const double degr =
         (have_one && np >= 2 && one.force_seconds > 0)
             ? 100.0 * (two.force_seconds / one.force_seconds - 1.0)
@@ -73,38 +78,32 @@ void run_size(std::size_t n, unsigned steps) {
                   two.mflops, two.mflops / base, "-");
     }
   }
+  return {base, sixteen};
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const auto opts = spp::bench::Options::parse(argc, argv);
-  spp::bench::header("Figure 8", "N-Body tree code scaling", opts);
+void fig8_nbody(Run& run) {
+  header("Figure 8", "N-Body tree code scaling", run);
 
-  if (opts.full) {
-    run_size(32768, 1);
-    run_size(262144, 1);
+  Reference ref{0, 0};
+  if (run.full()) {
+    ref = run_size(run, 32768, 1);
+    run_size(run, 262144, 1);
     std::printf("\n(2M-particle case omitted: >1h of host time; the trend\n"
                 " with problem size is visible from 32K -> 256K)\n");
   } else {
-    run_size(1024, 2);
-    run_size(4096, 1);
-    run_size(16384, 1);
+    run_size(run, 1024, 2);
+    ref = run_size(run, 4096, 1);
+    run_size(run, 16384, 1);
   }
 
   c90::C90Model model;
   std::printf("\nreference points                   measured   paper\n");
-  {
-    NbodyConfig cfg;
-    cfg.n = opts.full ? 32768 : 4096;
-    cfg.steps = 1;
-    const Point p1 = run_case(cfg, 1, 1);
-    const Point p16 = run_case(cfg, 2, 16);
-    std::printf("1-processor Mflop/s                %8.1f   27.5\n",
-                p1.mflops);
-    std::printf("16-processor Mflop/s               %8.1f   384\n",
-                p16.mflops);
-  }
+  std::printf("1-processor Mflop/s                %8.1f   27.5\n",
+              ref.one_proc);
+  std::printf("16-processor Mflop/s               %8.1f   384\n",
+              ref.sixteen_procs);
   std::printf("C90 tree code Mflop/s (model)      %8.1f   120\n",
               model.sustained_mflops(c90::treecode_profile(1e9)));
 
@@ -112,19 +111,16 @@ int main(int argc, char** argv) {
   // to the shared memory version of the code."
   {
     NbodyConfig cfg;
-    cfg.n = opts.full ? 16384 : 2048;
+    cfg.n = run.full() ? 16384 : 2048;
     cfg.steps = 3;
     cfg.theta = 1.1;  // modest force cost so the broadcast traffic shows
-    rt::Runtime r1(arch::Topology{.nodes = 2});
-    nbody::NbodyShared sh(r1, cfg, 8, rt::Placement::kUniform);
-    nbody::NbodyResult rs;
-    r1.run([&] { rs = sh.run(); });
-    rt::Runtime r2(arch::Topology{.nodes = 2});
-    nbody::NbodyPvm pv(r2, cfg, 8, rt::Placement::kUniform);
-    nbody::NbodyResult rp;
-    r2.run([&] { rp = pv.run(); });
+    const nbody::NbodyResult rs =
+        run_app<nbody::NbodyShared>(run, 2, cfg, 8, rt::Placement::kUniform);
+    const nbody::NbodyResult rp =
+        run_app<nbody::NbodyPvm>(run, 2, cfg, 8, rt::Placement::kUniform);
     std::printf("PVM version vs shared, 8 procs     %8.2fx   degraded\n",
                 sim::to_seconds(rp.sim_time) / sim::to_seconds(rs.sim_time));
   }
-  return 0;
 }
+
+}  // namespace spp::bench

@@ -10,41 +10,38 @@
 // style), plus uncached and atomic operation costs used by the runtime.
 #include <cstdio>
 
-#include "bench/bench_common.h"
+#include "bench/harness.h"
 #include "spp/arch/machine.h"
 
+namespace spp::bench {
 namespace {
 
-using namespace spp;
 using arch::kLineBytes;
-using arch::kPageBytes;
 using arch::Machine;
 using arch::MemClass;
 using arch::Topology;
 
-/// Global probe clock: must move forward monotonically so each probe sees
-/// quiescent (not stale-busy) resources.
-sim::Time g_now = 1000000;
-
 /// Average dependent-load latency over `lines` fresh lines from `cpu`.
-double probe_cycles(Machine& m, unsigned cpu, arch::VAddr va, unsigned lines,
-                    bool reuse) {
-  const sim::Time start = g_now;
+/// `now` is the probe clock: it must move forward monotonically so each
+/// probe sees quiescent (not stale-busy) resources.
+double probe_cycles(Machine& m, sim::Time& now, unsigned cpu, arch::VAddr va,
+                    unsigned lines, bool reuse) {
+  const sim::Time start = now;
   for (unsigned k = 0; k < lines; ++k) {
     const arch::VAddr a = va + (reuse ? 0 : k * kLineBytes);
-    g_now = m.access(cpu, a, false, g_now);
+    now = m.access(cpu, a, false, now);
   }
-  return static_cast<double>(sim::to_cycles(g_now - start)) / lines;
+  return static_cast<double>(sim::to_cycles(now - start)) / lines;
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const auto opts = spp::bench::Options::parse(argc, argv);
-  spp::bench::header("Sections 2.6/6", "Memory latency hierarchy", opts);
-  const unsigned lines = opts.full ? 4096 : 512;
+void latency(Run& run) {
+  header("Sections 2.6/6", "Memory latency hierarchy", run);
+  const unsigned lines = run.full() ? 4096 : 512;
 
   Machine m(Topology{.nodes = 4});
+  sim::Time now = 1000000;
   auto& vm = m.vm();
 
   // Lines homed on the probing CPU's own FU: thread-private placement.
@@ -59,16 +56,17 @@ int main(int argc, char** argv) {
 
   const double hit = [&] {
     m.access(0, node_local, false, 0);
-    return probe_cycles(m, 0, node_local, 64, /*reuse=*/true);
+    return probe_cycles(m, now, 0, node_local, 64, /*reuse=*/true);
   }();
-  const double c_fu = probe_cycles(m, 0, fu_local, lines, false);
-  const double c_node = probe_cycles(m, 0, node_local + kLineBytes, lines - 1,
-                                     false);
-  const double c_remote = probe_cycles(m, 0, remote, lines, false);
+  const double c_fu = probe_cycles(m, now, 0, fu_local, lines, false);
+  const double c_node = probe_cycles(m, now, 0, node_local + kLineBytes,
+                                     lines - 1, false);
+  const double c_remote = probe_cycles(m, now, 0, remote, lines, false);
 
   // Gcache: a second CPU of node 0 touches the remote lines the first CPU
   // already pulled into node 0's global cache buffer.
-  const double c_gcache = probe_cycles(m, 2, remote, lines, false);
+  const double c_gcache = probe_cycles(m, now, 2, remote, lines, false);
+  run.seal(m, now);
 
   // Uncached / atomic operations (barrier building blocks).
   Machine m2(Topology{.nodes = 4});
@@ -82,8 +80,10 @@ int main(int argc, char** argv) {
       m2.access_uncached(0, sem_remote, false, 1000000) - 1000000));
   const double rmw_local = static_cast<double>(
       sim::to_cycles(m2.atomic_rmw(0, sem_local, 2000000) - 2000000));
-  const double rmw_remote = static_cast<double>(
-      sim::to_cycles(m2.atomic_rmw(0, sem_remote, 3000000) - 3000000));
+  const sim::Time m2_end = m2.atomic_rmw(0, sem_remote, 3000000);
+  const double rmw_remote =
+      static_cast<double>(sim::to_cycles(m2_end - 3000000));
+  run.seal(m2, m2_end);
 
   std::printf("%-34s %10s %10s\n", "operation", "cycles", "paper");
   std::printf("%-34s %10.1f %10s\n", "cache hit", hit, "1");
@@ -103,7 +103,7 @@ int main(int argc, char** argv) {
   std::printf("remote / hypernode miss ratio      %8.2f   ~8 (4-10)\n",
               c_remote / c_node);
 
-  spp::bench::Gate gate;
-  gate.within("remote / hypernode miss ratio", c_remote / c_node, 4, 10);
-  return gate.exit_code();
+  run.within("remote / hypernode miss ratio", c_remote / c_node, 4, 10);
 }
+
+}  // namespace spp::bench

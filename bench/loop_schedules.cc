@@ -6,16 +6,14 @@
 // counter's home hypernode).
 #include <cstdio>
 
-#include "bench/bench_common.h"
+#include "bench/harness.h"
 #include "spp/rt/loops.h"
 #include "spp/rt/runtime.h"
 
-namespace {
+namespace spp::bench {
 
-using namespace spp;
-
-double loop_ms(rt::Schedule schedule, bool imbalanced, std::size_t n,
-               std::size_t chunk) {
+double loop_ms(Run& run, rt::Schedule schedule, bool imbalanced,
+               std::size_t n, std::size_t chunk) {
   rt::Runtime runtime(arch::Topology{.nodes = 2});
   rt::LoopOptions opts;
   opts.schedule = schedule;
@@ -30,8 +28,11 @@ double loop_ms(rt::Schedule schedule, bool imbalanced, std::size_t n,
                        runtime.work_flops(20.0 + w);
                      });
   });
+  run.seal(runtime);
   return sim::to_seconds(runtime.elapsed()) * 1e3;
 }
+
+namespace {
 
 const char* name(rt::Schedule s) {
   switch (s) {
@@ -47,11 +48,9 @@ const char* name(rt::Schedule s) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const auto opts = spp::bench::Options::parse(argc, argv);
-  spp::bench::header("Ablation", "Loop scheduling (section 7 future work)",
-                     opts);
-  const std::size_t n = opts.full ? 16384 : 4096;
+void loop_schedules(Run& run) {
+  header("Ablation", "Loop scheduling (section 7 future work)", run);
+  const std::size_t n = run.full() ? 16384 : 4096;
 
   std::printf("%10s %8s | %12s %12s\n", "schedule", "chunk", "uniform_ms",
               "triangular_ms");
@@ -59,14 +58,17 @@ int main(int argc, char** argv) {
                        rt::Schedule::kGuided}) {
     for (const std::size_t chunk : {8u, 64u}) {
       if (s == rt::Schedule::kStatic && chunk != 8u) continue;
+      // Two statements: the runtimes are sealed in a fixed order.
+      const double uniform = loop_ms(run, s, false, n, chunk);
+      const double triangular = loop_ms(run, s, true, n, chunk);
       std::printf("%10s %8zu | %12.3f %12.3f\n", name(s),
-                  s == rt::Schedule::kStatic ? 0 : chunk,
-                  loop_ms(s, false, n, chunk), loop_ms(s, true, n, chunk));
+                  s == rt::Schedule::kStatic ? 0 : chunk, uniform, triangular);
     }
   }
   std::printf(
       "\nexpected shape: static wins on uniform work (no counter traffic);\n"
       "dynamic/guided win under imbalance; guided needs fewer grabs than\n"
       "small-chunk dynamic.\n");
-  return 0;
 }
+
+}  // namespace spp::bench

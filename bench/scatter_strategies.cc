@@ -8,16 +8,14 @@
 #include <cstdio>
 #include <vector>
 
-#include "bench/bench_common.h"
+#include "bench/harness.h"
 #include "spp/lib/scatter_add.h"
 #include "spp/sim/rng.h"
 
-namespace {
+namespace spp::bench {
 
-using namespace spp;
-
-double scatter_ms(lib::ScatterStrategy strategy, std::size_t n, std::size_t m,
-                  bool contended) {
+double scatter_ms(Run& run, lib::ScatterStrategy strategy, std::size_t n,
+                  std::size_t m, bool contended) {
   rt::Runtime runtime(arch::Topology{.nodes = 2});
   rt::GlobalArray<double> target(runtime, n, arch::MemClass::kFarShared, "t");
   sim::Rng rng(99);
@@ -29,8 +27,11 @@ double scatter_ms(lib::ScatterStrategy strategy, std::size_t n, std::size_t m,
   }
   const auto stats = lib::scatter_add(runtime, target, idx, val, 16,
                                       rt::Placement::kUniform, strategy);
+  run.seal(runtime);
   return sim::to_seconds(stats.sim_time) * 1e3;
 }
+
+namespace {
 
 const char* name(lib::ScatterStrategy s) {
   switch (s) {
@@ -46,23 +47,24 @@ const char* name(lib::ScatterStrategy s) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const auto opts = spp::bench::Options::parse(argc, argv);
-  spp::bench::header("Ablation", "Scatter-add strategies (sections 5.2/6)",
-                     opts);
-  const std::size_t n = opts.full ? 16384 : 2048;
-  const std::size_t m = opts.full ? 200000 : 40000;
+void scatter_strategies(Run& run) {
+  header("Ablation", "Scatter-add strategies (sections 5.2/6)", run);
+  const std::size_t n = run.full() ? 16384 : 2048;
+  const std::size_t m = run.full() ? 200000 : 40000;
 
   std::printf("%16s | %12s %14s\n", "strategy", "spread_ms", "contended_ms");
   for (const auto s :
        {lib::ScatterStrategy::kPrivate, lib::ScatterStrategy::kLocked,
         lib::ScatterStrategy::kOwner}) {
-    std::printf("%16s | %12.3f %14.3f\n", name(s), scatter_ms(s, n, m, false),
-                scatter_ms(s, n, m, true));
+    // Two statements: the runtimes are sealed in a fixed order.
+    const double spread = scatter_ms(run, s, n, m, false);
+    const double contended = scatter_ms(run, s, n, m, true);
+    std::printf("%16s | %12.3f %14.3f\n", name(s), spread, contended);
   }
   std::printf(
       "\nexpected shape: private staging is immune to contention; locks\n"
       "collapse when all updates hit a few lines; owner-computes pays P-fold\n"
       "read amplification but never synchronizes.\n");
-  return 0;
 }
+
+}  // namespace spp::bench

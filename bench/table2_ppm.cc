@@ -18,35 +18,34 @@
 #include <map>
 #include <utility>
 
-#include "bench/bench_common.h"
+#include "bench/harness.h"
 #include "spp/apps/ppm/ppm.h"
 
+namespace spp::bench {
 namespace {
 
-using namespace spp;
 using ppm::PpmConfig;
 
-double run_case(std::size_t nx, std::size_t ny, unsigned tx, unsigned ty,
-                unsigned np, unsigned steps) {
+double run_case(Run& run, std::size_t nx, std::size_t ny, unsigned tx,
+                unsigned ty, unsigned np, unsigned steps) {
   PpmConfig cfg;
   cfg.nx = nx;
   cfg.ny = ny;
   cfg.tiles_x = tx;
   cfg.tiles_y = ty;
   cfg.steps = steps;
-  rt::Runtime runtime(arch::Topology{.nodes = 1});
-  ppm::PpmTiled app(runtime, cfg, np, rt::Placement::kHighLocality);
-  app.init_blast(2.0, static_cast<double>(nx) / 6.0);
-  ppm::PpmResult res;
-  runtime.run([&] { res = app.run(); });
-  return res.mflops;
+  return run_app<ppm::PpmTiled>(run, 1, cfg, np, rt::Placement::kHighLocality,
+                                [&](ppm::PpmTiled& app) {
+                                  app.init_blast(
+                                      2.0, static_cast<double>(nx) / 6.0);
+                                })
+      .mflops;
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const auto opts = spp::bench::Options::parse(argc, argv);
-  spp::bench::header("Table 2", "PPM hydrodynamics performance", opts);
+void table2_ppm(Run& run) {
+  header("Table 2", "PPM hydrodynamics performance", run);
 
   struct Row {
     std::size_t nx, ny;
@@ -61,8 +60,8 @@ int main(int argc, char** argv) {
       {240, 960, 4, 16, 4, 118.5},
   };
 
-  const unsigned steps = opts.full ? 2 : 1;
-  const double shrink = opts.full ? 1.0 : 0.5;
+  const unsigned steps = run.full() ? 2 : 1;
+  const double shrink = run.full() ? 1.0 : 0.5;
 
   std::printf("%10s %8s %6s | %10s %10s\n", "grid", "tiles", "procs",
               "Mflop/s", "paper");
@@ -70,7 +69,7 @@ int main(int argc, char** argv) {
   for (const Row& r : paper_rows) {
     const auto nx = static_cast<std::size_t>(static_cast<double>(r.nx) * shrink);
     const auto ny = static_cast<std::size_t>(static_cast<double>(r.ny) * shrink);
-    const double mflops = run_case(nx, ny, r.tx, r.ty, r.procs, steps);
+    const double mflops = run_case(run, nx, ny, r.tx, r.ty, r.procs, steps);
     char grid[32], tiles[16];
     std::snprintf(grid, sizeof grid, "%zux%zu", nx, ny);
     std::snprintf(tiles, sizeof tiles, "%ux%u", r.tx, r.ty);
@@ -85,8 +84,8 @@ int main(int argc, char** argv) {
   for (const unsigned p : {1u, 2u, 4u, 8u}) {
     finer_slower = finer_slower && small_grid[{12, p}] < small_grid[{4, p}];
   }
-  spp::bench::Gate gate;
-  gate.expect("12x48 tiling slower than 4x16 at every processor count",
-              finer_slower);
-  return gate.exit_code();
+  run.expect("12x48 tiling slower than 4x16 at every processor count",
+             finer_slower);
 }
+
+}  // namespace spp::bench

@@ -16,7 +16,9 @@
 # other build does: fiber switches carry tsan annotations (spp/rt/fiber.h).
 #
 # A gating bench-smoke leg (--bench-smoke) builds Release and runs
-# sppsim-bench --smoke once per bench: it fails only on simulated-time or
+# sppsim-bench once over its whole table: every paper figure and ablation
+# at the reduced size and every acceptance workload at the smoke size,
+# about 90 s.  It fails on a paper-gate FAIL or a simulated-time or
 # counter-digest divergence from the committed bench/baselines
 # (docs/PERFORMANCE.md), never on wall-clock numbers.  It then runs
 # perfbench's --self-check: smoke workloads untraced and traced, whose
@@ -221,12 +223,12 @@ fi
 # separate bench-smoke job.  It gates on sim time and digest only (against
 # bench/baselines); wall-clock numbers are recorded, never compared.
 if [[ "$MODE" == "--bench-smoke" ]]; then
-  echo "=== bench-smoke: Release build, sppsim-bench --smoke ==="
+  echo "=== bench-smoke: Release build, every sppsim-bench entry ==="
   cmake -B build-bench -S . -DCMAKE_BUILD_TYPE=Release
   cmake --build build-bench -j "$JOBS" --target sppsim-bench
   mkdir -p build-bench/bench-out
-  build-bench/tools/sppsim-bench --smoke --out build-bench/bench-out
-  build-bench/tools/sppsim-bench --smoke --check bench/baselines
+  build-bench/bench/sppsim-bench --out build-bench/bench-out \
+    --check bench/baselines
   echo "=== bench-smoke: perfbench self-check ==="
   python3 perfbench/run.py --self-check
 fi
