@@ -3,10 +3,11 @@
 # plain, then under AddressSanitizer + UBSan, then under ThreadSanitizer
 # (SPP_SANITIZE, see the top-level CMakeLists.txt), and finally as a
 # -Werror strict-warnings build (SPP_WERROR).  Any leg failing fails the
-# gate.  The sanitized leg also runs the end-to-end survivable-run smoke
-# (sppsim-explore survive + chaos, docs/RECOVERY.md): all four apps must
-# recover from a mid-run CPU fail-stop to the fault-free answer, under
-# asan, with the spp::check oracles attached.
+# gate.  Every leg's ctest includes explore_survive (sppsim-explore
+# survive, docs/RECOVERY.md): all six apps must survive a mid-run CPU
+# fail-stop by migration alone, with no checkpoint, the spp::check oracles
+# clean and the fault-free answer.  The sanitized leg also runs it as the
+# survivable-run smoke, with chaos, under asan.
 #
 # The sanitized ctest and its smokes run with UBSAN_OPTIONS=halt_on_error=1,
 # so any UBSan report fails the leg (UBSan recovers and carries on by

@@ -258,12 +258,11 @@ FemResult FemGas::run(const ckpt::DurableSpec& spec) {
   const sim::Time t0 = rt_.now();
 
   // The point state u_ is the only step-to-step state (dt_ and the residual
-  // scratch are recomputed every step), so an epoch of it is enough both to
-  // replay from after a fail-stop and to resume from disk, bit-exactly.
+  // scratch are recomputed every step), so an epoch of it is enough to
+  // resume from disk, bit-exactly.
   ckpt::Store store(rt_);
   store.registrar().add("fem.u", *u_);
-  ckpt::run_steps(rt_, nthreads_, placement_, *barrier_, store,
-                  cfg_.ckpt_interval, spec, cfg_.steps,
+  ckpt::run_steps(rt_, nthreads_, placement_, store, spec, cfg_.steps,
                   [&](unsigned tid, unsigned n, std::uint64_t) {
                     step(tid, n);
                   });

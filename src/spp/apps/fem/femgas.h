@@ -50,11 +50,6 @@ struct FemConfig {
   unsigned steps = 10;
   Coding coding = Coding::kStoreResiduals;
   bool morton = true;
-  /// Checkpoint the point state every K steps (0 = off); with faults
-  /// injected the run rolls back to the last epoch after a CPU fail-stop
-  /// and replays, ending bit-exact with the fault-free run
-  /// (docs/RECOVERY.md).
-  unsigned ckpt_interval = 0;
 };
 
 struct FemDiagnostics {
@@ -93,13 +88,12 @@ class FemGas {
   void init_blast(double p_peak, double radius);
 
   /// Runs cfg.steps time steps (docs/RECOVERY.md).  Without `spec` the
-  /// steps run in one parallel region, with migrate-and-restore recovery
-  /// when cfg.ckpt_interval is set.  An enabled `spec` makes the run durable:
-  /// epoch-sized chunks with a capture, disk commit and machine power-cycle
-  /// at every boundary; with spec.resume it continues from the newest valid
-  /// disk epoch to the uninterrupted run's digest.  The durable path ignores
-  /// cfg.ckpt_interval and never rolls back: after a CPU fail-stop, thread
-  /// migration alone keeps the answer.
+  /// steps run in one parallel region.  An enabled `spec` makes the run
+  /// durable: epoch-sized chunks with a capture, disk commit and machine
+  /// power-cycle at every boundary; with spec.resume it continues from the
+  /// newest valid disk epoch to the uninterrupted run's digest.  Either way
+  /// a thread whose CPU fail-stops migrates and finishes the run, which
+  /// ends at the fault-free answer.
   FemResult run(const ckpt::DurableSpec& spec = {});
 
   FemDiagnostics diagnostics() const;

@@ -392,10 +392,9 @@ NbodyResult NbodyShared::run(const ckpt::DurableSpec& spec) {
   const sim::Time t0 = rt_.now();
 
   // Positions and velocities carry all step-to-step state (the tree and
-  // forces are rebuilt every step), so an epoch of them is enough both to
-  // replay from after a fail-stop and to resume from disk, bit-exactly.  A
-  // resumed run must also report the same totals, so the durable epochs
-  // carry the tally too.
+  // forces are rebuilt every step), so an epoch of them is enough to resume
+  // from disk, bit-exactly.  A resumed run must also report the same
+  // totals, so the durable epochs carry the tally too.
   ckpt::Store store(rt_);
   store.registrar().add("nbody.px", *px_);
   store.registrar().add("nbody.py", *py_);
@@ -404,8 +403,7 @@ NbodyResult NbodyShared::run(const ckpt::DurableSpec& spec) {
   store.registrar().add("nbody.vy", *vy_);
   store.registrar().add("nbody.vz", *vz_);
   if (spec.enabled()) store.registrar().add_pod("nbody.tally", tally_);
-  ckpt::run_steps(rt_, nthreads_, placement_, *barrier_, store,
-                  cfg_.ckpt_interval, spec, cfg_.steps,
+  ckpt::run_steps(rt_, nthreads_, placement_, store, spec, cfg_.steps,
                   [&](unsigned tid, unsigned n, std::uint64_t) {
                     step(tid, n);
                   });

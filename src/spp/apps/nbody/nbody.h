@@ -36,12 +36,6 @@ struct NbodyConfig {
   unsigned steps = 2;
   unsigned leaf_capacity = 8;  ///< particles per leaf before splitting.
   std::uint64_t seed = 777;
-  /// Checkpoint positions/velocities every K steps (0 = off, see
-  /// docs/RECOVERY.md).  NbodyShared recovers from a CPU fail-stop by
-  /// migrate-and-restore (bit-exact with the fault-free run); NbodyPvm by
-  /// ULFM-style shrink + rollback (small tolerance: the final diagnostics
-  /// reduction order changes with the group).
-  unsigned ckpt_interval = 0;
 };
 
 /// Oct-tree node, stored in globally shared memory.
@@ -85,13 +79,12 @@ class NbodyShared {
   void load_collision(double separation, double approach_speed);
 
   /// Runs cfg.steps time steps (docs/RECOVERY.md).  Without `spec` the
-  /// steps run in one parallel region, with migrate-and-restore recovery
-  /// when cfg.ckpt_interval is set.  An enabled `spec` makes the run durable:
-  /// epoch-sized chunks with a capture, disk commit and machine power-cycle
-  /// at every boundary; with spec.resume it continues from the newest valid
-  /// disk epoch to the uninterrupted run's digest.  The durable path ignores
-  /// cfg.ckpt_interval and never rolls back: after a CPU fail-stop, thread
-  /// migration alone keeps the answer.
+  /// steps run in one parallel region.  An enabled `spec` makes the run
+  /// durable: epoch-sized chunks with a capture, disk commit and machine
+  /// power-cycle at every boundary; with spec.resume it continues from the
+  /// newest valid disk epoch to the uninterrupted run's digest.  Either way
+  /// a thread whose CPU fail-stops migrates and finishes the run, which
+  /// ends at the fault-free answer.
   NbodyResult run(const ckpt::DurableSpec& spec = {});
 
   /// Direct O(N^2) force on particle `i` (verification; uncharged).
@@ -129,7 +122,6 @@ class NbodyShared {
   std::int32_t node_count_ = 0;
   std::unique_ptr<rt::Barrier> barrier_;
   /// Host-side running totals of a run; a durable run checkpoints them.
-  /// Replays after a rollback keep counting: they report work performed.
   struct Tally {
     std::uint64_t interactions = 0;  ///< force terms evaluated.
     sim::Time force_time = 0;        ///< simulated time of the force phases.

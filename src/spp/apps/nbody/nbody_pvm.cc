@@ -16,16 +16,10 @@ namespace spp::nbody {
 
 namespace {
 
-// Application tags, spaced 100 apart: under recovery every tag is offset by
-// the group generation (initial ntasks - live tasks) so stale in-flight
-// messages from an abandoned step can never match a post-rollback receive
-// (docs/RECOVERY.md).  Generations are < ntasks << 100.
 constexpr int kTagGather = 100;
 constexpr int kTagTree = 200;
 constexpr int kTagDiag = 300;
-constexpr int kTagCkpt = 400;    ///< slice -> rank 0 at a checkpoint step.
-constexpr int kTagResume = 500;  ///< rank 0 -> survivor: epoch + new slice.
-constexpr int kTagDone = 600;    ///< rank 0 -> all: final combine landed.
+constexpr int kTagCkpt = 400;  ///< slice -> rank 0 at a chunk end.
 
 constexpr double kInteractFlops = 22;
 constexpr double kNodeVisitFlops = 8;
@@ -137,12 +131,11 @@ struct HostTree {
   }
 };
 
-/// The full particle state, host-side.  It starts as the initial load.
-/// Under recovery and in durable runs it is also the checkpoint mirror: the
-/// state as of the last epoch, which survives any task's death, is what
-/// every capture snapshots, and is where a post-shrink rank 0 redistributes
-/// from.  Masses are constant (1/n), so slices re-derive them from `m`
-/// instead of checkpointing them.
+/// The full particle state, host-side.  It starts as the initial load.  In
+/// durable runs it is also the checkpoint mirror: the state as of the last
+/// chunk boundary, which every capture snapshots and every chunk's tasks
+/// load their slices from.  Masses are constant (1/n), so slices re-derive
+/// them from `m` instead of checkpointing them.
 struct Mirror {
   std::vector<double> x, y, z, vx, vy, vz, m;
 };
@@ -201,39 +194,28 @@ std::unique_ptr<rt::GlobalArray<double>> make_tree_window(rt::Runtime& rt,
       rt, (2 * n + 64) * 6, arch::MemClass::kNearShared, "nbpvm.tree", node);
 }
 
-/// One task of the replicated-tree code: its rank in the live group, its
-/// particle slice, and the replicated coordinates and tree it computes
-/// forces against.  Under recovery every tag is offset by the group
-/// generation `gen` (initial ntasks - live tasks), so stale in-flight
-/// messages from an abandoned step can never match a post-rollback receive.
+/// One task of the replicated-tree code: its particle slice, and the
+/// replicated coordinates and tree it computes forces against.
 struct Task {
   pvm::Pvm& vm;
-  pvm::Group& g;
   const NbodyConfig& cfg;
   Mirror& mirror;
   Tally& tally;
   rt::GlobalArray<double>& tree_window;
   const int me, ntasks;
-  int rank, live, gen = 0;
-  std::size_t pb = 0, pe = 0, mine = 0;
+  std::size_t pb = 0, mine = 0;
   std::vector<double> x, y, z, vx, vy, vz, mass;  ///< task-private slice.
   std::vector<double> ax, ay, az, am;             ///< replicated coordinates.
   HostTree tree;
 
-  Task(pvm::Pvm& v, pvm::Group& grp, const NbodyConfig& c, Mirror& mir,
-       Tally& tal, rt::GlobalArray<double>& window, int id, int count)
-      : vm(v), g(grp), cfg(c), mirror(mir), tally(tal), tree_window(window),
-        me(id), ntasks(count), rank(id), live(count),
-        ax(c.n), ay(c.n), az(c.n), am(c.n) {
-    const auto [b, e] = split(cfg.n, static_cast<unsigned>(live),
-                              static_cast<unsigned>(rank));
-    load_slice(b, e);
-  }
-
-  /// Resets this task's slice to the mirror's state for [b, e).
-  void load_slice(std::size_t b, std::size_t e) {
+  /// Loads task `id`'s slice of the mirror.
+  Task(pvm::Pvm& v, const NbodyConfig& c, Mirror& mir, Tally& tal,
+       rt::GlobalArray<double>& window, int id, int count)
+      : vm(v), cfg(c), mirror(mir), tally(tal), tree_window(window), me(id),
+        ntasks(count), ax(c.n), ay(c.n), az(c.n), am(c.n) {
+    const auto [b, e] = split(cfg.n, static_cast<unsigned>(ntasks),
+                              static_cast<unsigned>(me));
     pb = b;
-    pe = e;
     mine = e - b;
     x.assign(mirror.x.begin() + b, mirror.x.begin() + e);
     y.assign(mirror.y.begin() + b, mirror.y.begin() + e);
@@ -249,15 +231,15 @@ struct Task {
   void step() {
     rt::Runtime& rt = vm.runtime();
     const std::size_t n = cfg.n;
-    if (rank == 0) {
+    if (me == 0) {
       std::copy(x.begin(), x.end(), ax.begin() + pb);
       std::copy(y.begin(), y.end(), ay.begin() + pb);
       std::copy(z.begin(), z.end(), az.begin() + pb);
       std::copy(mass.begin(), mass.end(), am.begin() + pb);
-      for (int t = 1; t < live; ++t) {
-        pvm::Message m = vm.recv(-1, kTagGather + gen);
-        const auto rr = static_cast<unsigned>(g.rank_of(m.sender));
-        const auto [tb, te] = split(n, static_cast<unsigned>(live), rr);
+      for (int t = 1; t < ntasks; ++t) {
+        pvm::Message m = vm.recv(-1, kTagGather);
+        const auto [tb, te] = split(n, static_cast<unsigned>(ntasks),
+                                    static_cast<unsigned>(m.sender));
         m.unpack(&ax[tb], te - tb);
         m.unpack(&ay[tb], te - tb);
         m.unpack(&az[tb], te - tb);
@@ -270,7 +252,7 @@ struct Task {
       tree_window.touch_range(0, tree.nodes.size() * 6, true);
 
       // Broadcast tree + coordinates.
-      for (int t = 1; t < live; ++t) {
+      for (int t = 1; t < ntasks; ++t) {
         pvm::Message m;
         const auto nn = static_cast<std::int64_t>(tree.nodes.size());
         m.pack(&nn, 1);
@@ -281,7 +263,7 @@ struct Task {
         m.pack(ay.data(), n);
         m.pack(az.data(), n);
         m.pack(am.data(), n);
-        vm.send(g.tid_of(t), kTagTree + gen, std::move(m));
+        vm.send(t, kTagTree, std::move(m));
       }
     } else {
       pvm::Message m;
@@ -289,9 +271,9 @@ struct Task {
       m.pack(y.data(), mine);
       m.pack(z.data(), mine);
       m.pack(mass.data(), mine);
-      vm.send(g.tid_of(0), kTagGather + gen, std::move(m));
+      vm.send(0, kTagGather, std::move(m));
 
-      pvm::Message t = vm.recv(g.tid_of(0), kTagTree + gen);
+      pvm::Message t = vm.recv(0, kTagTree);
       std::int64_t nn = 0;
       t.unpack(&nn, 1);
       tree.nodes.resize(static_cast<std::size_t>(nn));
@@ -305,9 +287,7 @@ struct Task {
       t.unpack(am.data(), n);
     }
 
-    // Force + push on the private slice.  Replayed steps keep counting
-    // interactions: redone work is genuine simulated effort and belongs in
-    // the recovery-overhead story.
+    // Force + push on the private slice.
     const double eps2 = cfg.eps * cfg.eps;
     const double th2 = cfg.theta * cfg.theta;
     for (std::size_t q = 0; q < mine; ++q) {
@@ -367,17 +347,17 @@ struct Task {
   /// Every slice to rank 0, which assembles them in the mirror (charged
   /// messages): the state a capture then snapshots.
   void gather_to_mirror() {
-    if (rank == 0) {
+    if (me == 0) {
       std::copy(x.begin(), x.end(), mirror.x.begin() + pb);
       std::copy(y.begin(), y.end(), mirror.y.begin() + pb);
       std::copy(z.begin(), z.end(), mirror.z.begin() + pb);
       std::copy(vx.begin(), vx.end(), mirror.vx.begin() + pb);
       std::copy(vy.begin(), vy.end(), mirror.vy.begin() + pb);
       std::copy(vz.begin(), vz.end(), mirror.vz.begin() + pb);
-      for (int r = 1; r < live; ++r) {
-        pvm::Message m = vm.recv(-1, kTagCkpt + gen);
-        const auto rr = static_cast<unsigned>(g.rank_of(m.sender));
-        const auto [sb, se] = split(cfg.n, static_cast<unsigned>(live), rr);
+      for (int r = 1; r < ntasks; ++r) {
+        pvm::Message m = vm.recv(-1, kTagCkpt);
+        const auto [sb, se] = split(cfg.n, static_cast<unsigned>(ntasks),
+                                    static_cast<unsigned>(m.sender));
         m.unpack(mirror.x.data() + sb, se - sb);
         m.unpack(mirror.y.data() + sb, se - sb);
         m.unpack(mirror.z.data() + sb, se - sb);
@@ -393,7 +373,7 @@ struct Task {
       m.pack(vx.data(), mine);
       m.pack(vy.data(), mine);
       m.pack(vz.data(), mine);
-      vm.send(g.tid_of(0), kTagCkpt + gen, std::move(m));
+      vm.send(0, kTagCkpt, std::move(m));
     }
   }
 
@@ -407,13 +387,13 @@ struct Task {
       local[2] += mass[q] * vy[q];
       local[3] += mass[q] * vz[q];
     }
-    if (rank == 0) {
+    if (me == 0) {
       tally.fin_kin = local[0];
       tally.fin_px = local[1];
       tally.fin_py = local[2];
       tally.fin_pz = local[3];
-      for (int t = 1; t < live; ++t) {
-        pvm::Message m = vm.recv(-1, kTagDiag + gen);
+      for (int t = 1; t < ntasks; ++t) {
+        pvm::Message m = vm.recv(-1, kTagDiag);
         double other[4];
         m.unpack(other, 4);
         tally.fin_kin += other[0];
@@ -424,72 +404,8 @@ struct Task {
     } else {
       pvm::Message m;
       m.pack(local, 4);
-      vm.send(g.tid_of(0), kTagDiag + gen, std::move(m));
+      vm.send(0, kTagDiag, std::move(m));
     }
-  }
-
-  /// Completion handshake (recovery only): nobody exits until rank 0's
-  /// diagnostics combine has landed, so a failure in the final step or the
-  /// combine itself still finds every survivor alive to rejoin the replay.
-  void await_completion() {
-    if (rank == 0) {
-      for (int r = 1; r < live; ++r) {
-        pvm::Message m;
-        const std::uint32_t ok = 1;
-        m.pack(&ok, 1);
-        vm.send(g.tid_of(r), kTagDone + gen, std::move(m));
-      }
-    } else {
-      (void)vm.recv(g.tid_of(0), kTagDone + gen);
-    }
-  }
-
-  /// ULFM-style recovery after a task failure: acknowledge, shrink the
-  /// group, roll back to the latest epoch and redistribute the slices.
-  /// Returns the step to replay from.
-  std::uint64_t rejoin(ckpt::Store& store) {
-    vm.ack_failures();
-    g.shrink();
-    gen = ntasks - g.size();
-    live = g.size();
-    rank = g.rank_of(me);
-    const std::size_t n = cfg.n;
-    if (rank == 0) {
-      const std::int64_t epoch = store.latest();
-      // No snapshot yet: the mirror still holds the initial load and the
-      // run restarts from step 0.
-      if (epoch >= 0) store.restore(static_cast<std::uint64_t>(epoch));
-      const auto rs = static_cast<std::uint32_t>(epoch < 0 ? 0 : epoch);
-      for (int r = 1; r < live; ++r) {
-        const auto [sb, se] =
-            split(n, static_cast<unsigned>(live), static_cast<unsigned>(r));
-        pvm::Message m;
-        m.pack(&rs, 1);
-        m.pack(mirror.x.data() + sb, se - sb);
-        m.pack(mirror.y.data() + sb, se - sb);
-        m.pack(mirror.z.data() + sb, se - sb);
-        m.pack(mirror.vx.data() + sb, se - sb);
-        m.pack(mirror.vy.data() + sb, se - sb);
-        m.pack(mirror.vz.data() + sb, se - sb);
-        vm.send(g.tid_of(r), kTagResume + gen, std::move(m));
-      }
-      const auto [sb, se] = split(n, static_cast<unsigned>(live), 0u);
-      load_slice(sb, se);
-      return rs;
-    }
-    pvm::Message m = vm.recv(g.tid_of(0), kTagResume + gen);
-    std::uint32_t rs = 0;
-    m.unpack(&rs, 1);
-    const auto [sb, se] =
-        split(n, static_cast<unsigned>(live), static_cast<unsigned>(rank));
-    load_slice(sb, se);
-    m.unpack(x.data(), mine);
-    m.unpack(y.data(), mine);
-    m.unpack(z.data(), mine);
-    m.unpack(vx.data(), mine);
-    m.unpack(vy.data(), mine);
-    m.unpack(vz.data(), mine);
-    return rs;
   }
 };
 
@@ -508,13 +424,6 @@ NbodyResult NbodyPvm::run(const ckpt::DurableSpec& spec) {
   Mirror mirror = load_plummer_host(cfg_);
   pvm::Pvm root(rt_);
   Tally tally;
-  ckpt::Store store(rt_);
-  store.registrar().add_host("nbpvm.px", mirror.x);
-  store.registrar().add_host("nbpvm.py", mirror.y);
-  store.registrar().add_host("nbpvm.pz", mirror.z);
-  store.registrar().add_host("nbpvm.vx", mirror.vx);
-  store.registrar().add_host("nbpvm.vy", mirror.vy);
-  store.registrar().add_host("nbpvm.vz", mirror.vz);
 
   if (spec.enabled()) {
     // One spawn per chunk, every chunk ending with the slices gathered back
@@ -523,6 +432,13 @@ NbodyResult NbodyPvm::run(const ckpt::DurableSpec& spec) {
     // windows are hoisted out of the tasks and homed where the in-task
     // allocation would land them: the simulated address layout is then
     // independent of how many chunks (or resumes) the run is divided into.
+    ckpt::Store store(rt_);
+    store.registrar().add_host("nbpvm.px", mirror.x);
+    store.registrar().add_host("nbpvm.py", mirror.y);
+    store.registrar().add_host("nbpvm.pz", mirror.z);
+    store.registrar().add_host("nbpvm.vx", mirror.vx);
+    store.registrar().add_host("nbpvm.vy", mirror.vy);
+    store.registrar().add_host("nbpvm.vz", mirror.vz);
     store.registrar().add_pod("nbpvm.tally", tally);
     std::vector<std::unique_ptr<rt::GlobalArray<double>>> windows;
     windows.reserve(ntasks_);
@@ -536,8 +452,7 @@ NbodyResult NbodyPvm::run(const ckpt::DurableSpec& spec) {
         [&](std::uint64_t begin, std::uint64_t end) {
           root.spawn(ntasks_, placement_,
                      [&](pvm::Pvm& vm, int me, int ntasks) {
-                       pvm::Group g(vm);
-                       Task task(vm, g, cfg_, mirror, tally, *windows[me], me,
+                       Task task(vm, cfg_, mirror, tally, *windows[me], me,
                                  ntasks);
                        for (std::uint64_t s = begin; s < end; ++s) task.step();
                        task.gather_to_mirror();
@@ -545,40 +460,13 @@ NbodyResult NbodyPvm::run(const ckpt::DurableSpec& spec) {
                      });
         });
   } else {
-    // With ckpt_interval set the run is survivable: tasks subscribe to
-    // failure notification, ship their slices to rank 0 for a coordinated
-    // capture every K steps, and recover from a CPU fail-stop by shrinking
-    // the group, rolling back to the last epoch and redistributing the work.
-    const unsigned kk = cfg_.ckpt_interval;
-    const bool recover = kk > 0;
-    if (recover) root.set_fail_stop_kill(true);
     root.spawn(ntasks_, placement_, [&](pvm::Pvm& vm, int me, int ntasks) {
       rt::Runtime& rt = vm.runtime();
-      if (recover) vm.notify(-1);
-      pvm::Group g(vm);
       const auto window =
           make_tree_window(rt, n, rt.topo().node_of_cpu(rt.cpu()));
-      Task task(vm, g, cfg_, mirror, tally, *window, me, ntasks);
-      std::uint64_t step = 0;
-      for (bool finished = false; !finished;) {
-        try {
-          for (; step < cfg_.steps; ++step) {
-            // Replays re-capture the epochs they pass through, keeping the
-            // replay's traffic pattern the same as the original run's.
-            if (recover && step % kk == 0) {
-              task.gather_to_mirror();
-              if (task.rank == 0) store.capture(step);
-            }
-            task.step();
-          }
-          task.combine_diagnostics();
-          if (recover) task.await_completion();
-          finished = true;
-        } catch (const pvm::TaskFailedError&) {
-          if (!recover) throw;
-          step = task.rejoin(store);
-        }
-      }
+      Task task(vm, cfg_, mirror, tally, *window, me, ntasks);
+      for (std::uint64_t s = 0; s < cfg_.steps; ++s) task.step();
+      task.combine_diagnostics();
     });
   }
 

@@ -431,10 +431,9 @@ PicResult PicShared::run(const ckpt::DurableSpec& spec) {
   history_.assign(cfg_.steps, 0.0);
 
   // The particle arrays carry all step-to-step state (rho and the fields
-  // are rebuilt every step), so an epoch of them is enough both to replay
-  // from after a fail-stop and to resume from disk, bit-exactly.  A resumed
-  // run must also report the same result, so the durable epochs carry the
-  // tally and history too.
+  // are rebuilt every step), so an epoch of them is enough to resume from
+  // disk, bit-exactly.  A resumed run must also report the same result, so
+  // the durable epochs carry the tally and history too.
   ckpt::Store store(rt_);
   store.registrar().add("pic.px", *px_);
   store.registrar().add("pic.py", *py_);
@@ -446,8 +445,7 @@ PicResult PicShared::run(const ckpt::DurableSpec& spec) {
     store.registrar().add_pod("pic.tally", tally_);
     store.registrar().add_host("pic.history", history_);
   }
-  ckpt::run_steps(rt_, nthreads_, placement_, *barrier_, store,
-                  cfg_.ckpt_interval, spec, cfg_.steps,
+  ckpt::run_steps(rt_, nthreads_, placement_, store, spec, cfg_.steps,
                   [&](unsigned tid, unsigned n, std::uint64_t s) {
                     step(tid, n, s);
                   });

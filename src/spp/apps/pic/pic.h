@@ -40,12 +40,6 @@ struct PicConfig {
   double dt = 0.1;
   unsigned steps = 10;
   std::uint64_t seed = 12345;
-  /// Checkpoint the particle state every K steps (0 = off, see
-  /// docs/RECOVERY.md).  PicShared recovers from a CPU fail-stop by
-  /// migrate-and-restore (bit-exact with the fault-free run); PicPvm by
-  /// ULFM-style shrink + rollback (small tolerance: the charge combine
-  /// order changes with the group).
-  unsigned ckpt_interval = 0;
 
   std::size_t cells() const { return nx * ny * nz; }
   std::size_t particles() const {
@@ -86,14 +80,13 @@ class PicShared {
 
   /// Runs cfg.steps timesteps inside the current Runtime::run context
   /// (docs/RECOVERY.md).  Without `spec` the steps run in one parallel
-  /// region, with migrate-and-restore recovery when cfg.ckpt_interval is
-  /// set.  An enabled `spec` makes the run durable: epoch-sized chunks with a
-  /// capture, disk commit and machine power-cycle at every boundary, the
-  /// host-side running results checkpointed with the particles; with
+  /// region.  An enabled `spec` makes the run durable: epoch-sized chunks
+  /// with a capture, disk commit and machine power-cycle at every boundary,
+  /// the host-side running results checkpointed with the particles; with
   /// spec.resume it continues from the newest valid disk epoch to the
-  /// uninterrupted run's result and digest.  The durable path ignores
-  /// cfg.ckpt_interval and never rolls back: after a CPU fail-stop, thread
-  /// migration alone keeps the answer.
+  /// uninterrupted run's result and digest.  Either way a thread whose CPU
+  /// fail-stops migrates and finishes the run, which ends at the fault-free
+  /// answer.
   PicResult run(const ckpt::DurableSpec& spec = {});
 
   /// Diagnostics of the current particle/field state (uncharged).
@@ -133,8 +126,8 @@ class PicShared {
   std::unique_ptr<rt::Barrier> barrier_;
 
   /// Host-side running results of a run, recorded by thread 0; a durable
-  /// run checkpoints them with the fixed-size history.  history_[s] holds
-  /// step s's field energy, so a replay rewrites what it rolled back.
+  /// run checkpoints them with the fixed-size history (history_[s] holds
+  /// step s's field energy).
   struct Tally {
     sim::Time phase_time[4] = {0, 0, 0, 0};
     PicDiagnostics initial;

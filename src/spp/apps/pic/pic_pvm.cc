@@ -18,13 +18,7 @@ namespace {
 constexpr int kTagRho = 100;
 constexpr int kTagField = 200;
 constexpr int kTagDiag = 300;
-// Recovery-protocol tags (docs/RECOVERY.md).  Every application tag is
-// offset by the group generation (initial ntasks - live tasks) so stale
-// in-flight messages from an abandoned step can never match a post-rollback
-// receive.  Generations are < ntasks << 100, so the bases cannot collide.
-constexpr int kTagCkpt = 400;    ///< slice -> rank 0 at a checkpoint step.
-constexpr int kTagResume = 500;  ///< rank 0 -> survivor: epoch + new slice.
-constexpr int kTagDone = 600;    ///< rank 0 -> all: final combine landed.
+constexpr int kTagCkpt = 400;  ///< slice -> rank 0 at a chunk end.
 
 constexpr double kDepositFlops = 33;
 constexpr double kPushFlops = 70;
@@ -38,10 +32,9 @@ std::pair<std::size_t, std::size_t> split(std::size_t n, unsigned parts,
 }
 
 /// The full particle population, host-side.  It starts as the initial load.
-/// Under recovery and in durable runs it is also the checkpoint mirror: the
-/// state as of the last epoch, which survives any task's death, is what
-/// every capture snapshots, and is where a post-shrink rank 0 redistributes
-/// from.
+/// In durable runs it is also the checkpoint mirror: the state as of the
+/// last chunk boundary, which every capture snapshots and every chunk's
+/// tasks load their slices from.
 struct Mirror {
   std::vector<double> x, y, z, vx, vy, vz;
 };
@@ -80,7 +73,7 @@ Mirror generate_particles(const PicConfig& cfg) {
 
 /// Host-side running results rank 0 records; a durable run checkpoints them
 /// with the mirror and the fixed-size history (history[s] holds step s's
-/// field energy, so a replay rewrites what it rolled back).
+/// field energy).
 struct Tally {
   double final_kinetic = 0, final_momentum = 0, final_field = 0,
          final_charge = 0;
@@ -88,13 +81,11 @@ struct Tally {
   std::uint64_t history_count = 0;
 };
 
-/// One task: its rank in the live group, its particle slice, its full
-/// private copy of the mesh, and the charged NearShared windows over both
-/// (particles dominate traffic; both are charged).  Under recovery every tag
-/// is offset by the group generation `gen` (initial ntasks - live tasks).
+/// One task: its particle slice, its full private copy of the mesh, and the
+/// charged NearShared windows over both (particles dominate traffic; both
+/// are charged).
 struct Task {
   pvm::Pvm& vm;
-  pvm::Group& g;
   const PicConfig& cfg;
   Mirror& mirror;
   Tally& tally;
@@ -102,27 +93,21 @@ struct Task {
   rt::GlobalArray<double>& mesh_window;  ///< rho, ex, ey, ez.
   rt::GlobalArray<double>& part_window;  ///< the 6 particle arrays.
   const int me, ntasks;
-  int rank, live, gen = 0;
-  std::size_t pb = 0, pe = 0, my_np = 0;
+  std::size_t pb = 0, my_np = 0;
   std::vector<double> px, py, pz, vx, vy, vz;
   std::vector<double> rho, ex, ey, ez;
 
-  Task(pvm::Pvm& v, pvm::Group& grp, const PicConfig& c, Mirror& mir,
-       Tally& tal, std::vector<double>& hist, rt::GlobalArray<double>& mesh,
+  /// Loads task `id`'s slice of the mirror.
+  Task(pvm::Pvm& v, const PicConfig& c, Mirror& mir, Tally& tal,
+       std::vector<double>& hist, rt::GlobalArray<double>& mesh,
        rt::GlobalArray<double>& part, int id, int count)
-      : vm(v), g(grp), cfg(c), mirror(mir), tally(tal), history(hist),
+      : vm(v), cfg(c), mirror(mir), tally(tal), history(hist),
         mesh_window(mesh), part_window(part), me(id), ntasks(count),
-        rank(id), live(count), rho(c.cells(), 0.0), ex(c.cells(), 0.0),
-        ey(c.cells(), 0.0), ez(c.cells(), 0.0) {
-    const auto [b, e] = split(cfg.particles(), static_cast<unsigned>(live),
-                              static_cast<unsigned>(rank));
-    load_slice(b, e);
-  }
-
-  /// Resets this task's slice to the mirror's state for [b, e).
-  void load_slice(std::size_t b, std::size_t e) {
+        rho(c.cells(), 0.0), ex(c.cells(), 0.0), ey(c.cells(), 0.0),
+        ez(c.cells(), 0.0) {
+    const auto [b, e] = split(cfg.particles(), static_cast<unsigned>(ntasks),
+                              static_cast<unsigned>(me));
     pb = b;
-    pe = e;
     my_np = e - b;
     px.assign(mirror.x.begin() + b, mirror.x.begin() + e);
     py.assign(mirror.y.begin() + b, mirror.y.begin() + e);
@@ -176,9 +161,9 @@ struct Task {
     }
 
     // ----- combine on task 0, solve, broadcast E ---------------------------
-    if (rank == 0) {
-      for (int t = 1; t < live; ++t) {
-        pvm::Message m = vm.recv(-1, kTagRho + gen);
+    if (me == 0) {
+      for (int t = 1; t < ntasks; ++t) {
+        pvm::Message m = vm.recv(-1, kTagRho);
         std::vector<double> other(nc);
         m.unpack(other.data(), nc);
         for (std::size_t c = 0; c < nc; ++c) rho[c] += other[c];
@@ -223,18 +208,18 @@ struct Task {
       rt.work_flops(kFieldFlopsPerCell * 0.5 * static_cast<double>(nc));
       mesh_window.touch_range(nc, 3 * nc, true);
 
-      for (int t = 1; t < live; ++t) {
+      for (int t = 1; t < ntasks; ++t) {
         pvm::Message m;
         m.pack(ex.data(), nc);
         m.pack(ey.data(), nc);
         m.pack(ez.data(), nc);
-        vm.send(g.tid_of(t), kTagField + gen, std::move(m));
+        vm.send(t, kTagField, std::move(m));
       }
     } else {
       pvm::Message m;
       m.pack(rho.data(), nc);
-      vm.send(g.tid_of(0), kTagRho + gen, std::move(m));
-      pvm::Message f = vm.recv(g.tid_of(0), kTagField + gen);
+      vm.send(0, kTagRho, std::move(m));
+      pvm::Message f = vm.recv(0, kTagField);
       f.unpack(ex.data(), nc);
       f.unpack(ey.data(), nc);
       f.unpack(ez.data(), nc);
@@ -298,10 +283,10 @@ struct Task {
       local[0] += 0.5 * (vx[q] * vx[q] + vy[q] * vy[q] + vz[q] * vz[q]);
       local[1] += vz[q];
     }
-    if (rank == 0) {
+    if (me == 0) {
       double kin = local[0], mom = local[1];
-      for (int t = 1; t < live; ++t) {
-        pvm::Message m = vm.recv(-1, kTagDiag + gen);
+      for (int t = 1; t < ntasks; ++t) {
+        pvm::Message m = vm.recv(-1, kTagDiag);
         double other[2];
         m.unpack(other, 2);
         kin += other[0];
@@ -324,14 +309,14 @@ struct Task {
     } else {
       pvm::Message m;
       m.pack(local, 2);
-      vm.send(g.tid_of(0), kTagDiag + gen, std::move(m));
+      vm.send(0, kTagDiag, std::move(m));
     }
   }
 
   /// Every slice to rank 0, which assembles them in the mirror (charged
   /// messages): the state a capture then snapshots.
   void gather_to_mirror() {
-    if (rank == 0) {
+    if (me == 0) {
       std::copy(px.begin(), px.end(), mirror.x.begin() + pb);
       std::copy(py.begin(), py.end(), mirror.y.begin() + pb);
       std::copy(pz.begin(), pz.end(), mirror.z.begin() + pb);
@@ -339,11 +324,11 @@ struct Task {
       std::copy(vy.begin(), vy.end(), mirror.vy.begin() + pb);
       std::copy(vz.begin(), vz.end(), mirror.vz.begin() + pb);
       part_window.touch_range(0, 6 * my_np, false);
-      for (int r = 1; r < live; ++r) {
-        pvm::Message m = vm.recv(-1, kTagCkpt + gen);
-        const auto rr = static_cast<unsigned>(g.rank_of(m.sender));
+      for (int r = 1; r < ntasks; ++r) {
+        pvm::Message m = vm.recv(-1, kTagCkpt);
         const auto [sb, se] =
-            split(cfg.particles(), static_cast<unsigned>(live), rr);
+            split(cfg.particles(), static_cast<unsigned>(ntasks),
+                  static_cast<unsigned>(m.sender));
         m.unpack(mirror.x.data() + sb, se - sb);
         m.unpack(mirror.y.data() + sb, se - sb);
         m.unpack(mirror.z.data() + sb, se - sb);
@@ -359,73 +344,8 @@ struct Task {
       m.pack(vx.data(), my_np);
       m.pack(vy.data(), my_np);
       m.pack(vz.data(), my_np);
-      vm.send(g.tid_of(0), kTagCkpt + gen, std::move(m));
+      vm.send(0, kTagCkpt, std::move(m));
     }
-  }
-
-  /// Completion handshake (recovery only): nobody exits until rank 0's
-  /// final combine has landed, so a failure in the last step still finds
-  /// every survivor alive to rejoin the replay.
-  void await_completion() {
-    if (rank == 0) {
-      for (int r = 1; r < live; ++r) {
-        pvm::Message m;
-        const std::uint32_t ok = 1;
-        m.pack(&ok, 1);
-        vm.send(g.tid_of(r), kTagDone + gen, std::move(m));
-      }
-    } else {
-      (void)vm.recv(g.tid_of(0), kTagDone + gen);
-    }
-  }
-
-  /// ULFM-style recovery after a task failure: acknowledge, shrink the
-  /// group, roll back to the latest epoch and redistribute the slices.
-  /// Returns the step to replay from.
-  std::uint64_t rejoin(ckpt::Store& store) {
-    vm.ack_failures();
-    g.shrink();
-    gen = ntasks - g.size();
-    live = g.size();
-    rank = g.rank_of(me);
-    const std::size_t np = cfg.particles();
-    std::uint32_t rs = 0;
-    if (rank == 0) {
-      const std::int64_t epoch = store.latest();
-      // No snapshot yet: the mirror still holds the initial load and the
-      // run restarts from step 0.
-      if (epoch >= 0) store.restore(static_cast<std::uint64_t>(epoch));
-      rs = static_cast<std::uint32_t>(epoch < 0 ? 0 : epoch);
-      for (int r = 1; r < live; ++r) {
-        const auto [sb, se] =
-            split(np, static_cast<unsigned>(live), static_cast<unsigned>(r));
-        pvm::Message m;
-        m.pack(&rs, 1);
-        m.pack(mirror.x.data() + sb, se - sb);
-        m.pack(mirror.y.data() + sb, se - sb);
-        m.pack(mirror.z.data() + sb, se - sb);
-        m.pack(mirror.vx.data() + sb, se - sb);
-        m.pack(mirror.vy.data() + sb, se - sb);
-        m.pack(mirror.vz.data() + sb, se - sb);
-        vm.send(g.tid_of(r), kTagResume + gen, std::move(m));
-      }
-      const auto [sb, se] = split(np, static_cast<unsigned>(live), 0u);
-      load_slice(sb, se);
-    } else {
-      pvm::Message m = vm.recv(g.tid_of(0), kTagResume + gen);
-      m.unpack(&rs, 1);
-      const auto [sb, se] =
-          split(np, static_cast<unsigned>(live), static_cast<unsigned>(rank));
-      load_slice(sb, se);
-      m.unpack(px.data(), my_np);
-      m.unpack(py.data(), my_np);
-      m.unpack(pz.data(), my_np);
-      m.unpack(vx.data(), my_np);
-      m.unpack(vy.data(), my_np);
-      m.unpack(vz.data(), my_np);
-    }
-    part_window.touch_range(0, 6 * my_np, true);
-    return rs;
   }
 };
 
@@ -446,13 +366,6 @@ PicResult PicPvm::run(const ckpt::DurableSpec& spec) {
   Mirror mirror = generate_particles(cfg_);
   Tally tally;
   std::vector<double> history(cfg_.steps, 0.0);
-  ckpt::Store store(rt_);
-  store.registrar().add_host("picpvm.px", mirror.x);
-  store.registrar().add_host("picpvm.py", mirror.y);
-  store.registrar().add_host("picpvm.pz", mirror.z);
-  store.registrar().add_host("picpvm.vx", mirror.vx);
-  store.registrar().add_host("picpvm.vy", mirror.vy);
-  store.registrar().add_host("picpvm.vz", mirror.vz);
 
   if (spec.enabled()) {
     // One spawn per chunk, every chunk ending with the slices gathered back
@@ -463,6 +376,13 @@ PicResult PicPvm::run(const ckpt::DurableSpec& spec) {
     // docs/RECOVERY.md).  The charged windows are hoisted out of the tasks
     // and homed where each task will run, so the simulated address layout
     // is identical in a fresh and a resumed process.
+    ckpt::Store store(rt_);
+    store.registrar().add_host("picpvm.px", mirror.x);
+    store.registrar().add_host("picpvm.py", mirror.y);
+    store.registrar().add_host("picpvm.pz", mirror.z);
+    store.registrar().add_host("picpvm.vx", mirror.vx);
+    store.registrar().add_host("picpvm.vy", mirror.vy);
+    store.registrar().add_host("picpvm.vz", mirror.vz);
     store.registrar().add_pod("picpvm.tally", tally);
     store.registrar().add_host("picpvm.history", history);
     std::vector<std::unique_ptr<rt::GlobalArray<double>>> mesh_windows;
@@ -482,8 +402,7 @@ PicResult PicPvm::run(const ckpt::DurableSpec& spec) {
         [&](std::uint64_t begin, std::uint64_t end) {
           root.spawn(ntasks_, placement_,
                      [&](pvm::Pvm& vm, int me, int ntasks) {
-                       pvm::Group g(vm);
-                       Task task(vm, g, cfg_, mirror, tally, history,
+                       Task task(vm, cfg_, mirror, tally, history,
                                  *mesh_windows[me], *part_windows[me], me,
                                  ntasks);
                        for (std::uint64_t s = begin; s < end; ++s) {
@@ -493,50 +412,19 @@ PicResult PicPvm::run(const ckpt::DurableSpec& spec) {
                      });
         });
   } else {
-    // With ckpt_interval set the run is survivable: tasks subscribe to
-    // failure notification, ship their slices to rank 0 for a coordinated
-    // capture every K steps, and recover from a CPU fail-stop by shrinking
-    // the group, rolling back to the last epoch and redistributing the work.
-    const unsigned kk = cfg_.ckpt_interval;
-    const bool recover = kk > 0;
-    if (recover) root.set_fail_stop_kill(true);
     root.spawn(ntasks_, placement_, [&](pvm::Pvm& vm, int me, int ntasks) {
       rt::Runtime& rt = vm.runtime();
       const unsigned my_node = rt.topo().node_of_cpu(rt.cpu());
-      if (recover) vm.notify(-1);
-      pvm::Group g(vm);
       const auto [pb, pe] = split(np, static_cast<unsigned>(ntasks),
                                   static_cast<unsigned>(me));
       rt::GlobalArray<double> mesh_window(
           rt, 4 * nc, arch::MemClass::kNearShared, "picpvm.mesh", my_node);
-      // Under recovery a survivor's slice grows after a shrink, so the
-      // charged particle window is sized for the whole population up front.
-      rt::GlobalArray<double> part_window(
-          rt, 6 * (recover ? np : pe - pb), arch::MemClass::kNearShared,
-          "picpvm.part", my_node);
-      Task task(vm, g, cfg_, mirror, tally, history, mesh_window, part_window,
+      rt::GlobalArray<double> part_window(rt, 6 * (pe - pb),
+                                          arch::MemClass::kNearShared,
+                                          "picpvm.part", my_node);
+      Task task(vm, cfg_, mirror, tally, history, mesh_window, part_window,
                 me, ntasks);
-      std::uint64_t step = 0;
-      for (bool finished = false; !finished;) {
-        try {
-          for (; step < cfg_.steps; ++step) {
-            // Replays re-capture the epochs they pass through; the snapshot
-            // is overwritten with identical (post-shrink: equivalent) state,
-            // which keeps the replay's traffic pattern the same as the
-            // original run's.
-            if (recover && step % kk == 0) {
-              task.gather_to_mirror();
-              if (task.rank == 0) store.capture(step);
-            }
-            task.step(step);
-          }
-          if (recover) task.await_completion();
-          finished = true;
-        } catch (const pvm::TaskFailedError&) {
-          if (!recover) throw;
-          step = task.rejoin(store);
-        }
-      }
+      for (std::uint64_t s = 0; s < cfg_.steps; ++s) task.step(s);
     });
   }
 

@@ -16,11 +16,9 @@
 // hypernode (a PVM process's pages are node-local); message costs go through
 // spp::pvm.
 //
-// With PicConfig::ckpt_interval > 0 the run is survivable: tasks subscribe to
-// failure notification, ship their particle slices to rank 0 for a
-// coordinated spp::ckpt snapshot every K steps, and recover from a CPU
-// fail-stop by shrinking the group, rolling back to the last epoch, and
-// redistributing the surviving work (docs/RECOVERY.md).
+// A CPU fail-stop needs no protocol here: the victim task's thread migrates
+// to a surviving CPU with its particles and private mesh intact, and the run
+// ends at the fault-free answer (docs/RECOVERY.md).
 #pragma once
 
 #include <memory>
@@ -39,14 +37,11 @@ class PicPvm {
          rt::Placement placement);
 
   /// Runs cfg.steps steps (docs/RECOVERY.md).  Without `spec` the tasks run
-  /// in one spawn, with shrink-and-rollback recovery when cfg.ckpt_interval
-  /// is set.  An enabled `spec` makes the run durable: one spawn per
+  /// in one spawn.  An enabled `spec` makes the run durable: one spawn per
   /// epoch-sized chunk, the slices gathered back to the host mirror at every
   /// chunk end so each boundary's capture and disk commit see the current
   /// state; with spec.resume it continues from the newest valid disk epoch
-  /// to the uninterrupted run's digest.  The durable path ignores
-  /// cfg.ckpt_interval and never rolls back: after a CPU fail-stop, thread
-  /// migration alone keeps the answer.
+  /// to the uninterrupted run's digest.
   PicResult run(const ckpt::DurableSpec& spec = {});
 
  private:

@@ -505,14 +505,13 @@ PpmResult PpmTiled::run(const ckpt::DurableSpec& spec) {
   const sim::Time t0 = rt_.now();
 
   // The tile arrays carry all step-to-step state (ghost frames are refilled
-  // and dt_ recomputed every step), so an epoch of them is enough both to
-  // replay from after a fail-stop and to resume from disk, bit-exactly.
+  // and dt_ recomputed every step), so an epoch of them is enough to resume
+  // from disk, bit-exactly.
   ckpt::Store store(rt_);
   for (std::size_t i = 0; i < tiles_.size(); ++i) {
     store.registrar().add("ppm.tile" + std::to_string(i), *tiles_[i].u);
   }
-  ckpt::run_steps(rt_, nprocs_, placement_, *barrier_, store,
-                  cfg_.ckpt_interval, spec, cfg_.steps,
+  ckpt::run_steps(rt_, nprocs_, placement_, store, spec, cfg_.steps,
                   [&](unsigned proc, unsigned n, std::uint64_t) {
                     step(proc, n);
                   });

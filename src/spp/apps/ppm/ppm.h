@@ -44,10 +44,6 @@ struct PpmConfig {
   /// arbitrary number of different fluids"); 0 disables multifluid.
   /// Species are stored as partial densities, advected with the contact.
   unsigned nspecies = 0;
-  /// Checkpoint every tile's state every K steps (0 = off); after a CPU
-  /// fail-stop the run rolls back to the last epoch and replays, ending
-  /// bit-exact with the fault-free run (docs/RECOVERY.md).
-  unsigned ckpt_interval = 0;
 
   std::size_t zones() const { return nx * ny; }
   unsigned tiles() const { return tiles_x * tiles_y; }
@@ -93,13 +89,12 @@ class PpmTiled {
   void tag_two_fluids();
 
   /// Runs cfg.steps time steps (docs/RECOVERY.md).  Without `spec` the
-  /// steps run in one parallel region, with migrate-and-restore recovery
-  /// when cfg.ckpt_interval is set.  An enabled `spec` makes the run durable:
-  /// epoch-sized chunks with a capture, disk commit and machine power-cycle
-  /// at every boundary; with spec.resume it continues from the newest valid
-  /// disk epoch to the uninterrupted run's digest.  The durable path ignores
-  /// cfg.ckpt_interval and never rolls back: after a CPU fail-stop, thread
-  /// migration alone keeps the answer.
+  /// steps run in one parallel region.  An enabled `spec` makes the run
+  /// durable: epoch-sized chunks with a capture, disk commit and machine
+  /// power-cycle at every boundary; with spec.resume it continues from the
+  /// newest valid disk epoch to the uninterrupted run's digest.  Either way
+  /// a thread whose CPU fail-stops migrates and finishes the run, which
+  /// ends at the fault-free answer.
   PpmResult run(const ckpt::DurableSpec& spec = {});
 
   PpmDiagnostics diagnostics() const;

@@ -75,16 +75,19 @@ namespace spp::arch {
   X(cpu_recoveries, "thread migrations off failed CPUs")                \
   X(recovery_ns, "simulated ns spent recovering")
 
-/// Checkpoint/restart and failure notification (spp::ckpt, pvm): all zero
-/// unless an application opts into recovery; see docs/RECOVERY.md.
+/// Checkpoints (spp::ckpt): all zero unless a Store captures; see
+/// docs/RECOVERY.md.  rollbacks, tasks_failed, task_notifications and
+/// rollback_ns count deleted mechanisms and always read 0; they stay
+/// because the digest and the epoch v2 layout are pinned.
 #define SPP_CKPT_COUNTERS(X)                                            \
   X(checkpoints_taken, "Store::capture calls")                          \
   X(ckpt_bytes, "total bytes snapshotted")                              \
-  X(rollbacks, "Store::restore calls")                                  \
-  X(tasks_failed, "PVM tasks killed by fail-stop")                      \
-  X(task_notifications, "TaskFailed messages delivered")                \
+  X(rollbacks, "kept for the pinned layout; no longer incremented")     \
+  X(tasks_failed, "kept for the pinned layout; no longer incremented")  \
+  X(task_notifications,                                                 \
+    "kept for the pinned layout; no longer incremented")                \
   X(ckpt_ns, "simulated ns spent capturing")                            \
-  X(rollback_ns, "simulated ns spent restoring")
+  X(rollback_ns, "kept for the pinned layout; no longer incremented")
 
 /// Simulation-time verification (spp::check): all zero unless a Checker
 /// is attached; see docs/CHECKER.md.

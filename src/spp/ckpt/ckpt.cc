@@ -36,25 +36,25 @@ void Store::capture(std::uint64_t epoch) {
   for (const Region& r : regions) total += r.locate().second;
   ensure_arena(total);
 
-  // Stage the snapshot fully before committing it, so a fail-stop that
-  // unwinds this thread mid-capture leaves the store at the previous epoch
-  // instead of holding a torn snapshot.
-  Snapshot snap;
-  snap.names.reserve(regions.size());
-  snap.blobs.reserve(regions.size());
+  // Fill the held snapshot in place; a durable run captures the same region
+  // set at every boundary, so each blob reuses its buffer.
+  epoch_.reset();
+  snap_.names.resize(regions.size());
+  snap_.blobs.resize(regions.size());
   std::uint64_t off = 0;
-  for (const Region& r : regions) {
+  for (std::size_t i = 0; i < regions.size(); ++i) {
+    const Region& r = regions[i];
     const auto [ptr, bytes] = r.locate();
     // Stream the region out of the application's simulated memory and into
     // the checkpoint arena; both halves are genuine charged traffic.
     if (r.va != 0 && bytes != 0) rt_->read(r.va, bytes);
     if (bytes != 0) rt_->write(arena_va_ + off, bytes);
     off += bytes;
-    snap.names.push_back(r.name);
+    snap_.names[i] = r.name;
     const auto* src = static_cast<const std::uint8_t*>(ptr);
-    snap.blobs.emplace_back(src, src + bytes);
+    snap_.blobs[i].assign(src, src + bytes);
   }
-  snaps_[epoch] = std::move(snap);
+  epoch_ = epoch;
 
   arch::PerfCounters& perf = rt_->machine().perf();
   ++perf.checkpoints_taken;
@@ -62,54 +62,11 @@ void Store::capture(std::uint64_t epoch) {
   perf.ckpt_ns += th.clock() - t0;
 }
 
-void Store::restore(std::uint64_t epoch) {
-  const auto it = snaps_.find(epoch);
-  if (it == snaps_.end()) {
-    throw Error("ckpt: no snapshot for epoch " + std::to_string(epoch));
-  }
-  const Snapshot& snap = it->second;
-  const std::vector<Region>& regions = reg_.regions();
-  if (regions.size() != snap.names.size()) {
-    throw Error("ckpt: region set changed since epoch " +
-                std::to_string(epoch) + " was captured");
-  }
-  rt::SThread& th = rt::Conductor::self();
-  const sim::Time t0 = th.clock();
-
-  std::uint64_t off = 0;
-  for (std::size_t i = 0; i < regions.size(); ++i) {
-    const Region& r = regions[i];
-    if (r.name != snap.names[i]) {
-      throw Error("ckpt: region '" + r.name + "' does not match '" +
-                  snap.names[i] + "' in epoch " + std::to_string(epoch));
-    }
-    const auto [ptr, bytes] = r.locate();
-    const std::vector<std::uint8_t>& blob = snap.blobs[i];
-    if (bytes != blob.size()) {
-      throw Error("ckpt: region '" + r.name + "' is " +
-                  std::to_string(bytes) + " bytes but epoch " +
-                  std::to_string(epoch) + " holds " +
-                  std::to_string(blob.size()));
-    }
-    if (bytes != 0) rt_->read(arena_va_ + off, bytes);
-    if (r.va != 0 && bytes != 0) rt_->write(r.va, bytes);
-    off += bytes;
-    std::memcpy(ptr, blob.data(), bytes);
-  }
-  // Later epochs describe the abandoned timeline; replay recreates them.
-  snaps_.erase(snaps_.upper_bound(epoch), snaps_.end());
-
-  arch::PerfCounters& perf = rt_->machine().perf();
-  ++perf.rollbacks;
-  perf.rollback_ns += th.clock() - t0;
-}
-
 const Store::Snapshot& Store::epoch_image(std::uint64_t epoch) const {
-  const auto it = snaps_.find(epoch);
-  if (it == snaps_.end()) {
+  if (epoch_ != epoch) {
     throw Error("ckpt: no snapshot for epoch " + std::to_string(epoch));
   }
-  return it->second;
+  return snap_;
 }
 
 void Store::seed_epoch(std::uint64_t epoch, Snapshot snap) {
@@ -144,8 +101,8 @@ void Store::seed_epoch(std::uint64_t epoch, Snapshot snap) {
     const auto [ptr, bytes] = regions[i].locate();
     if (bytes != 0) std::memcpy(ptr, snap.blobs[i].data(), bytes);
   }
-  snaps_.clear();
-  snaps_[epoch] = std::move(snap);
+  snap_ = std::move(snap);
+  epoch_ = epoch;
 }
 
 }  // namespace spp::ckpt

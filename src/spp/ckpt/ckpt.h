@@ -1,29 +1,29 @@
-// Coordinated checkpoint/restart for simulated applications (spp::ckpt).
+// Coordinated checkpoints for simulated applications (spp::ckpt).
 //
 // Applications register named state regions -- GlobalArray segments, POD
 // structs, host-side mirrors -- with a Registrar, then take quiesced
-// snapshots at barriers with Store::capture(epoch) and roll back with
-// Store::restore(epoch).  Snapshots are in-simulation objects: capture
-// charges a streaming read of each region's simulated address range plus a
-// streaming write into a lazily-allocated far-shared "ckpt.store" arena (and
-// restore the reverse), so checkpoint overhead is a measurable quantity in
-// the profiler (checkpoints_taken / ckpt_bytes / ckpt_ns / rollbacks /
-// rollback_ns counters, Profiler::recovery_report()).
+// snapshots between parallel regions with Store::capture(epoch).  A capture
+// is an in-simulation operation: it charges a streaming read of each
+// region's simulated address range plus a streaming write into a
+// lazily-allocated far-shared "ckpt.store" arena, so checkpoint overhead is
+// a measurable quantity in the profiler (checkpoints_taken / ckpt_bytes /
+// ckpt_ns counters, Profiler::recovery_report()).  The durable layer
+// (durable.h) persists each capture's host image to disk and seeds a fresh
+// process's Store from it on resume (docs/RECOVERY.md).
 //
 // Zero-cost-when-detached discipline: constructing a Store allocates and
 // charges nothing; an application that registers no regions and never calls
 // capture() is bit-exact with one that has no Store at all.
 //
-// Consistency contract: capture/restore are called by ONE thread while every
-// other participant is quiesced at a barrier (coordinated checkpointing).
-// The caller owns that protocol; loop.h holds the recovery loops built on
-// it (docs/RECOVERY.md).
+// Consistency contract: capture is called by ONE thread while every other
+// participant is quiesced (the durable chunk loop in loop.h captures on the
+// main thread with every worker joined).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <map>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -37,15 +37,15 @@
 
 namespace spp::ckpt {
 
-/// Checkpoint/restore protocol violation (unknown epoch, region mismatch,
-/// duplicate registration, resized host mirror, ...).
+/// Checkpoint protocol violation (unknown epoch, region mismatch, duplicate
+/// registration, resized host mirror, ...).
 class Error : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
 
 /// One named piece of application state covered by checkpoints.  `locate`
-/// is evaluated at capture/restore time so host mirrors that live in
+/// is evaluated at capture/seed time so host mirrors that live in
 /// resizable containers stay valid; `va` is the simulated address charged
 /// for the application-side half of the copy (0 = host-only mirror, charged
 /// by the application through explicit messages instead).
@@ -101,7 +101,7 @@ class Registrar {
 
   /// Registers a host-side mirror vector (no simulated address; the
   /// application charges its assembly through real messages).  The vector
-  /// must hold the same element count at restore as at capture.
+  /// must hold the same element count when an epoch is seeded as at capture.
   template <typename T>
   void add_host(const std::string& name, std::vector<T>& v) {
     static_assert(std::is_trivially_copyable_v<T>,
@@ -122,7 +122,7 @@ class Registrar {
   std::vector<Region> regions_;
 };
 
-/// Holds the snapshots.  Host blobs keep the data (they survive task death);
+/// Holds the newest snapshot.  Its host blobs keep the data Disk persists;
 /// the simulated "ckpt.store" arena carries the charged traffic.
 class Store {
  public:
@@ -137,38 +137,23 @@ class Store {
 
   Registrar& registrar() { return reg_; }
 
-  /// Takes a coordinated snapshot tagged `epoch`, overwriting any previous
-  /// snapshot with the same tag.  Must run in exactly one simulated thread
-  /// with all other participants quiesced.  Charges the full copy cost and
-  /// bumps checkpoints_taken / ckpt_bytes / ckpt_ns.
+  /// Takes a coordinated snapshot tagged `epoch`, replacing the one the
+  /// store held.  Must run in exactly one simulated thread with all other
+  /// participants quiesced.  Charges the full copy cost and bumps
+  /// checkpoints_taken / ckpt_bytes / ckpt_ns.
   void capture(std::uint64_t epoch);
 
-  /// Rolls every registered region back to snapshot `epoch` and discards
-  /// snapshots of later epochs (they describe an abandoned timeline).  Same
-  /// quiescence contract as capture.  Charges the copy-back cost and bumps
-  /// rollbacks / rollback_ns.
-  void restore(std::uint64_t epoch);
-
-  bool has_epoch(std::uint64_t epoch) const {
-    return snaps_.find(epoch) != snaps_.end();
-  }
-  /// Most recent epoch captured, or -1 when none exists.
-  std::int64_t latest() const {
-    return snaps_.empty() ? -1 : static_cast<std::int64_t>(
-                                     snaps_.rbegin()->first);
-  }
-  std::size_t snapshots() const { return snaps_.size(); }
-
-  /// Host image of snapshot `epoch`; throws Error when the epoch does not
-  /// exist.  Used by the durability layer to persist epochs to disk.
+  /// Host image of snapshot `epoch`; throws Error unless `epoch` is the
+  /// newest one captured or seeded.  Used by the durability layer to persist
+  /// epochs to disk.
   const Snapshot& epoch_image(std::uint64_t epoch) const;
 
   /// Seeds the store from a disk epoch in a fresh process: validates `snap`
   /// against the registered regions (same names, same sizes, registration
   /// order), copies each payload into its region host-side, allocates the
-  /// arena, and installs `snap` as the store's only snapshot.  Unlike
-  /// restore(), this charges nothing -- the traffic was charged by the
-  /// original run's capture and is already part of the resumed counters.
+  /// arena, and installs `snap` as the store's snapshot.  This charges
+  /// nothing -- the traffic was charged by the original run's capture and
+  /// is already part of the resumed counters.
   void seed_epoch(std::uint64_t epoch, Snapshot snap);
 
  private:
@@ -179,7 +164,9 @@ class Store {
   Registrar reg_;
   arch::VAddr arena_va_ = 0;
   std::uint64_t arena_bytes_ = 0;
-  std::map<std::uint64_t, Snapshot> snaps_;
+  Snapshot snap_;
+  std::optional<std::uint64_t> epoch_;  ///< snap_'s epoch; empty until the
+                                        ///< first capture or seed.
 };
 
 }  // namespace spp::ckpt

@@ -6,8 +6,8 @@
 // chunk its own parallel/spawn region.  Between chunks -- on the main
 // simulated thread, with every worker joined -- DurableSession::boundary()
 //
-//   1. takes a charged Store::capture(step) (the same measurable checkpoint
-//      cost the in-memory recovery loops pay),
+//   1. takes a charged Store::capture(step), so checkpointing is a
+//      measurable simulated cost,
 //   2. optionally commits the epoch to disk (gated by --ckpt-wall-interval;
 //      host-side, charges nothing), and
 //   3. power-cycles the simulated machine (Machine::power_cycle): caches,

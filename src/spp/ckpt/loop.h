@@ -1,6 +1,5 @@
 // The two time loops the applications run under (docs/RECOVERY.md,
-// "Per-app recovery" and "Bit-exact resume"), written once; an application
-// supplies its step.
+// "Bit-exact resume"), written once; an application supplies its step.
 //
 //   * run_chunks is the durable chunk loop: a DurableSession over the
 //     app's Store, one parallel/spawn region per chunk of spec.interval
@@ -11,12 +10,11 @@
 //   * run_steps is a shared-memory app's whole time loop.  With a durable
 //     spec it is run_chunks with one parallel region per chunk.  Without
 //     one it is a single parallel region -- the shape the paper's numbers
-//     come from -- carrying the in-memory migrate-and-restore loop when a
-//     checkpoint interval is set.
+//     come from.
 //
-// The durable path never reads the in-memory checkpoint interval and never
-// rolls back: a thread that migrates off a fail-stopped CPU finishes its
-// step on the new CPU, and migration alone keeps the answer.
+// Neither loop rolls back: a thread that migrates off a fail-stopped CPU
+// finishes its step on the new CPU, and migration alone keeps the answer
+// ("Per-app recovery").
 #pragma once
 
 #include <cstdint>
@@ -25,7 +23,6 @@
 #include "spp/ckpt/ckpt.h"
 #include "spp/ckpt/durable.h"
 #include "spp/rt/runtime.h"
-#include "spp/rt/sync.h"
 
 namespace spp::ckpt {
 
@@ -44,15 +41,11 @@ using StepFn =
     std::function<void(unsigned tid, unsigned nthreads, std::uint64_t step)>;
 
 /// A shared-memory app's time loop: `steps` steps of `step` on `nthreads`
-/// threads placed by `placement`, with `barrier` as the team's barrier.
-/// Durable when `spec` is enabled.  Otherwise, with `interval` > 0, thread 0
-/// captures every `interval`th step's epoch into `store` (a replay does not
-/// re-capture), and after a step in which a thread migrated off a
-/// fail-stopped CPU it restores the latest epoch and the team replays from
-/// there.  With `interval` 0 the loop adds no barrier, capture or charge.
+/// threads placed by `placement`.  Durable (run_chunks over `store`) when
+/// `spec` is enabled; otherwise one parallel region that adds no barrier,
+/// capture or charge of its own.
 void run_steps(rt::Runtime& rt, unsigned nthreads, rt::Placement placement,
-               rt::Barrier& barrier, Store& store, unsigned interval,
-               const DurableSpec& spec, std::uint64_t steps,
+               Store& store, const DurableSpec& spec, std::uint64_t steps,
                const StepFn& step);
 
 }  // namespace spp::ckpt

@@ -86,7 +86,7 @@ class Profiler {
   /// Prints the simulation-time verification counters (docs/CHECKER.md).
   void check_report(std::FILE* out = stdout) const;
 
-  /// Prints the checkpoint/restart and failure-notification counters
+  /// Prints the checkpoint counters, the ckpt family of arch/perf.h
   /// (docs/RECOVERY.md).
   void recovery_report(std::FILE* out = stdout) const;
 

@@ -41,132 +41,6 @@ Pvm::Pvm(rt::Runtime& rt) : rt_(&rt) {
   fault_ = dynamic_cast<fault::FaultInjector*>(rt.fault_hook());
 }
 
-Pvm::~Pvm() {
-  if (rt_->fail_stop_policy() == this) rt_->set_fail_stop_policy(nullptr);
-}
-
-void Pvm::set_fail_stop_kill(bool on) {
-  kill_on_fail_ = on;
-  if (on) {
-    rt_->set_fail_stop_policy(this);
-  } else if (rt_->fail_stop_policy() == this) {
-    rt_->set_fail_stop_policy(nullptr);
-  }
-}
-
-bool Pvm::kill_current() const {
-  const int tid = current_tid();
-  return kill_on_fail_ && tid >= 0 && tid < static_cast<int>(tasks_.size()) &&
-         !tasks_[tid]->dead_;
-}
-
-void Pvm::post_notification(Task& to, int dead_tid) {
-  auto note = std::make_shared<Message>();
-  note->tag = kTaskFailedTag;
-  note->sender = dead_tid;
-  const std::int32_t payload = dead_tid;
-  note->pack(&payload, 1);
-  to.mailbox_.push_back(std::move(note));
-  ++rt_->machine().perf().task_notifications;
-}
-
-void Pvm::on_task_killed(int tid, unsigned cpu) {
-  (void)cpu;
-  Task& dead = *tasks_[tid];
-  dead.dead_ = true;
-  dead.waiting_ = nullptr;
-  ++dead_count_;
-  ++rt_->machine().perf().tasks_failed;
-
-  // Runs inside the (unwound) dying thread, so its clock is the detection
-  // time: notifications become visible to survivors from here on.
-  const sim::Time now = rt::Conductor::self().clock();
-  for (auto& tp : tasks_) {
-    Task& t = *tp;
-    if (t.dead_) continue;
-    const bool subscribed = t.watch_all_ || t.watch_.count(tid) > 0;
-    if (subscribed) post_notification(t, tid);
-    // Wake every blocked receiver the failure affects: subscribers (their
-    // resumed recv raises TaskFailedError) and tasks waiting specifically
-    // on the dead peer.  Unsubscribed wildcard receivers are left alone --
-    // recovery-aware applications must call notify().
-    if (t.waiting_ != nullptr && (subscribed || t.waiting_src_ == tid)) {
-      rt::SThread* waiter = t.waiting_;
-      t.waiting_ = nullptr;
-      rt_->conductor().unblock(waiter, now);
-    }
-  }
-}
-
-int Pvm::pending_failure(const Task& t) const {
-  for (const auto& m : t.mailbox_) {
-    if (m->tag == kTaskFailedTag) return m->sender;
-  }
-  return -1;
-}
-
-void Pvm::check_failures(const Task& t, int peer, const char* op) const {
-  if (dead_count_ == 0) return;
-  if (const int failed = pending_failure(t); failed >= 0) {
-    throw TaskFailedError(
-        failed, std::string("pvm: ") + op + " in task " +
-                    std::to_string(t.tid_) + " while task " +
-                    std::to_string(failed) +
-                    "'s failure is unacknowledged (call ack_failures)");
-  }
-  if (peer >= 0 && tasks_[peer]->dead_) {
-    throw TaskFailedError(peer, std::string("pvm: ") + op + " in task " +
-                                    std::to_string(t.tid_) +
-                                    " names fail-stopped task " +
-                                    std::to_string(peer));
-  }
-}
-
-void Pvm::notify(int tid) {
-  const int me = mytid();
-  Task& task = *tasks_[me];
-  if (tid >= ntasks()) throw std::out_of_range("pvm: notify of bad tid");
-  if (tid < 0) {
-    task.watch_all_ = true;
-    // Failures that predate the subscription are reported immediately
-    // (pvm_notify posts for already-exited tasks).
-    for (const auto& tp : tasks_) {
-      if (tp->dead_) post_notification(task, tp->tid_);
-    }
-    return;
-  }
-  if (tasks_[tid]->dead_) {
-    post_notification(task, tid);
-    return;
-  }
-  task.watch_.insert(tid);
-}
-
-std::vector<int> Pvm::ack_failures() {
-  const int me = mytid();
-  Task& task = *tasks_[me];
-  std::vector<int> failed;
-  auto it = task.mailbox_.begin();
-  while (it != task.mailbox_.end()) {
-    if ((*it)->tag == kTaskFailedTag) {
-      failed.push_back((*it)->sender);
-      it = task.mailbox_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  std::sort(failed.begin(), failed.end());
-  failed.erase(std::unique(failed.begin(), failed.end()), failed.end());
-  return failed;
-}
-
-bool Pvm::task_dead(int tid) const {
-  if (tid < 0 || tid >= ntasks()) {
-    throw std::out_of_range("pvm: task_dead of bad tid");
-  }
-  return tasks_[tid]->dead_;
-}
-
 int Pvm::mytid() const {
   const int tid = current_tid();
   if (tid < 0) throw std::logic_error("pvm: not inside a task");
@@ -176,7 +50,6 @@ int Pvm::mytid() const {
 void Pvm::spawn(unsigned n, rt::Placement placement,
                 const std::function<void(Pvm&, int, int)>& body) {
   tasks_.clear();
-  dead_count_ = 0;
   pool_cursor_by_task_.assign(n, 0);
   for (unsigned i = 0; i < n; ++i) {
     auto t = std::make_unique<Task>();
@@ -187,18 +60,11 @@ void Pvm::spawn(unsigned n, rt::Placement placement,
   Pvm* self = this;
   rt_->parallel(n, placement, [self, &body](unsigned i, unsigned nt) {
     self->set_current_tid(static_cast<int>(i));
-    try {
-      body(*self, static_cast<int>(i), static_cast<int>(nt));
-    } catch (const rt::TaskKilled& k) {
-      // Fail-stop under kill semantics: the task dies here; survivors get
-      // TaskFailed notifications and carry on (docs/RECOVERY.md).
-      self->on_task_killed(static_cast<int>(i), k.cpu);
-    }
+    body(*self, static_cast<int>(i), static_cast<int>(nt));
     self->set_current_tid(-1);
   });
   // Tasks are gone once the fork-join completes.
   tasks_.clear();
-  dead_count_ = 0;
 }
 
 sim::Time Pvm::transport_cost(std::size_t bytes, unsigned src_cpu,
@@ -233,7 +99,6 @@ void Pvm::send(int dst, int tag, Message m) {
   const int me = mytid();
   Task& sender = *tasks_[me];
   Task& receiver = *tasks_[dst];
-  check_failures(sender, dst, "send");
   rt::SThread& th = rt::Conductor::self();
   rt_->conductor().yield();
 
@@ -395,11 +260,6 @@ Message Pvm::recv(int src, int tag) {
   rt_->conductor().yield();
 
   for (;;) {
-    // The failure protocol outranks queued data: while a notification is
-    // unacknowledged every data recv raises, so survivors converge on the
-    // recovery path at the same step instead of draining stale messages.
-    // Receiving the notification itself (tag == kTaskFailedTag) stays legal.
-    if (tag != kTaskFailedTag) check_failures(task, src, "recv");
     if (std::shared_ptr<Message> msg = take_match(
             task, src, tag, std::numeric_limits<sim::Time>::max())) {
       return deliver(task, std::move(msg), th);
@@ -426,7 +286,6 @@ Message Pvm::recv_timeout(int src, int tag, sim::Time timeout) {
   const arch::CostModel& cm = rt_->cost();
   const sim::Time deadline = th.clock() + timeout;
   for (;;) {
-    if (tag != kTaskFailedTag) check_failures(task, src, "recv");
     // The deadline is also the visibility cutoff: a delayed message that
     // becomes visible after expiry must not satisfy this receive (it stays
     // queued for a later recv), while one landing exactly AT the deadline
@@ -453,35 +312,6 @@ bool Pvm::probe(int src, int tag) const {
   const Task& task = *tasks_[me];
   return std::any_of(task.mailbox_.begin(), task.mailbox_.end(),
                      [&](const auto& m) { return matches(*m, src, tag); });
-}
-
-Group::Group(Pvm& vm) : vm_(&vm) {
-  members_.reserve(static_cast<std::size_t>(vm.ntasks()));
-  for (int t = 0; t < vm.ntasks(); ++t) {
-    if (!vm.task_dead(t)) members_.push_back(t);
-  }
-}
-
-int Group::rank_of(int tid) const {
-  const auto it = std::find(members_.begin(), members_.end(), tid);
-  return it == members_.end()
-             ? -1
-             : static_cast<int>(std::distance(members_.begin(), it));
-}
-
-int Group::tid_of(int rank) const {
-  if (rank < 0 || rank >= size()) {
-    throw std::out_of_range("pvm: rank outside group");
-  }
-  return members_[static_cast<std::size_t>(rank)];
-}
-
-int Group::shrink() {
-  const auto before = members_.size();
-  members_.erase(std::remove_if(members_.begin(), members_.end(),
-                                [&](int t) { return vm_->task_dead(t); }),
-                 members_.end());
-  return static_cast<int>(before - members_.size());
 }
 
 }  // namespace spp::pvm

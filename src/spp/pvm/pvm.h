@@ -108,42 +108,20 @@ class Message {
 
 class Pvm;
 
-/// Reserved control tag carried by failure-notification messages (the
-/// ULFM-style `TaskFailed` event posted by pvm_notify subscriptions).
-/// Application tags must stay below this value.
-inline constexpr int kTaskFailedTag = 1 << 30;
-
-/// A communication partner has fail-stopped (ULFM's MPI_ERR_PROC_FAILED):
-/// raised by send() to a dead task, by recv() from a dead task, and by any
-/// send/recv of a subscribed task while an unacknowledged TaskFailed
-/// notification is pending in its mailbox.  The application acknowledges
-/// with Pvm::ack_failures(), shrinks its Group, rolls back, and continues
-/// (docs/RECOVERY.md).
-class TaskFailedError : public std::runtime_error {
- public:
-  TaskFailedError(int failed_tid, const std::string& what)
-      : std::runtime_error(what), tid(failed_tid) {}
-  int tid;  ///< the fail-stopped task.
-};
-
 /// Per-task state: mailbox + identity.  Tasks are simulated threads.
 class Task {
  public:
   int tid() const { return tid_; }
   unsigned cpu() const { return cpu_; }
-  bool dead() const { return dead_; }
 
  private:
   friend class Pvm;
   int tid_ = -1;
   unsigned cpu_ = 0;
-  bool dead_ = false;       ///< fail-stopped (kill semantics).
-  bool watch_all_ = false;  ///< notify(-1) subscription.
   std::deque<std::shared_ptr<Message>> mailbox_;
   rt::SThread* waiting_ = nullptr;  ///< blocked in recv, if any.
   int waiting_tag_ = -1;
   int waiting_src_ = -1;
-  std::unordered_set<int> watch_;  ///< notify(tid) subscriptions.
   // Reliable-transport state (only touched when a FaultInjector with message
   // faults is attached; plain runs never allocate into these).
   std::unordered_set<std::uint64_t> delivered_;  ///< seqs seen (dedup).
@@ -159,10 +137,9 @@ class Task {
 ///     vm.send(me ^ 1, /*tag=*/7, std::move(m));
 ///     auto r = vm.recv(-1, 7);
 ///   });
-class Pvm : private rt::FailStopPolicy {
+class Pvm {
  public:
   explicit Pvm(rt::Runtime& rt);
-  ~Pvm() override;
 
   rt::Runtime& runtime() { return *rt_; }
 
@@ -204,53 +181,11 @@ class Pvm : private rt::FailStopPolicy {
   /// automatically when the runtime already carries an attached injector.
   void set_fault(fault::FaultInjector* injector) { fault_ = injector; }
 
-  // --- failure notification and recovery (docs/RECOVERY.md) -----------------
-
-  /// Enables ULFM-style kill semantics for CPU fail-stop: a task whose
-  /// processor fails is unwound (rt::TaskKilled) instead of migrated, marked
-  /// dead, and a TaskFailed notification is posted to every subscriber.  Off
-  /// (the PR-1 migrate-and-continue behaviour) by default.
-  void set_fail_stop_kill(bool on);
-  bool fail_stop_kill() const { return kill_on_fail_; }
-
-  /// Subscribes the calling task to failure notification for task `tid`
-  /// (-1 = every task; the analogue of pvm_notify(PvmTaskExit)).  When a
-  /// watched task fail-stops, a message with tag kTaskFailedTag and the dead
-  /// tid as sender + int32 payload lands in the subscriber's mailbox, and
-  /// every further send/recv throws TaskFailedError until ack_failures().
-  /// A subscription to an already-dead task posts its notification at once.
-  void notify(int tid = -1);
-
-  /// Acknowledges pending failure notifications (ULFM's failure_ack):
-  /// drains every kTaskFailedTag message from the caller's mailbox and
-  /// returns the dead tids reported, sorted and deduplicated.  Afterwards
-  /// sends and receives among survivors work again.
-  std::vector<int> ack_failures();
-
-  /// True if task `tid` has fail-stopped.
-  bool task_dead(int tid) const;
-  /// Number of fail-stopped tasks in the current spawn.
-  int dead_count() const { return dead_count_; }
-
  private:
   struct Match;
   bool matches(const Message& m, int src, int tag) const {
     return (src < 0 || m.sender == src) && (tag < 0 || m.tag == tag);
   }
-  /// rt::FailStopPolicy: claim the calling simulated thread for kill
-  /// semantics when it is a live PVM task and kill mode is on.
-  bool kill_current() const override;
-  /// Runs in the dying task's (unwound) thread: marks it dead, posts
-  /// TaskFailed notifications, wakes receivers the failure affects.
-  void on_task_killed(int tid, unsigned cpu);
-  /// Posts a TaskFailed notification for `dead_tid` into `to`'s mailbox.
-  void post_notification(Task& to, int dead_tid);
-  /// First dead tid with an unacknowledged notification in `t`'s mailbox,
-  /// or -1.
-  int pending_failure(const Task& t) const;
-  /// Throws TaskFailedError when the failure-notification protocol forbids
-  /// the op: a notification is pending, or the explicit peer is dead.
-  void check_failures(const Task& t, int peer, const char* op) const;
   /// Transport cost for `bytes` from `src_cpu` to `dst_cpu`, charged to time
   /// `t`; returns delivery time.
   sim::Time transport_cost(std::size_t bytes, unsigned src_cpu,
@@ -274,8 +209,6 @@ class Pvm : private rt::FailStopPolicy {
   std::uint64_t bytes_sent_ = 0;
   fault::FaultInjector* fault_ = nullptr;  ///< optional chaos source.
   std::uint64_t next_seq_ = 1;             ///< reliable-mode sequence counter.
-  bool kill_on_fail_ = false;              ///< ULFM kill semantics enabled.
-  int dead_count_ = 0;                     ///< fail-stopped tasks this spawn.
   /// PVM task id per *simulated* thread (indexed by SThread tid), -1 when
   /// that thread is not a task.  Every task is a fiber on one OS thread, so
   /// a thread_local here would be clobbered across scheduling points; the
@@ -283,31 +216,6 @@ class Pvm : private rt::FailStopPolicy {
   std::vector<int> task_of_sthread_;
   int current_tid() const;
   void set_current_tid(int tid);
-};
-
-/// A communicator-like view of the live tasks (the analogue of ULFM's
-/// MPI_Comm_shrink).  Ranks 0..size()-1 map to live tids in ascending tid
-/// order; after failures every survivor calling shrink() derives the same
-/// new group, so rank reassignment needs no extra agreement round.
-class Group {
- public:
-  /// Builds the group of every currently-live task, in tid order.
-  explicit Group(Pvm& vm);
-
-  int size() const { return static_cast<int>(members_.size()); }
-  /// Rank of `tid` in this group, or -1 when it is not (any longer) a member.
-  int rank_of(int tid) const;
-  /// The tid holding `rank`; throws std::out_of_range on a bad rank.
-  int tid_of(int rank) const;
-  const std::vector<int>& members() const { return members_; }
-
-  /// Rebuilds the group excluding every task that has fail-stopped since
-  /// the last build.  Returns the number of members dropped.
-  int shrink();
-
- private:
-  Pvm* vm_;
-  std::vector<int> members_;
 };
 
 }  // namespace spp::pvm

@@ -48,12 +48,6 @@ void Runtime::run(const std::function<void()>& fn) {
 void Runtime::apply_faults(SThread& me) {
   fault_hook_->poll(me.clock());
   if (!fault_hook_->cpu_failed(me.cpu())) return;
-  if (fail_stop_policy_ != nullptr && fail_stop_policy_->kill_current()) {
-    // ULFM-style fail-stop: the thread dies with its processor.  The layer
-    // that installed the policy (pvm::Pvm) catches this, marks the task
-    // dead, and notifies subscribers.
-    throw TaskKilled{me.cpu()};
-  }
   // The thread's processor fail-stopped: the OS detects the failure and
   // restarts the thread on a surviving CPU.  Its remaining work migrates
   // with it, and the new CPU's cold L1 charges the refill traffic naturally.

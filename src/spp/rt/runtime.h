@@ -59,30 +59,6 @@ class FaultHook {
   virtual bool cpu_failed(unsigned cpu) const = 0;
 };
 
-/// Thrown through a simulated thread to unwind it when its processor
-/// fail-stops under kill (ULFM-style) semantics instead of migration.  Only
-/// raised when a FailStopPolicy is installed and claims the thread; the
-/// spawning layer that installed the policy (pvm::Pvm) catches it, so it
-/// never escapes to code that did not opt in.  Deliberately not derived from
-/// std::exception: a `catch (const std::exception&)` in application code
-/// must not swallow the kill.
-struct TaskKilled {
-  unsigned cpu = 0;  ///< the processor that fail-stopped.
-};
-
-/// Decides what happens to a simulated thread whose CPU has fail-stopped:
-/// default (no policy, or kill_current() false) is migration to a surviving
-/// CPU; a policy that claims the thread gets it killed via TaskKilled.
-/// Installed by pvm::Pvm when an application enables fail-stop-kill
-/// semantics for ULFM-style recovery (docs/RECOVERY.md).
-class FailStopPolicy {
- public:
-  virtual ~FailStopPolicy() = default;
-  /// True if the calling simulated thread must fail-stop with its CPU
-  /// (killed) rather than migrate.
-  virtual bool kill_current() const = 0;
-};
-
 /// Handle for asynchronous thread groups (section 3.2's async threads).
 class AsyncGroup {
  public:
@@ -193,12 +169,6 @@ class Runtime {
   void set_sync_observer(SyncObserver* obs) { sync_observer_ = obs; }
   SyncObserver* sync_observer() const { return sync_observer_; }
 
-  /// Installs (or clears, with nullptr) the fail-stop policy.  With no
-  /// policy every thread on a failed CPU migrates (the PR-1 behaviour); a
-  /// policy that claims a thread turns the failure into a TaskKilled unwind.
-  void set_fail_stop_policy(FailStopPolicy* p) { fail_stop_policy_ = p; }
-  FailStopPolicy* fail_stop_policy() const { return fail_stop_policy_; }
-
  private:
   /// Applies pending faults and migrates the thread off a failed CPU.  The
   /// hook test is inline, so a run without one makes no call here.
@@ -228,7 +198,6 @@ class Runtime {
   Runtime* prev_active_ = nullptr;
   FaultHook* fault_hook_ = nullptr;
   SyncObserver* sync_observer_ = nullptr;
-  FailStopPolicy* fail_stop_policy_ = nullptr;
 
   static Runtime* active_;
 

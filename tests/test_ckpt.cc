@@ -1,26 +1,20 @@
-// spp::ckpt checkpoint/restart tests (docs/RECOVERY.md):
-//   * Store capture/restore round-trips GlobalArray, POD, and host-mirror
-//     regions and charges the copy through the checkpoint counters;
-//   * the Registrar rejects malformed region sets with clear errors;
-//   * restore discards later epochs (the abandoned timeline);
-//   * a constructed-but-unused Store is bit-free: zero cost, zero counters;
-//   * the apps recover from a mid-run CPU fail-stop to the fault-free
-//     answer -- bit-exact for the shared-memory codes, within a stated
-//     tolerance for the PVM codes (the shrunk group re-associates its
-//     combines).
+// spp::ckpt Store tests (docs/RECOVERY.md):
+//   * a capture's host image, seeded into a second Store, round-trips
+//     GlobalArray, POD, and host-mirror regions, and the capture charges
+//     the copy through the checkpoint counters;
+//   * the store holds only the newest epoch;
+//   * the Registrar and seed_epoch reject malformed region sets with clear
+//     errors naming the epoch and region;
+//   * a constructed-but-unused Store is bit-free: zero cost, zero counters.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <string>
 #include <vector>
 
-#include "spp/apps/fem/femgas.h"
-#include "spp/apps/nbody/nbody_pvm.h"
-#include "spp/apps/pic/pic_pvm.h"
-#include "spp/apps/ppm/ppm.h"
 #include "spp/arch/topology.h"
 #include "spp/ckpt/ckpt.h"
-#include "spp/fault/fault.h"
 #include "spp/rt/garray.h"
 #include "spp/rt/runtime.h"
 
@@ -34,19 +28,29 @@ using arch::Topology;
 // ---------------------------------------------------------------------------
 
 TEST(Ckpt, CaptureRestoreRoundTripsEveryRegionKind) {
-  rt::Runtime runtime(Topology{.nodes = 1});
-  rt::GlobalArray<double> a(runtime, 64, arch::MemClass::kFarShared, "ck.a");
+  // A capture's host image seeded into a second Store -- what a resumed
+  // process does with a disk epoch -- restores every region kind.
   struct Control {
     std::uint32_t step = 0;
     double dt = 0;
-  } ctl;
-  std::vector<float> mirror(16);
+  };
+  rt::Runtime runtime(Topology{.nodes = 1});
+  rt::GlobalArray<double> a(runtime, 64, arch::MemClass::kFarShared, "ck.a");
+  rt::GlobalArray<double> a2(runtime, 64, arch::MemClass::kFarShared,
+                             "ck.a2");
+  Control ctl, ctl2;
+  std::vector<float> mirror(16), mirror2(16);
 
   Store store(runtime);
   store.registrar().add("a", a);
   store.registrar().add_pod("ctl", ctl);
   store.registrar().add_host("mirror", mirror);
+  Store seeded(runtime);
+  seeded.registrar().add("a", a2);
+  seeded.registrar().add_pod("ctl", ctl2);
+  seeded.registrar().add_host("mirror", mirror2);
 
+  sim::Time seed_cost = 1;
   runtime.run([&] {
     for (std::size_t i = 0; i < a.size(); ++i) a.raw(i) = 1.5 * static_cast<double>(i);
     ctl = {7, 0.25};
@@ -55,62 +59,57 @@ TEST(Ckpt, CaptureRestoreRoundTripsEveryRegionKind) {
     }
     store.capture(3);
 
-    for (std::size_t i = 0; i < a.size(); ++i) a.raw(i) = -1.0;
-    ctl = {99, -4.0};
-    for (float& v : mirror) v = -2.0f;
-    store.restore(3);
+    const sim::Time t0 = runtime.now();
+    seeded.seed_epoch(3, store.epoch_image(3));
+    seed_cost = runtime.now() - t0;
   });
 
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a.raw(i), 1.5 * static_cast<double>(i)) << "element " << i;
+  for (std::size_t i = 0; i < a2.size(); ++i) {
+    ASSERT_EQ(a2.raw(i), 1.5 * static_cast<double>(i)) << "element " << i;
   }
-  EXPECT_EQ(ctl.step, 7u);
-  EXPECT_EQ(ctl.dt, 0.25);
-  for (std::size_t i = 0; i < mirror.size(); ++i) {
-    ASSERT_EQ(mirror[i], static_cast<float>(i));
+  EXPECT_EQ(ctl2.step, 7u);
+  EXPECT_EQ(ctl2.dt, 0.25);
+  for (std::size_t i = 0; i < mirror2.size(); ++i) {
+    ASSERT_EQ(mirror2[i], static_cast<float>(i));
   }
+  EXPECT_EQ(seeded.epoch_image(3).blobs, store.epoch_image(3).blobs);
+  EXPECT_EQ(seed_cost, 0u) << "seeding charges nothing";
 
   const arch::PerfCounters& p = runtime.machine().perf();
   const std::uint64_t bytes =
       64 * sizeof(double) + sizeof(Control) + 16 * sizeof(float);
   EXPECT_EQ(p.checkpoints_taken, 1u);
   EXPECT_EQ(p.ckpt_bytes, bytes);
-  EXPECT_EQ(p.rollbacks, 1u);
   EXPECT_GT(p.ckpt_ns, 0u) << "the snapshot copy must cost simulated time";
-  EXPECT_GT(p.rollback_ns, 0u);
-  EXPECT_TRUE(store.has_epoch(3));
-  EXPECT_EQ(store.latest(), 3);
 }
 
-TEST(Ckpt, CaptureOverwritesSameEpochAndRestoreDiscardsLaterOnes) {
+TEST(Ckpt, StoreHoldsOnlyTheNewestEpoch) {
+  // A durable run persists only the epoch it just captured, so the store
+  // keeps one snapshot and its host memory stays flat however long the run.
   rt::Runtime runtime(Topology{.nodes = 1});
   std::vector<double> state(8, 0.0);
   Store store(runtime);
   store.registrar().add_host("state", state);
 
   runtime.run([&] {
-    state[0] = 10.0;
-    store.capture(0);
-    state[0] = 11.0;
-    store.capture(1);
-    state[0] = 12.0;
-    store.capture(2);
-    EXPECT_EQ(store.snapshots(), 3u);
-    EXPECT_EQ(store.latest(), 2);
-
-    // Replays re-capture epochs they pass through: same tag overwrites.
-    state[0] = 110.0;
-    store.capture(1);
-    EXPECT_EQ(store.snapshots(), 3u);
-
-    // Rolling back to 0 abandons the timeline that produced 1 and 2.
-    store.restore(0);
-    EXPECT_EQ(state[0], 10.0);
-    EXPECT_EQ(store.snapshots(), 1u);
-    EXPECT_EQ(store.latest(), 0);
-    EXPECT_FALSE(store.has_epoch(1));
-    EXPECT_FALSE(store.has_epoch(2));
+    for (std::uint64_t e = 0; e < 3; ++e) {
+      state[0] = 10.0 + static_cast<double>(e);
+      store.capture(e);
+    }
   });
+
+  const Store::Snapshot& image = store.epoch_image(2);
+  ASSERT_EQ(image.blobs.size(), 1u);
+  ASSERT_EQ(image.blobs[0].size(), 8 * sizeof(double));
+  double first = 0;
+  std::memcpy(&first, image.blobs[0].data(), sizeof first);
+  EXPECT_EQ(first, 12.0);
+  try {
+    store.epoch_image(0);
+    FAIL() << "epoch 0 was replaced by epochs 1 and 2";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(), "ckpt: no snapshot for epoch 0");
+  }
 }
 
 TEST(Ckpt, RegistrarAndStoreRejectProtocolViolations) {
@@ -133,14 +132,15 @@ TEST(Ckpt, RegistrarAndStoreRejectProtocolViolations) {
   std::vector<double> mirror(4, 1.0);
   store.registrar().add_host("m", mirror);
   runtime.run([&] {
-    EXPECT_THROW(store.restore(0), Error) << "no epoch 0 was ever captured";
+    EXPECT_THROW(store.epoch_image(0), Error) << "no epoch 0 was ever captured";
     store.capture(0);
-    // A host mirror that changed size between capture and restore is a
+    const Store::Snapshot image = store.epoch_image(0);
+    // A host mirror that changed size between capture and seed is a
     // protocol violation, not a silent partial copy.
     mirror.resize(6, 0.0);
-    EXPECT_THROW(store.restore(0), Error);
+    EXPECT_THROW(store.seed_epoch(0, image), Error);
     mirror.resize(4);
-    EXPECT_NO_THROW(store.restore(0));
+    EXPECT_NO_THROW(store.seed_epoch(0, image));
   });
 
   Store empty(runtime);
@@ -150,30 +150,49 @@ TEST(Ckpt, RegistrarAndStoreRejectProtocolViolations) {
 }
 
 TEST(Ckpt, RestoreErrorsNameTheEpochAndRegion) {
+  // A disk epoch is outside input: seed_epoch names the epoch and region of
+  // every mismatch with the registered region set.
   rt::Runtime runtime(Topology{.nodes = 1});
   std::vector<double> state(8, 1.0);
   Store store(runtime);
   store.registrar().add_host("state", state);
+  runtime.run([&] { store.capture(2); });
+  const Store::Snapshot image = store.epoch_image(2);
 
-  runtime.run([&] {
-    // Epoch-not-found names the missing epoch.
+  const auto seed_error = [&](Store& into) -> std::string {
     try {
-      store.restore(7);
-      FAIL() << "no epoch 7 exists";
+      into.seed_epoch(2, image);
     } catch (const Error& e) {
-      EXPECT_STREQ(e.what(), "ckpt: no snapshot for epoch 7");
+      return e.what();
     }
-    // A region whose size changed names the region and both sizes.
-    store.capture(2);
-    state.resize(10, 0.0);
-    try {
-      store.restore(2);
-      FAIL() << "the region shrank under the snapshot";
-    } catch (const Error& e) {
-      EXPECT_STREQ(e.what(),
-                   "ckpt: region 'state' is 80 bytes but epoch 2 holds 64");
-    }
-  });
+    return "no error";
+  };
+
+  // Epoch-not-found names the missing epoch.
+  try {
+    store.epoch_image(7);
+    FAIL() << "no epoch 7 exists";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(), "ckpt: no snapshot for epoch 7");
+  }
+  // A different region count.
+  std::vector<double> extra(2, 0.0);
+  Store more(runtime);
+  more.registrar().add_host("state", state);
+  more.registrar().add_host("extra", extra);
+  EXPECT_EQ(seed_error(more),
+            "ckpt: disk epoch 2 holds 1 regions but 2 are registered");
+  // A different region name.
+  Store renamed(runtime);
+  renamed.registrar().add_host("other", state);
+  EXPECT_EQ(seed_error(renamed),
+            "ckpt: region 'other' does not match 'state' in disk epoch 2");
+  // A region whose size changed names the region and both sizes.
+  std::vector<double> bigger(10, 0.0);
+  Store resized(runtime);
+  resized.registrar().add_host("state", bigger);
+  EXPECT_EQ(seed_error(resized),
+            "ckpt: region 'state' is 80 bytes but disk epoch 2 holds 64");
 }
 
 TEST(Ckpt, UnusedStoreIsBitFree) {
@@ -203,183 +222,6 @@ TEST(Ckpt, UnusedStoreIsBitFree) {
     return runtime.elapsed();
   };
   EXPECT_EQ(timed_run(false), timed_run(true));
-}
-
-// ---------------------------------------------------------------------------
-// App-level recovery: roll back, replay, match the fault-free answer
-// ---------------------------------------------------------------------------
-
-struct AppRun {
-  std::vector<double> digest;
-  sim::Time elapsed = 0;
-  std::uint64_t checkpoints = 0;
-  std::uint64_t rollbacks = 0;
-  std::uint64_t tasks_failed = 0;
-  std::uint64_t cpu_recoveries = 0;
-};
-
-template <typename RunApp>
-AppRun run_app(RunApp&& body, unsigned ckpt_every, sim::Time fail_at,
-               unsigned victim_cpu) {
-  rt::Runtime runtime(Topology{.nodes = 1});
-  fault::FaultPlan plan;
-  if (fail_at != 0) plan.cpu_fail(fail_at, victim_cpu);
-  fault::FaultInjector inj(std::move(plan));
-  inj.attach(runtime);
-  AppRun out;
-  runtime.run([&] { out.digest = body(runtime, ckpt_every); });
-  const arch::PerfCounters& p = runtime.machine().perf();
-  out.elapsed = runtime.elapsed();
-  out.checkpoints = p.checkpoints_taken;
-  out.rollbacks = p.rollbacks;
-  out.tasks_failed = p.tasks_failed;
-  out.cpu_recoveries = p.cpu_recoveries;
-  return out;
-}
-
-template <typename RunApp>
-void expect_recovers(RunApp&& body, double tol, bool pvm_style) {
-  const AppRun base = run_app(body, 0, 0, 0);
-  ASSERT_GT(base.elapsed, 0u);
-  EXPECT_EQ(base.checkpoints, 0u) << "ckpt off must take no snapshots";
-
-  rt::Runtime probe(Topology{.nodes = 1});
-  const unsigned victim = probe.place_cpu(2, 4, rt::Placement::kUniform);
-  const AppRun faulted =
-      run_app(body, /*ckpt_every=*/2, base.elapsed / 2, victim);
-
-  EXPECT_GE(faulted.checkpoints, 1u);
-  EXPECT_GE(faulted.rollbacks, 1u);
-  if (pvm_style) {
-    EXPECT_EQ(faulted.tasks_failed, 1u) << "PVM recovery kills the victim";
-    EXPECT_EQ(faulted.cpu_recoveries, 0u);
-  } else {
-    EXPECT_EQ(faulted.tasks_failed, 0u);
-    EXPECT_GE(faulted.cpu_recoveries, 1u)
-        << "shared-memory recovery migrates the victim's thread";
-  }
-  ASSERT_EQ(faulted.digest.size(), base.digest.size());
-  for (std::size_t i = 0; i < base.digest.size(); ++i) {
-    const double want = base.digest[i];
-    const double got = faulted.digest[i];
-    if (tol == 0.0) {
-      EXPECT_EQ(got, want) << "diagnostic " << i << " must be bit-exact";
-    } else {
-      EXPECT_LE(std::fabs(got - want),
-                tol * std::max(1.0, std::fabs(want)))
-          << "diagnostic " << i;
-    }
-  }
-}
-
-TEST(CkptRecovery, FemGasRecoversBitExact) {
-  expect_recovers(
-      [](rt::Runtime& rt, unsigned k) {
-        fem::FemConfig cfg;
-        cfg.nx = 16;
-        cfg.ny = 8;
-        cfg.steps = 6;
-        cfg.ckpt_interval = k;
-        fem::FemGas app(rt, cfg, 4, rt::Placement::kUniform);
-        app.init_blast(2.0, 3.0);
-        const fem::FemResult r = app.run();
-        return std::vector<double>{r.final.total_mass, r.final.total_mom_x,
-                                   r.final.total_mom_y, r.final.total_energy,
-                                   r.final.min_density, r.final.min_pressure};
-      },
-      /*tol=*/0.0, /*pvm_style=*/false);
-}
-
-TEST(CkptRecovery, NbodyRecoversBitExact) {
-  // Positions and velocities carry all step-to-step state; interactions_ is
-  // deliberately NOT restored on rollback -- like the flops counter it
-  // reports work performed, which includes the replayed steps.
-  expect_recovers(
-      [](rt::Runtime& rt, unsigned k) {
-        nbody::NbodyConfig cfg;
-        cfg.n = 128;
-        cfg.steps = 4;
-        cfg.ckpt_interval = k;
-        nbody::NbodyShared app(rt, cfg, 4, rt::Placement::kUniform);
-        app.load_plummer();
-        const nbody::NbodyResult r = app.run();
-        return std::vector<double>{r.final.kinetic, r.final.px, r.final.py,
-                                   r.final.pz};
-      },
-      /*tol=*/0.0, /*pvm_style=*/false);
-}
-
-TEST(CkptRecovery, PicRecoversBitExact) {
-  // The field-energy history rides in the epoch too: a replayed step must
-  // overwrite its history slot, not append a duplicate.
-  expect_recovers(
-      [](rt::Runtime& rt, unsigned k) {
-        pic::PicConfig cfg;
-        cfg.nx = cfg.ny = cfg.nz = 8;
-        cfg.steps = 6;
-        cfg.ckpt_interval = k;
-        pic::PicShared app(rt, cfg, 4, rt::Placement::kUniform);
-        const pic::PicResult r = app.run();
-        std::vector<double> d{r.final.kinetic_energy, r.final.field_energy,
-                              r.final.total_charge, r.final.momentum_z};
-        d.insert(d.end(), r.field_energy_history.begin(),
-                 r.field_energy_history.end());
-        return d;
-      },
-      /*tol=*/0.0, /*pvm_style=*/false);
-}
-
-TEST(CkptRecovery, PpmRecoversBitExact) {
-  expect_recovers(
-      [](rt::Runtime& rt, unsigned k) {
-        ppm::PpmConfig cfg;
-        cfg.nx = 24;
-        cfg.ny = 48;
-        cfg.tiles_x = 2;
-        cfg.tiles_y = 4;
-        cfg.steps = 4;
-        cfg.ckpt_interval = k;
-        ppm::PpmTiled app(rt, cfg, 4, rt::Placement::kUniform);
-        app.init_sod_x();
-        const ppm::PpmResult r = app.run();
-        return std::vector<double>{r.final.mass, r.final.mom_x, r.final.mom_y,
-                                   r.final.energy, r.final.min_rho,
-                                   r.final.min_p};
-      },
-      /*tol=*/0.0, /*pvm_style=*/false);
-}
-
-TEST(CkptRecovery, PicPvmRecoversWithinTolerance) {
-  // The shrunk group redoes the charge-mesh combine with one fewer rank, so
-  // the floating-point sums associate differently: small relative tolerance.
-  expect_recovers(
-      [](rt::Runtime& rt, unsigned k) {
-        pic::PicConfig cfg;
-        cfg.nx = cfg.ny = cfg.nz = 8;
-        cfg.steps = 4;
-        cfg.ckpt_interval = k;
-        pic::PicPvm app(rt, cfg, 4, rt::Placement::kUniform);
-        const pic::PicResult r = app.run();
-        return std::vector<double>{r.final.kinetic_energy,
-                                   r.final.field_energy, r.final.total_charge,
-                                   r.final.momentum_z};
-      },
-      /*tol=*/1e-6, /*pvm_style=*/true);
-}
-
-TEST(CkptRecovery, NbodyPvmRecoversWithinTolerance) {
-  expect_recovers(
-      [](rt::Runtime& rt, unsigned k) {
-        nbody::NbodyConfig cfg;
-        cfg.n = 128;
-        cfg.steps = 3;
-        cfg.ckpt_interval = k;
-        nbody::NbodyPvm app(rt, cfg, 4, rt::Placement::kUniform);
-        const nbody::NbodyResult r = app.run();
-        return std::vector<double>{r.final.kinetic, r.final.px, r.final.py,
-                                   r.final.pz};
-      },
-      /*tol=*/1e-9, /*pvm_style=*/true);
 }
 
 }  // namespace

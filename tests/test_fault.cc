@@ -3,20 +3,27 @@
 //     bit-identical in time and counters;
 //   * PVM ping-pong completes under message loss/duplication/delay, with
 //     every retry visible in the machine counters;
-//   * a CPU fail-stop mid-run migrates work to surviving CPUs and the
-//     workload still completes (and computes the same answer);
+//   * a CPU fail-stop mid-run migrates work to surviving CPUs and every
+//     app still reaches its fault-free answer, with no checkpoint or
+//     rollback (docs/RECOVERY.md);
 //   * dead ring links reroute onto surviving rings and charge strictly more
 //     than the healthy path;
 //   * a zero-fault plan changes NOTHING: attaching an empty injector leaves
 //     simulated time and counters exactly as an un-instrumented run.
 #include <gtest/gtest.h>
 
-#include <array>
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <vector>
 
+#include "spp/apps/fem/femgas.h"
 #include "spp/apps/nbody/nbody.h"
+#include "spp/apps/nbody/nbody_pvm.h"
+#include "spp/apps/pic/pic.h"
+#include "spp/apps/pic/pic_pvm.h"
+#include "spp/apps/ppm/ppm.h"
 #include "spp/arch/cost_model.h"
 #include "spp/arch/machine.h"
 #include "spp/arch/topology.h"
@@ -538,78 +545,167 @@ TEST(FaultCpu, ZeroFaultPlanLeavesNbodyBitIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// ULFM-style fail-stop kill + notification (docs/RECOVERY.md)
+// Every app survives a CPU fail-stop by migration alone (docs/RECOVERY.md)
 // ---------------------------------------------------------------------------
 
-TEST(FaultPvm, FailStopKillNotifiesSurvivorsAndGroupShrinks) {
+struct AppRun {
+  std::vector<double> diagnostics;
+  sim::Time elapsed = 0;
+  std::uint64_t checkpoints = 0;
+  std::uint64_t rollbacks = 0;
+  std::uint64_t tasks_failed = 0;
+  std::uint64_t cpu_recoveries = 0;
+};
+
+template <typename RunApp>
+AppRun run_app(RunApp&& body, sim::Time fail_at, unsigned victim_cpu) {
   rt::Runtime runtime(Topology{.nodes = 1});
-  // Task 2's CPU under the same uniform placement spawn() uses.
-  const unsigned victim_cpu =
-      runtime.place_cpu(2, 4, rt::Placement::kUniform);
   FaultPlan plan;
-  plan.cpu_fail(2000000, victim_cpu);
-  FaultInjector inj(plan);
+  if (fail_at != 0) plan.cpu_fail(fail_at, victim_cpu);
+  FaultInjector inj(std::move(plan));
   inj.attach(runtime);
-
-  bool victim_completed = false;
-  std::array<std::vector<int>, 4> acked;
-  std::array<int, 4> final_size{};
-  runtime.run([&] {
-    pvm::Pvm root(runtime);
-    root.set_fail_stop_kill(true);
-    root.spawn(4, rt::Placement::kUniform, [&](pvm::Pvm& vm, int me, int) {
-      vm.notify(-1);
-      pvm::Group g(vm);
-      if (me == 2) {
-        // The victim burns charged compute until the fail-stop unwinds it
-        // mid-loop; everything after the loop must never run.
-        for (int i = 0; i < 20000; ++i) runtime.work_flops(1000);
-        victim_completed = true;
-        return;
-      }
-      // Survivors exchange rounds (with an ack for flow control) until the
-      // failure notification breaks them out of the loop.
-      try {
-        for (;;) {
-          if (g.rank_of(me) == 0) {
-            for (int r = 1; r < g.size(); ++r) vm.recv(-1, 5);
-            const double ok = 1.0;
-            for (int r = 1; r < g.size(); ++r) {
-              pvm::Message m;
-              m.pack(&ok, 1);
-              vm.send(g.tid_of(r), 6, std::move(m));
-            }
-          } else {
-            pvm::Message m;
-            const double x = static_cast<double>(me);
-            m.pack(&x, 1);
-            vm.send(g.tid_of(0), 5, std::move(m));
-            vm.recv(g.tid_of(0), 6);
-          }
-        }
-      } catch (const pvm::TaskFailedError&) {
-        acked[me] = vm.ack_failures();
-        g.shrink();
-      }
-      final_size[me] = g.size();
-    });
-  });
-
-  EXPECT_FALSE(victim_completed) << "kill mode must unwind the victim";
-  const std::vector<int> expect_dead{2};
-  for (const int me : {0, 1, 3}) {
-    EXPECT_EQ(acked[me], expect_dead) << "survivor " << me;
-    EXPECT_EQ(final_size[me], 3) << "survivor " << me;
-  }
-  EXPECT_TRUE(acked[2].empty());
+  AppRun out;
+  runtime.run([&] { out.diagnostics = body(runtime); });
   const arch::PerfCounters& p = runtime.machine().perf();
-  EXPECT_EQ(p.tasks_failed, 1u);
-  EXPECT_EQ(p.task_notifications, 3u) << "one TaskFailed per live subscriber";
-  EXPECT_EQ(p.cpu_recoveries, 0u) << "kill mode must not migrate the victim";
+  out.elapsed = runtime.elapsed();
+  out.checkpoints = p.checkpoints_taken;
+  out.rollbacks = p.rollbacks;
+  out.tasks_failed = p.tasks_failed;
+  out.cpu_recoveries = p.cpu_recoveries;
+  return out;
+}
+
+/// Fail-stops task/thread 2's CPU at half the fault-free schedule and
+/// requires the fault-free diagnostics within relative `tol` (0 = bit-exact)
+/// from a run that migrated and never checkpointed or rolled back.
+template <typename RunApp>
+void expect_recovers(RunApp&& body, double tol) {
+  const AppRun base = run_app(body, 0, 0);
+  ASSERT_GT(base.elapsed, 0u);
+
+  rt::Runtime probe(Topology{.nodes = 1});
+  const unsigned victim = probe.place_cpu(2, 4, rt::Placement::kUniform);
+  const AppRun faulted = run_app(body, base.elapsed / 2, victim);
+
+  EXPECT_GE(faulted.cpu_recoveries, 1u)
+      << "the victim's thread must migrate to a surviving CPU";
+  EXPECT_EQ(faulted.checkpoints, 0u);
+  EXPECT_EQ(faulted.rollbacks, 0u);
+  EXPECT_EQ(faulted.tasks_failed, 0u);
+  ASSERT_EQ(faulted.diagnostics.size(), base.diagnostics.size());
+  for (std::size_t i = 0; i < base.diagnostics.size(); ++i) {
+    const double want = base.diagnostics[i];
+    const double got = faulted.diagnostics[i];
+    if (tol == 0.0) {
+      EXPECT_EQ(got, want) << "diagnostic " << i << " must be bit-exact";
+    } else {
+      EXPECT_LE(std::fabs(got - want), tol * std::max(1.0, std::fabs(want)))
+          << "diagnostic " << i;
+    }
+  }
+}
+
+TEST(FaultCpu, FemGasRecoversBitExact) {
+  expect_recovers(
+      [](rt::Runtime& rt) {
+        fem::FemConfig cfg;
+        cfg.nx = 16;
+        cfg.ny = 8;
+        cfg.steps = 6;
+        fem::FemGas app(rt, cfg, 4, rt::Placement::kUniform);
+        app.init_blast(2.0, 3.0);
+        const fem::FemResult r = app.run();
+        return std::vector<double>{r.final.total_mass, r.final.total_mom_x,
+                                   r.final.total_mom_y, r.final.total_energy,
+                                   r.final.min_density, r.final.min_pressure};
+      },
+      /*tol=*/0.0);
+}
+
+TEST(FaultCpu, NbodyRecoversBitExact) {
+  expect_recovers(
+      [](rt::Runtime& rt) {
+        nbody::NbodyConfig cfg;
+        cfg.n = 128;
+        cfg.steps = 4;
+        nbody::NbodyShared app(rt, cfg, 4, rt::Placement::kUniform);
+        app.load_plummer();
+        const nbody::NbodyResult r = app.run();
+        return std::vector<double>{r.final.kinetic, r.final.px, r.final.py,
+                                   r.final.pz};
+      },
+      /*tol=*/0.0);
+}
+
+TEST(FaultCpu, PicRecoversBitExact) {
+  expect_recovers(
+      [](rt::Runtime& rt) {
+        pic::PicConfig cfg;
+        cfg.nx = cfg.ny = cfg.nz = 8;
+        cfg.steps = 6;
+        pic::PicShared app(rt, cfg, 4, rt::Placement::kUniform);
+        const pic::PicResult r = app.run();
+        std::vector<double> d{r.final.kinetic_energy, r.final.field_energy,
+                              r.final.total_charge, r.final.momentum_z};
+        d.insert(d.end(), r.field_energy_history.begin(),
+                 r.field_energy_history.end());
+        return d;
+      },
+      /*tol=*/0.0);
+}
+
+TEST(FaultCpu, PpmRecoversBitExact) {
+  expect_recovers(
+      [](rt::Runtime& rt) {
+        ppm::PpmConfig cfg;
+        cfg.nx = 24;
+        cfg.ny = 48;
+        cfg.tiles_x = 2;
+        cfg.tiles_y = 4;
+        cfg.steps = 4;
+        ppm::PpmTiled app(rt, cfg, 4, rt::Placement::kUniform);
+        app.init_sod_x();
+        const ppm::PpmResult r = app.run();
+        return std::vector<double>{r.final.mass, r.final.mom_x, r.final.mom_y,
+                                   r.final.energy, r.final.min_rho,
+                                   r.final.min_p};
+      },
+      /*tol=*/0.0);
+}
+
+// The PVM combines add partial sums in arrival order, which the migration
+// can perturb: a relative tolerance far below any physical change.
+TEST(FaultCpu, PicPvmRecoversWithinTolerance) {
+  expect_recovers(
+      [](rt::Runtime& rt) {
+        pic::PicConfig cfg;
+        cfg.nx = cfg.ny = cfg.nz = 8;
+        cfg.steps = 4;
+        pic::PicPvm app(rt, cfg, 4, rt::Placement::kUniform);
+        const pic::PicResult r = app.run();
+        return std::vector<double>{r.final.kinetic_energy,
+                                   r.final.field_energy, r.final.total_charge,
+                                   r.final.momentum_z};
+      },
+      /*tol=*/1e-12);
+}
+
+TEST(FaultCpu, NbodyPvmRecoversWithinTolerance) {
+  expect_recovers(
+      [](rt::Runtime& rt) {
+        nbody::NbodyConfig cfg;
+        cfg.n = 128;
+        cfg.steps = 3;
+        nbody::NbodyPvm app(rt, cfg, 4, rt::Placement::kUniform);
+        const nbody::NbodyResult r = app.run();
+        return std::vector<double>{r.final.kinetic, r.final.px, r.final.py,
+                                   r.final.pz};
+      },
+      /*tol=*/1e-12);
 }
 
 // ---------------------------------------------------------------------------
-// Whole-machine determinism under faults + checkpointing
+// Whole-machine determinism under faults
 // ---------------------------------------------------------------------------
 
 /// Whole-machine counter digest plus final simulated time; the digest
@@ -621,41 +717,37 @@ std::uint64_t perf_digest(rt::Runtime& runtime) {
 
 struct DigestStats {
   std::uint64_t digest = 0;
-  std::uint64_t checkpoints = 0;
-  std::uint64_t rollbacks = 0;
+  std::uint64_t migrations = 0;
   sim::Time elapsed = 0;
 };
 
-DigestStats nbody_digest(const FaultPlan& plan, unsigned ckpt_every) {
+DigestStats nbody_digest(const FaultPlan& plan) {
   rt::Runtime runtime(Topology{.nodes = 1});
   FaultInjector inj(plan);
   inj.attach(runtime);
   nbody::NbodyConfig cfg;
   cfg.n = 512;
   cfg.steps = 3;
-  cfg.ckpt_interval = ckpt_every;
   nbody::NbodyShared nb(runtime, cfg, 8, rt::Placement::kHighLocality);
   runtime.run([&] { nb.run(); });
-  const arch::PerfCounters& p = runtime.machine().perf();
-  return {perf_digest(runtime), p.checkpoints_taken, p.rollbacks,
+  return {perf_digest(runtime), runtime.machine().perf().cpu_recoveries,
           runtime.elapsed()};
 }
 
-TEST(FaultCkpt, FaultedCheckpointedRunsDigestIdentically) {
+TEST(FaultCpu, FaultedRunsDigestIdentically) {
   // Same seed, same plan, same workload: the complete counter state of the
   // machine -- every per-CPU family plus the fault, checkpoint, and checker
   // families -- and the final simulated time must be bit-identical.  This is
-  // the regression net for the recovery path staying deterministic.
-  const DigestStats healthy = nbody_digest(FaultPlan{}, /*ckpt_every=*/2);
+  // the regression net for the migration path staying deterministic.
+  const DigestStats healthy = nbody_digest(FaultPlan{});
   ASSERT_GT(healthy.elapsed, 0u);
-  ASSERT_GE(healthy.checkpoints, 1u);
 
   FaultPlan plan;
   plan.seed = 20260805;
   plan.cpu_fail(healthy.elapsed / 2, 3);
-  const DigestStats a = nbody_digest(plan, 2);
-  const DigestStats b = nbody_digest(plan, 2);
-  EXPECT_GE(a.rollbacks, 1u) << "the fault must actually trigger a rollback";
+  const DigestStats a = nbody_digest(plan);
+  const DigestStats b = nbody_digest(plan);
+  EXPECT_GE(a.migrations, 1u) << "the fault must actually migrate a thread";
   EXPECT_EQ(a.digest, b.digest);
   EXPECT_EQ(a.elapsed, b.elapsed);
   EXPECT_NE(a.digest, healthy.digest)
