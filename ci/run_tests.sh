@@ -16,6 +16,11 @@
 # The ThreadSanitizer leg runs every simulated thread on a fiber, as every
 # other build does: fiber switches carry tsan annotations (spp/rt/fiber.h).
 #
+# Every leg's ctest checks 18 of sppsim-bench's 19 entries against the
+# committed bench/baselines: the seven paper_* tests and bench_baselines
+# run with --check, so a moved simulated time or counter digest fails
+# tier-1.  Only fig8_nbody (over a minute) is left to bench-smoke.
+#
 # A gating bench-smoke leg (--bench-smoke) builds Release and runs
 # sppsim-bench once over its whole table: every paper figure and ablation
 # at the reduced size and every acceptance workload at the smoke size,

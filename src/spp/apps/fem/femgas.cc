@@ -6,17 +6,11 @@
 #include <limits>
 
 #include "spp/ckpt/loop.h"
+#include "spp/rt/loops.h"
 
 namespace spp::fem {
 
 namespace {
-
-std::pair<std::size_t, std::size_t> split(std::size_t n, unsigned parts,
-                                          unsigned p) {
-  const std::size_t base = n / parts, rem = n % parts;
-  const std::size_t begin = p * base + std::min<std::size_t>(p, rem);
-  return {begin, begin + base + (p < rem ? 1 : 0)};
-}
 
 struct Prim {
   double rho, vx, vy, p;
@@ -109,7 +103,7 @@ std::array<double, 4> FemGas::state(std::size_t p) const {
 }
 
 double FemGas::wave_speed_phase(unsigned tid, unsigned nthreads) {
-  const auto [pb, pe] = split(mesh_.num_points(), nthreads, tid);
+  const auto [pb, pe] = rt::block_range(mesh_.num_points(), nthreads, tid);
   double lmax = 1e-12;
   for (std::size_t p = pb; p < pe; ++p) {
     std::array<double, 4> u;
@@ -171,7 +165,7 @@ std::array<double, 4> FemGas::element_residual(std::size_t e, int k,
 }
 
 void FemGas::element_phase(unsigned tid, unsigned nthreads) {
-  const auto [eb, ee] = split(mesh_.num_elements(), nthreads, tid);
+  const auto [eb, ee] = rt::block_range(mesh_.num_elements(), nthreads, tid);
   for (std::size_t e = eb; e < ee; ++e) {
     for (int k = 0; k < 3; ++k) {
       const auto r = element_residual(e, k, /*charged=*/true);
@@ -184,7 +178,7 @@ void FemGas::element_phase(unsigned tid, unsigned nthreads) {
 }
 
 void FemGas::copy_state_phase(unsigned tid, unsigned nthreads) {
-  const auto [pb, pe] = split(mesh_.num_points(), nthreads, tid);
+  const auto [pb, pe] = rt::block_range(mesh_.num_points(), nthreads, tid);
   for (std::size_t p = pb; p < pe; ++p) {
     for (int c = 0; c < 4; ++c) uold_->raw(4 * p + c) = u_->raw(4 * p + c);
   }
@@ -193,7 +187,7 @@ void FemGas::copy_state_phase(unsigned tid, unsigned nthreads) {
 }
 
 void FemGas::point_phase(unsigned tid, unsigned nthreads, double dt) {
-  const auto [pb, pe] = split(mesh_.num_points(), nthreads, tid);
+  const auto [pb, pe] = rt::block_range(mesh_.num_points(), nthreads, tid);
   for (std::size_t p = pb; p < pe; ++p) {
     std::array<double, 4> acc{0, 0, 0, 0};
     const std::int32_t lo = mesh_.p2e_off[p], hi = mesh_.p2e_off[p + 1];

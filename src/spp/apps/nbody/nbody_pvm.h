@@ -15,6 +15,13 @@
 // every unpack streams the whole structure through the receiver's cache at
 // per-line rates.
 //
+// The numerics are nbody.h's: the same Plummer load fills the host mirror,
+// rank 0 builds the same Octree over the replicated coordinates (uncharged;
+// the build is charged in bulk as flops and a sweep of the tree window), and
+// every task walks it with the shared-memory code's walk, charging each cell
+// read through its tree window.  So both codings evaluate the same force
+// terms, bit for bit.
+//
 // A CPU fail-stop needs no protocol here: the victim task's thread migrates
 // to a surviving CPU with its slice intact, and the run ends at the
 // fault-free answer (docs/RECOVERY.md).

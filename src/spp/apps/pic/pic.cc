@@ -1,38 +1,63 @@
 #include "spp/apps/pic/pic.h"
 
 #include <cassert>
-#include <cmath>
 #include <numbers>
 
 #include "spp/ckpt/loop.h"
 #include "spp/fft/fft.h"
+#include "spp/rt/loops.h"
 
 namespace spp::pic {
 
-namespace {
-
-/// Splits [0, n) into `parts` contiguous ranges; returns [begin, end) of `p`.
-std::pair<std::size_t, std::size_t> split(std::size_t n, unsigned parts,
-                                          unsigned p) {
-  const std::size_t base = n / parts, rem = n % parts;
-  const std::size_t begin = p * base + std::min<std::size_t>(p, rem);
-  return {begin, begin + base + (p < rem ? 1 : 0)};
-}
-
-// Flop estimates per kernel, per item (counted once here so charging and the
-// C90 comparator agree).
-constexpr double kDepositFlops = 33;  // CIC weights + 8 accumulates.
-constexpr double kPushFlops = 70;     // gather interpolation + leapfrog.
-constexpr double kReduceFlopsPerTerm = 1;
-constexpr double kFieldFlopsPerCell = 16;  // spectral divide + gradient.
-
-}  // namespace
+constexpr double kReduceFlopsPerTerm = 1;  // the charge combine's adds.
 
 double flops_per_step(const PicConfig& cfg) {
   const double np = static_cast<double>(cfg.particles());
   const double nc = static_cast<double>(cfg.cells());
   return np * (kDepositFlops + kPushFlops) + nc * kFieldFlopsPerCell +
          2.0 * fft::flops_3d(cfg.nx, cfg.ny, cfg.nz);
+}
+
+void fill_beam_plasma(const PicConfig& cfg, double* x, double* y, double* z,
+                      double* vx, double* vy, double* vz) {
+  sim::Rng rng(cfg.seed);
+  std::size_t p = 0;
+  for (std::size_t iz = 0; iz < cfg.nz; ++iz) {
+    for (std::size_t iy = 0; iy < cfg.ny; ++iy) {
+      for (std::size_t ix = 0; ix < cfg.nx; ++ix) {
+        for (unsigned k = 0; k < cfg.plasma_per_cell + cfg.beam_per_cell;
+             ++k, ++p) {
+          x[p] = static_cast<double>(ix) + rng.next_double();
+          y[p] = static_cast<double>(iy) + rng.next_double();
+          z[p] = static_cast<double>(iz) + rng.next_double();
+          if (k < cfg.plasma_per_cell) {
+            vx[p] = rng.gaussian(0, cfg.vth);
+            vy[p] = rng.gaussian(0, cfg.vth);
+            vz[p] = rng.gaussian(0, cfg.vth);
+          } else {
+            vx[p] = vy[p] = 0;
+            vz[p] = cfg.beam_velocity * cfg.vth;
+          }
+        }
+      }
+    }
+  }
+  assert(p == cfg.particles());
+}
+
+std::complex<double> poisson_mode(const PicConfig& cfg, std::size_t c,
+                                  std::complex<double> rho_hat) {
+  const std::size_t x = c % cfg.nx;
+  const std::size_t y = (c / cfg.nx) % cfg.ny;
+  const std::size_t z = c / (cfg.nx * cfg.ny);
+  const double sx = std::sin(std::numbers::pi * static_cast<double>(x) /
+                             static_cast<double>(cfg.nx));
+  const double sy = std::sin(std::numbers::pi * static_cast<double>(y) /
+                             static_cast<double>(cfg.ny));
+  const double sz = std::sin(std::numbers::pi * static_cast<double>(z) /
+                             static_cast<double>(cfg.nz));
+  const double k2 = 4.0 * (sx * sx + sy * sy + sz * sz);
+  return (k2 > 0) ? rho_hat / k2 : std::complex<double>(0, 0);
 }
 
 PicShared::PicShared(rt::Runtime& rt, const PicConfig& cfg, unsigned nthreads,
@@ -83,39 +108,12 @@ PicShared::PicShared(rt::Runtime& rt, const PicConfig& cfg, unsigned nthreads,
                  sizeof(std::complex<double>)));
   work_.resize(nc);
   barrier_ = std::make_unique<rt::Barrier>(rt_, nthreads_);
-  load_particles();
-}
-
-void PicShared::load_particles() {
-  sim::Rng rng(cfg_.seed);
-  std::size_t p = 0;
-  for (std::size_t iz = 0; iz < cfg_.nz; ++iz) {
-    for (std::size_t iy = 0; iy < cfg_.ny; ++iy) {
-      for (std::size_t ix = 0; ix < cfg_.nx; ++ix) {
-        for (unsigned k = 0; k < cfg_.plasma_per_cell; ++k, ++p) {
-          px_->raw(p) = static_cast<double>(ix) + rng.next_double();
-          py_->raw(p) = static_cast<double>(iy) + rng.next_double();
-          pz_->raw(p) = static_cast<double>(iz) + rng.next_double();
-          vx_->raw(p) = rng.gaussian(0, cfg_.vth);
-          vy_->raw(p) = rng.gaussian(0, cfg_.vth);
-          vz_->raw(p) = rng.gaussian(0, cfg_.vth);
-        }
-        for (unsigned k = 0; k < cfg_.beam_per_cell; ++k, ++p) {
-          px_->raw(p) = static_cast<double>(ix) + rng.next_double();
-          py_->raw(p) = static_cast<double>(iy) + rng.next_double();
-          pz_->raw(p) = static_cast<double>(iz) + rng.next_double();
-          vx_->raw(p) = 0;
-          vy_->raw(p) = 0;
-          vz_->raw(p) = cfg_.beam_velocity * cfg_.vth;
-        }
-      }
-    }
-  }
-  assert(p == cfg_.particles());
+  fill_beam_plasma(cfg_, &px_->raw(0), &py_->raw(0), &pz_->raw(0),
+                   &vx_->raw(0), &vy_->raw(0), &vz_->raw(0));
 }
 
 void PicShared::deposit(unsigned tid, unsigned nthreads) {
-  const auto [pb, pe] = split(cfg_.particles(), nthreads, tid);
+  const auto [pb, pe] = rt::block_range(cfg_.particles(), nthreads, tid);
   const std::size_t nc = cfg_.cells();
   const std::size_t base = tid * nc;
 
@@ -130,26 +128,9 @@ void PicShared::deposit(unsigned tid, unsigned nthreads) {
     const double x = px_->read(p);
     const double y = py_->read(p);
     const double z = pz_->read(p);
-    const auto ix = static_cast<std::size_t>(x);
-    const auto iy = static_cast<std::size_t>(y);
-    const auto iz = static_cast<std::size_t>(z);
-    const double fx = x - static_cast<double>(ix);
-    const double fy = y - static_cast<double>(iy);
-    const double fz = z - static_cast<double>(iz);
-    const std::size_t ix1 = (ix + 1) % cfg_.nx;
-    const std::size_t iy1 = (iy + 1) % cfg_.ny;
-    const std::size_t iz1 = (iz + 1) % cfg_.nz;
-    const double wx[2] = {1 - fx, fx};
-    const double wy[2] = {1 - fy, fy};
-    const double wz[2] = {1 - fz, fz};
-    const std::size_t cx[2] = {ix, ix1}, cy[2] = {iy, iy1}, cz[2] = {iz, iz1};
-    for (int a = 0; a < 2; ++a) {
-      for (int b = 0; b < 2; ++b) {
-        for (int c = 0; c < 2; ++c) {
-          stage_->accumulate(base + cell_index(cx[a], cy[b], cz[c]),
-                             qe * wx[a] * wy[b] * wz[c]);
-        }
-      }
+    const Cic st = cic_stencil(cfg_, x, y, z);
+    for (int k = 0; k < 8; ++k) {
+      stage_->accumulate(base + st.cell[k], qe * st.w[k]);
     }
     rt_.work_flops(kDepositFlops);
   }
@@ -189,7 +170,7 @@ void PicShared::reduce_charge(unsigned tid, unsigned nthreads) {
   // Publish: cell-range owners copy the root slice (+ neutralizing
   // background) into the shared charge density.
   const std::size_t root = static_cast<std::size_t>(perm[0]) * nc;
-  const auto [cb, ce] = split(nc, nthreads, tid);
+  const auto [cb, ce] = rt::block_range(nc, nthreads, tid);
   const double background =
       static_cast<double>(cfg_.plasma_per_cell + cfg_.beam_per_cell);
   for (std::size_t c = cb; c < ce; ++c) {
@@ -207,7 +188,7 @@ void PicShared::solve_fields(unsigned tid, unsigned nthreads) {
 
   // Copy rho into the complex workspace.
   {
-    const auto [cb, ce] = split(nc, nthreads, tid);
+    const auto [cb, ce] = rt::block_range(nc, nthreads, tid);
     for (std::size_t c = cb; c < ce; ++c) {
       work_[c] = Complex(rho_->read(c), 0.0);
     }
@@ -220,7 +201,7 @@ void PicShared::solve_fields(unsigned tid, unsigned nthreads) {
     // ranges.  Contiguous x-pencils use bulk charging; strided passes charge
     // per element (their lines do not coalesce).
     if (axis == 0) {
-      const auto [qb, qe] = split(ny * nz, nthreads, tid);
+      const auto [qb, qe] = rt::block_range(ny * nz, nthreads, tid);
       for (std::size_t q = qb; q < qe; ++q) {
         fft::transform(work_.data() + q * nx, nx, 1, sign);
         phik_->touch_range(q * nx, nx, false);
@@ -228,7 +209,7 @@ void PicShared::solve_fields(unsigned tid, unsigned nthreads) {
         rt_.work_flops(fft::flops_1d(nx));
       }
     } else if (axis == 1) {
-      const auto [qb, qe] = split(nx * nz, nthreads, tid);
+      const auto [qb, qe] = rt::block_range(nx * nz, nthreads, tid);
       for (std::size_t q = qb; q < qe; ++q) {
         const std::size_t z = q / nx, x = q % nx;
         fft::transform(work_.data() + z * ny * nx + x, ny,
@@ -241,7 +222,7 @@ void PicShared::solve_fields(unsigned tid, unsigned nthreads) {
         rt_.work_flops(fft::flops_1d(ny));
       }
     } else {
-      const auto [qb, qe] = split(nx * ny, nthreads, tid);
+      const auto [qb, qe] = rt::block_range(nx * ny, nthreads, tid);
       for (std::size_t q = qb; q < qe; ++q) {
         fft::transform(work_.data() + q, nz,
                        static_cast<std::ptrdiff_t>(nx * ny), sign);
@@ -265,25 +246,13 @@ void PicShared::solve_fields(unsigned tid, unsigned nthreads) {
   // finite-difference-consistent eigenvalues (matches the central-difference
   // gradient used below, which keeps the scheme momentum-conserving).
   {
-    const auto [cb, ce] = split(nc, nthreads, tid);
-    const double two_pi = 2.0 * std::numbers::pi;
+    const auto [cb, ce] = rt::block_range(nc, nthreads, tid);
     for (std::size_t c = cb; c < ce; ++c) {
-      const std::size_t x = c % nx;
-      const std::size_t y = (c / nx) % ny;
-      const std::size_t z = c / (nx * ny);
-      const double sx = std::sin(std::numbers::pi * static_cast<double>(x) /
-                                 static_cast<double>(nx));
-      const double sy = std::sin(std::numbers::pi * static_cast<double>(y) /
-                                 static_cast<double>(ny));
-      const double sz = std::sin(std::numbers::pi * static_cast<double>(z) /
-                                 static_cast<double>(nz));
-      const double k2 = 4.0 * (sx * sx + sy * sy + sz * sz);
-      work_[c] = (k2 > 0) ? work_[c] / k2 : fft::Complex(0, 0);
+      work_[c] = poisson_mode(cfg_, c, work_[c]);
       rt_.read(phik_->vaddr(c), sizeof(Complex));
       rt_.write(phik_->vaddr(c), sizeof(Complex));
       rt_.work_flops(kFieldFlopsPerCell * 0.5);
     }
-    (void)two_pi;
   }
   barrier_->wait();
 
@@ -293,7 +262,7 @@ void PicShared::solve_fields(unsigned tid, unsigned nthreads) {
   fft_pass(2, +1);
 
   {
-    const auto [cb, ce] = split(nc, nthreads, tid);
+    const auto [cb, ce] = rt::block_range(nc, nthreads, tid);
     const double norm = 1.0 / static_cast<double>(nc);
     for (std::size_t c = cb; c < ce; ++c) work_[c] *= norm;
   }
@@ -301,9 +270,9 @@ void PicShared::solve_fields(unsigned tid, unsigned nthreads) {
 
   // E = -grad(phi), central differences, periodic.
   {
-    const auto [cb, ce] = split(nc, nthreads, tid);
+    const auto [cb, ce] = rt::block_range(nc, nthreads, tid);
     auto phi = [&](std::size_t ix, std::size_t iy, std::size_t iz) {
-      const std::size_t idx = cell_index(ix, iy, iz);
+      const std::size_t idx = cfg_.cell_index(ix, iy, iz);
       rt_.read(phik_->vaddr(idx), sizeof(Complex));
       return work_[idx].real();
     };
@@ -324,64 +293,28 @@ void PicShared::solve_fields(unsigned tid, unsigned nthreads) {
 }
 
 void PicShared::gather_push(unsigned tid, unsigned nthreads) {
-  const auto [pb, pe] = split(cfg_.particles(), nthreads, tid);
-  const double qm = -1.0;  // charge/mass for electrons (q=-1, m=1).
-  const double dt = cfg_.dt;
-  const double lx = static_cast<double>(cfg_.nx);
-  const double ly = static_cast<double>(cfg_.ny);
-  const double lz = static_cast<double>(cfg_.nz);
-
+  const auto [pb, pe] = rt::block_range(cfg_.particles(), nthreads, tid);
   for (std::size_t p = pb; p < pe; ++p) {
-    const double x = px_->read(p);
-    const double y = py_->read(p);
-    const double z = pz_->read(p);
-    const auto ix = static_cast<std::size_t>(x);
-    const auto iy = static_cast<std::size_t>(y);
-    const auto iz = static_cast<std::size_t>(z);
-    const double fx = x - static_cast<double>(ix);
-    const double fy = y - static_cast<double>(iy);
-    const double fz = z - static_cast<double>(iz);
-    const std::size_t ix1 = (ix + 1) % cfg_.nx;
-    const std::size_t iy1 = (iy + 1) % cfg_.ny;
-    const std::size_t iz1 = (iz + 1) % cfg_.nz;
-    const double wx[2] = {1 - fx, fx};
-    const double wy[2] = {1 - fy, fy};
-    const double wz[2] = {1 - fz, fz};
-    const std::size_t cx[2] = {ix, ix1}, cy[2] = {iy, iy1}, cz[2] = {iz, iz1};
-
+    double x = px_->read(p);
+    double y = py_->read(p);
+    double z = pz_->read(p);
+    const Cic st = cic_stencil(cfg_, x, y, z);
     double e[3] = {0, 0, 0};
-    for (int a = 0; a < 2; ++a) {
-      for (int b = 0; b < 2; ++b) {
-        for (int c = 0; c < 2; ++c) {
-          const double w = wx[a] * wy[b] * wz[c];
-          const std::size_t idx = cell_index(cx[a], cy[b], cz[c]);
-          e[0] += w * ex_->read(idx);
-          e[1] += w * ey_->read(idx);
-          e[2] += w * ez_->read(idx);
-        }
-      }
+    for (int k = 0; k < 8; ++k) {
+      e[0] += st.w[k] * ex_->read(st.cell[k]);
+      e[1] += st.w[k] * ey_->read(st.cell[k]);
+      e[2] += st.w[k] * ez_->read(st.cell[k]);
     }
-
-    // Leapfrog: kick, then drift with periodic wrap.
-    double nvx = vx_->read(p) + dt * qm * e[0];
-    double nvy = vy_->read(p) + dt * qm * e[1];
-    double nvz = vz_->read(p) + dt * qm * e[2];
-    double nx_pos = x + dt * nvx;
-    double ny_pos = y + dt * nvy;
-    double nz_pos = z + dt * nvz;
-    nx_pos -= lx * std::floor(nx_pos / lx);
-    ny_pos -= ly * std::floor(ny_pos / ly);
-    nz_pos -= lz * std::floor(nz_pos / lz);
-    // Guard against fp edge landing exactly on the box bound.
-    if (nx_pos >= lx) nx_pos = 0;
-    if (ny_pos >= ly) ny_pos = 0;
-    if (nz_pos >= lz) nz_pos = 0;
-    vx_->write(p, nvx);
-    vy_->write(p, nvy);
-    vz_->write(p, nvz);
-    px_->write(p, nx_pos);
-    py_->write(p, ny_pos);
-    pz_->write(p, nz_pos);
+    double vx = vx_->read(p);
+    double vy = vy_->read(p);
+    double vz = vz_->read(p);
+    leapfrog(cfg_, e, x, y, z, vx, vy, vz);
+    vx_->write(p, vx);
+    vy_->write(p, vy);
+    vz_->write(p, vz);
+    px_->write(p, x);
+    py_->write(p, y);
+    pz_->write(p, z);
     rt_.work_flops(kPushFlops);
   }
 }

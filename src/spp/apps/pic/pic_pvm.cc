@@ -1,15 +1,14 @@
 #include "spp/apps/pic/pic_pvm.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <memory>
-#include <numbers>
 #include <vector>
 
 #include "spp/ckpt/loop.h"
 #include "spp/fft/fft.h"
 #include "spp/rt/garray.h"
+#include "spp/rt/loops.h"
 
 namespace spp::pic {
 
@@ -20,56 +19,15 @@ constexpr int kTagField = 200;
 constexpr int kTagDiag = 300;
 constexpr int kTagCkpt = 400;  ///< slice -> rank 0 at a chunk end.
 
-constexpr double kDepositFlops = 33;
-constexpr double kPushFlops = 70;
-constexpr double kFieldFlopsPerCell = 16;
-
-std::pair<std::size_t, std::size_t> split(std::size_t n, unsigned parts,
-                                          unsigned p) {
-  const std::size_t base = n / parts, rem = n % parts;
-  const std::size_t begin = p * base + std::min<std::size_t>(p, rem);
-  return {begin, begin + base + (p < rem ? 1 : 0)};
-}
-
 /// The full particle population, host-side.  It starts as the initial load.
 /// In durable runs it is also the checkpoint mirror: the state as of the
 /// last chunk boundary, which every capture snapshots and every chunk's
 /// tasks load their slices from.
 struct Mirror {
+  explicit Mirror(std::size_t np)
+      : x(np), y(np), z(np), vx(np), vy(np), vz(np) {}
   std::vector<double> x, y, z, vx, vy, vz;
 };
-
-/// Deterministic particle load, identical to PicShared's.
-Mirror generate_particles(const PicConfig& cfg) {
-  const std::size_t np = cfg.particles();
-  Mirror g{std::vector<double>(np), std::vector<double>(np),
-           std::vector<double>(np), std::vector<double>(np),
-           std::vector<double>(np), std::vector<double>(np)};
-  sim::Rng rng(cfg.seed);
-  std::size_t p = 0;
-  for (std::size_t iz = 0; iz < cfg.nz; ++iz) {
-    for (std::size_t iy = 0; iy < cfg.ny; ++iy) {
-      for (std::size_t ix = 0; ix < cfg.nx; ++ix) {
-        for (unsigned k = 0; k < cfg.plasma_per_cell + cfg.beam_per_cell;
-             ++k, ++p) {
-          const bool beam = k >= cfg.plasma_per_cell;
-          g.x[p] = static_cast<double>(ix) + rng.next_double();
-          g.y[p] = static_cast<double>(iy) + rng.next_double();
-          g.z[p] = static_cast<double>(iz) + rng.next_double();
-          if (beam) {
-            g.vx[p] = g.vy[p] = 0;
-            g.vz[p] = cfg.beam_velocity * cfg.vth;
-          } else {
-            g.vx[p] = rng.gaussian(0, cfg.vth);
-            g.vy[p] = rng.gaussian(0, cfg.vth);
-            g.vz[p] = rng.gaussian(0, cfg.vth);
-          }
-        }
-      }
-    }
-  }
-  return g;
-}
 
 /// Host-side running results rank 0 records; a durable run checkpoints them
 /// with the mirror and the fixed-size history (history[s] holds step s's
@@ -105,8 +63,9 @@ struct Task {
         mesh_window(mesh), part_window(part), me(id), ntasks(count),
         rho(c.cells(), 0.0), ex(c.cells(), 0.0), ey(c.cells(), 0.0),
         ez(c.cells(), 0.0) {
-    const auto [b, e] = split(cfg.particles(), static_cast<unsigned>(ntasks),
-                              static_cast<unsigned>(me));
+    const auto [b, e] =
+        rt::block_range(cfg.particles(), static_cast<unsigned>(ntasks),
+                        static_cast<unsigned>(me));
     pb = b;
     my_np = e - b;
     px.assign(mirror.x.begin() + b, mirror.x.begin() + e);
@@ -115,10 +74,6 @@ struct Task {
     vx.assign(mirror.vx.begin() + b, mirror.vx.begin() + e);
     vy.assign(mirror.vy.begin() + b, mirror.vy.begin() + e);
     vz.assign(mirror.vz.begin() + b, mirror.vz.begin() + e);
-  }
-
-  std::size_t cell_index(std::size_t ix, std::size_t iy, std::size_t iz) const {
-    return (iz * cfg.ny + iy) * cfg.nx + ix;
   }
 
   /// Time step `s`: deposit, combine and solve on rank 0, field broadcast,
@@ -132,31 +87,17 @@ struct Task {
     std::fill(rho.begin(), rho.end(), 0.0);
     mesh_window.touch_range(0, nc, true);
     for (std::size_t q = 0; q < my_np; ++q) {
-      const double x = px[q], y = py[q], z = pz[q];
       // SoA particle record, like the shared-memory coding: one read per
       // coordinate component array.
       rt.read(part_window.vaddr(0 * my_np + q));
       rt.read(part_window.vaddr(1 * my_np + q));
       rt.read(part_window.vaddr(2 * my_np + q));
-      const auto ix = static_cast<std::size_t>(x);
-      const auto iy = static_cast<std::size_t>(y);
-      const auto iz = static_cast<std::size_t>(z);
-      const double fx = x - std::floor(x), fy = y - std::floor(y),
-                   fz = z - std::floor(z);
-      const std::size_t ix1 = (ix + 1) % nx, iy1 = (iy + 1) % ny,
-                        iz1 = (iz + 1) % nz;
-      const double wx[2] = {1 - fx, fx}, wy[2] = {1 - fy, fy},
-                   wz[2] = {1 - fz, fz};
-      const std::size_t cx[2] = {ix, ix1}, cy[2] = {iy, iy1},
-                        cz[2] = {iz, iz1};
-      for (int a = 0; a < 2; ++a)
-        for (int b = 0; b < 2; ++b)
-          for (int c = 0; c < 2; ++c) {
-            const std::size_t idx = cell_index(cx[a], cy[b], cz[c]);
-            rho[idx] -= wx[a] * wy[b] * wz[c];
-            rt.read(mesh_window.vaddr(idx));
-            rt.write(mesh_window.vaddr(idx));
-          }
+      const Cic st = cic_stencil(cfg, px[q], py[q], pz[q]);
+      for (int k = 0; k < 8; ++k) {
+        rho[st.cell[k]] -= st.w[k];
+        rt.read(mesh_window.vaddr(st.cell[k]));
+        rt.write(mesh_window.vaddr(st.cell[k]));
+      }
       rt.work_flops(kDepositFlops);
     }
 
@@ -182,12 +123,7 @@ struct Task {
       fft::transform_3d(work.data(), nx, ny, nz, -1);
       rt.work_flops(fft::flops_3d(nx, ny, nz));
       for (std::size_t c = 0; c < nc; ++c) {
-        const std::size_t x = c % nx, y = (c / nx) % ny, z = c / (nx * ny);
-        const double sx = std::sin(std::numbers::pi * double(x) / double(nx));
-        const double sy = std::sin(std::numbers::pi * double(y) / double(ny));
-        const double sz = std::sin(std::numbers::pi * double(z) / double(nz));
-        const double k2 = 4.0 * (sx * sx + sy * sy + sz * sz);
-        work[c] = (k2 > 0) ? work[c] / k2 : fft::Complex(0, 0);
+        work[c] = poisson_mode(cfg, c, work[c]);
       }
       rt.work_flops(kFieldFlopsPerCell * 0.5 * static_cast<double>(nc));
       fft::transform_3d(work.data(), nx, ny, nz, +1);
@@ -198,12 +134,12 @@ struct Task {
         const std::size_t xm = (x + nx - 1) % nx, xp = (x + 1) % nx;
         const std::size_t ym = (y + ny - 1) % ny, yp = (y + 1) % ny;
         const std::size_t zm = (z + nz - 1) % nz, zp = (z + 1) % nz;
-        ex[c] = -0.5 * (work[cell_index(xp, y, z)].real() -
-                        work[cell_index(xm, y, z)].real());
-        ey[c] = -0.5 * (work[cell_index(x, yp, z)].real() -
-                        work[cell_index(x, ym, z)].real());
-        ez[c] = -0.5 * (work[cell_index(x, y, zp)].real() -
-                        work[cell_index(x, y, zm)].real());
+        ex[c] = -0.5 * (work[cfg.cell_index(xp, y, z)].real() -
+                        work[cfg.cell_index(xm, y, z)].real());
+        ey[c] = -0.5 * (work[cfg.cell_index(x, yp, z)].real() -
+                        work[cfg.cell_index(x, ym, z)].real());
+        ez[c] = -0.5 * (work[cfg.cell_index(x, y, zp)].real() -
+                        work[cfg.cell_index(x, y, zm)].real());
       }
       rt.work_flops(kFieldFlopsPerCell * 0.5 * static_cast<double>(nc));
       mesh_window.touch_range(nc, 3 * nc, true);
@@ -227,48 +163,18 @@ struct Task {
     }
 
     // ----- gather + push on private particles ------------------------------
-    const double dt = cfg.dt;
-    const double lx = double(nx), ly = double(ny), lz = double(nz);
     for (std::size_t q = 0; q < my_np; ++q) {
-      const double x = px[q], y = py[q], z = pz[q];
-      const auto ix = static_cast<std::size_t>(x);
-      const auto iy = static_cast<std::size_t>(y);
-      const auto iz = static_cast<std::size_t>(z);
-      const double fx = x - std::floor(x), fy = y - std::floor(y),
-                   fz = z - std::floor(z);
-      const std::size_t ix1 = (ix + 1) % nx, iy1 = (iy + 1) % ny,
-                        iz1 = (iz + 1) % nz;
-      const double wx[2] = {1 - fx, fx}, wy[2] = {1 - fy, fy},
-                   wz[2] = {1 - fz, fz};
-      const std::size_t cx[2] = {ix, ix1}, cy[2] = {iy, iy1},
-                        cz[2] = {iz, iz1};
+      const Cic st = cic_stencil(cfg, px[q], py[q], pz[q]);
       double e[3] = {0, 0, 0};
-      for (int a = 0; a < 2; ++a)
-        for (int b = 0; b < 2; ++b)
-          for (int c = 0; c < 2; ++c) {
-            const double w = wx[a] * wy[b] * wz[c];
-            const std::size_t idx = cell_index(cx[a], cy[b], cz[c]);
-            e[0] += w * ex[idx];
-            e[1] += w * ey[idx];
-            e[2] += w * ez[idx];
-            rt.read(mesh_window.vaddr(nc + idx));
-            rt.read(mesh_window.vaddr(2 * nc + idx));
-            rt.read(mesh_window.vaddr(3 * nc + idx));
-          }
-      vx[q] += dt * -1.0 * e[0];
-      vy[q] += dt * -1.0 * e[1];
-      vz[q] += dt * -1.0 * e[2];
-      double nxp = x + dt * vx[q], nyp = y + dt * vy[q],
-             nzp = z + dt * vz[q];
-      nxp -= lx * std::floor(nxp / lx);
-      nyp -= ly * std::floor(nyp / ly);
-      nzp -= lz * std::floor(nzp / lz);
-      if (nxp >= lx) nxp = 0;
-      if (nyp >= ly) nyp = 0;
-      if (nzp >= lz) nzp = 0;
-      px[q] = nxp;
-      py[q] = nyp;
-      pz[q] = nzp;
+      for (int k = 0; k < 8; ++k) {
+        e[0] += st.w[k] * ex[st.cell[k]];
+        e[1] += st.w[k] * ey[st.cell[k]];
+        e[2] += st.w[k] * ez[st.cell[k]];
+        rt.read(mesh_window.vaddr(nc + st.cell[k]));
+        rt.read(mesh_window.vaddr(2 * nc + st.cell[k]));
+        rt.read(mesh_window.vaddr(3 * nc + st.cell[k]));
+      }
+      leapfrog(cfg, e, px[q], py[q], pz[q], vx[q], vy[q], vz[q]);
       for (int c = 0; c < 3; ++c) {
         rt.read(part_window.vaddr((3 + c) * my_np + q));   // velocity
         rt.write(part_window.vaddr((3 + c) * my_np + q));
@@ -327,8 +233,8 @@ struct Task {
       for (int r = 1; r < ntasks; ++r) {
         pvm::Message m = vm.recv(-1, kTagCkpt);
         const auto [sb, se] =
-            split(cfg.particles(), static_cast<unsigned>(ntasks),
-                  static_cast<unsigned>(m.sender));
+            rt::block_range(cfg.particles(), static_cast<unsigned>(ntasks),
+                            static_cast<unsigned>(m.sender));
         m.unpack(mirror.x.data() + sb, se - sb);
         m.unpack(mirror.y.data() + sb, se - sb);
         m.unpack(mirror.z.data() + sb, se - sb);
@@ -363,7 +269,9 @@ PicResult PicPvm::run(const ckpt::DurableSpec& spec) {
   const std::size_t np = cfg_.particles();
 
   pvm::Pvm root(rt_);
-  Mirror mirror = generate_particles(cfg_);
+  Mirror mirror(np);
+  fill_beam_plasma(cfg_, mirror.x.data(), mirror.y.data(), mirror.z.data(),
+                   mirror.vx.data(), mirror.vy.data(), mirror.vz.data());
   Tally tally;
   std::vector<double> history(cfg_.steps, 0.0);
 
@@ -392,7 +300,7 @@ PicResult PicPvm::run(const ckpt::DurableSpec& spec) {
           rt_.topo().node_of_cpu(rt_.place_cpu(t, ntasks_, placement_));
       mesh_windows.push_back(std::make_unique<rt::GlobalArray<double>>(
           rt_, 4 * nc, arch::MemClass::kNearShared, "picpvm.mesh", node));
-      const auto [sb, se] = split(np, ntasks_, t);
+      const auto [sb, se] = rt::block_range(np, ntasks_, t);
       part_windows.push_back(std::make_unique<rt::GlobalArray<double>>(
           rt_, 6 * (se - sb), arch::MemClass::kNearShared, "picpvm.part",
           node));
@@ -415,8 +323,8 @@ PicResult PicPvm::run(const ckpt::DurableSpec& spec) {
     root.spawn(ntasks_, placement_, [&](pvm::Pvm& vm, int me, int ntasks) {
       rt::Runtime& rt = vm.runtime();
       const unsigned my_node = rt.topo().node_of_cpu(rt.cpu());
-      const auto [pb, pe] = split(np, static_cast<unsigned>(ntasks),
-                                  static_cast<unsigned>(me));
+      const auto [pb, pe] = rt::block_range(
+          np, static_cast<unsigned>(ntasks), static_cast<unsigned>(me));
       rt::GlobalArray<double> mesh_window(
           rt, 4 * nc, arch::MemClass::kNearShared, "picpvm.mesh", my_node);
       rt::GlobalArray<double> part_window(rt, 6 * (pe - pb),

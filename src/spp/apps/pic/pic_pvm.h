@@ -16,6 +16,11 @@
 // hypernode (a PVM process's pages are node-local); message costs go through
 // spp::pvm.
 //
+// The numerics are pic.h's: the same particle load fills the host mirror,
+// every task's deposit and gather use the CIC stencil and its push the
+// leapfrog, and task 0's solve uses the Poisson divisor.  Only the charges,
+// the particle slices and the messages are this coding's own.
+//
 // A CPU fail-stop needs no protocol here: the victim task's thread migrates
 // to a surviving CPU with its particles and private mesh intact, and the run
 // ends at the fault-free answer (docs/RECOVERY.md).

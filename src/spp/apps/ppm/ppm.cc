@@ -6,17 +6,11 @@
 #include <stdexcept>
 
 #include "spp/ckpt/loop.h"
+#include "spp/rt/loops.h"
 
 namespace spp::ppm {
 
 namespace {
-
-std::pair<std::size_t, std::size_t> split(std::size_t n, unsigned parts,
-                                          unsigned p) {
-  const std::size_t base = n / parts, rem = n % parts;
-  const std::size_t begin = p * base + std::min<std::size_t>(p, rem);
-  return {begin, begin + base + (p < rem ? 1 : 0)};
-}
 
 constexpr double kRhoFloor = 1e-10;
 constexpr double kPFloor = 1e-12;
@@ -63,8 +57,8 @@ PpmTiled::PpmTiled(rt::Runtime& rt, const PpmConfig& cfg, unsigned nprocs,
   for (unsigned ty = 0; ty < cfg.tiles_y; ++ty) {
     for (unsigned tx = 0; tx < cfg.tiles_x; ++tx) {
       Tile& t = tile_at(tx, ty);
-      const auto [x0, x1] = split(cfg.nx, cfg.tiles_x, tx);
-      const auto [y0, y1] = split(cfg.ny, cfg.tiles_y, ty);
+      const auto [x0, x1] = rt::block_range(cfg.nx, cfg.tiles_x, tx);
+      const auto [y0, y1] = rt::block_range(cfg.ny, cfg.tiles_y, ty);
       t.gx0 = x0;
       t.gy0 = y0;
       t.w = x1 - x0;

@@ -1,18 +1,10 @@
 #include "spp/lib/pfft.h"
 
-#include <algorithm>
 #include <stdexcept>
 
-namespace spp::lib {
+#include "spp/rt/loops.h"
 
-namespace {
-std::pair<std::size_t, std::size_t> split(std::size_t n, unsigned parts,
-                                          unsigned p) {
-  const std::size_t base = n / parts, rem = n % parts;
-  const std::size_t begin = p * base + std::min<std::size_t>(p, rem);
-  return {begin, begin + base + (p < rem ? 1 : 0)};
-}
-}  // namespace
+namespace spp::lib {
 
 ParallelFft3D::ParallelFft3D(rt::Runtime& rt, std::size_t nx, std::size_t ny,
                              std::size_t nz, unsigned nthreads)
@@ -35,7 +27,7 @@ void ParallelFft3D::pass(unsigned tid, unsigned nthreads, int axis,
                          int sign) {
   Complex* g = &grid_->raw(0);
   if (axis == 0) {
-    const auto [qb, qe] = split(ny_ * nz_, nthreads, tid);
+    const auto [qb, qe] = rt::block_range(ny_ * nz_, nthreads, tid);
     for (std::size_t q = qb; q < qe; ++q) {
       fft::transform(g + q * nx_, nx_, 1, sign);
       grid_->touch_range(q * nx_, nx_, false);
@@ -43,7 +35,7 @@ void ParallelFft3D::pass(unsigned tid, unsigned nthreads, int axis,
       rt_.work_flops(fft::flops_1d(nx_));
     }
   } else if (axis == 1) {
-    const auto [qb, qe] = split(nx_ * nz_, nthreads, tid);
+    const auto [qb, qe] = rt::block_range(nx_ * nz_, nthreads, tid);
     for (std::size_t q = qb; q < qe; ++q) {
       const std::size_t z = q / nx_, x = q % nx_;
       fft::transform(g + z * ny_ * nx_ + x, ny_,
@@ -56,7 +48,7 @@ void ParallelFft3D::pass(unsigned tid, unsigned nthreads, int axis,
       rt_.work_flops(fft::flops_1d(ny_));
     }
   } else {
-    const auto [qb, qe] = split(nx_ * ny_, nthreads, tid);
+    const auto [qb, qe] = rt::block_range(nx_ * ny_, nthreads, tid);
     for (std::size_t q = qb; q < qe; ++q) {
       fft::transform(g + q, nz_, static_cast<std::ptrdiff_t>(nx_ * ny_),
                      sign);
@@ -77,7 +69,7 @@ void ParallelFft3D::transform(unsigned tid, unsigned nthreads, int sign) {
   pass(tid, nthreads, 2, sign);
   if (sign > 0) {
     const std::size_t n = size();
-    const auto [cb, ce] = split(n, nthreads, tid);
+    const auto [cb, ce] = rt::block_range(n, nthreads, tid);
     const double inv = 1.0 / static_cast<double>(n);
     for (std::size_t c = cb; c < ce; ++c) grid_->raw(c) *= inv;
     grid_->touch_range(cb, ce - cb, false);

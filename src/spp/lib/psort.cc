@@ -5,20 +5,10 @@
 #include <memory>
 #include <vector>
 
+#include "spp/rt/loops.h"
 #include "spp/rt/sync.h"
 
 namespace spp::lib {
-
-namespace {
-
-std::pair<std::size_t, std::size_t> split(std::size_t n, unsigned parts,
-                                          unsigned p) {
-  const std::size_t base = n / parts, rem = n % parts;
-  const std::size_t begin = p * base + std::min<std::size_t>(p, rem);
-  return {begin, begin + base + (p < rem ? 1 : 0)};
-}
-
-}  // namespace
 
 // Sample sort: on a machine whose memory moves at blocking-cache latency
 // (~0.5 us per line, section 2.6), the classic merge tree loses because its
@@ -69,7 +59,7 @@ SortStats parallel_sort(rt::Runtime& rt, rt::GlobalArray<double>& data,
   const sim::Time t0 = rt.elapsed();
   rt.run([&] {
     rt.parallel(nthreads, placement, [&](unsigned tid, unsigned nt) {
-      const auto [lo, hi] = split(n, nt, tid);
+      const auto [lo, hi] = rt::block_range(n, nt, tid);
 
       // Phase 1: local sort.
       std::sort(&data.raw(lo), &data.raw(hi));
@@ -86,7 +76,7 @@ SortStats parallel_sort(rt::Runtime& rt, rt::GlobalArray<double>& data,
       if (tid == 0) {
         std::vector<double> samples;
         for (unsigned s = 0; s < nt; ++s) {
-          const auto [slo, shi] = split(n, nt, s);
+          const auto [slo, shi] = rt::block_range(n, nt, s);
           for (unsigned k = 1; k < nt; ++k) {
             samples.push_back(data.raw(slo + k * (shi - slo) / nt));
             rt.read(data.vaddr(slo + k * (shi - slo) / nt));
@@ -103,7 +93,7 @@ SortStats parallel_sort(rt::Runtime& rt, rt::GlobalArray<double>& data,
       // Phase 3a: each thread computes, in every sorted slice, where ITS
       // bucket begins (binary search against its lower splitter).
       for (unsigned s = 0; s < nt; ++s) {
-        const auto [slo, shi] = split(n, nt, s);
+        const auto [slo, shi] = rt::block_range(n, nt, s);
         const double* base = &data.raw(slo);
         const std::size_t len_s = shi - slo;
         const std::size_t from =
@@ -122,7 +112,7 @@ SortStats parallel_sort(rt::Runtime& rt, rt::GlobalArray<double>& data,
         for (unsigned b = 0; b < nt; ++b) {
           std::size_t size = 0;
           for (unsigned s = 0; s < nt; ++s) {
-            const auto [slo, shi] = split(n, nt, s);
+            const auto [slo, shi] = rt::block_range(n, nt, s);
             const std::size_t to = (b + 1 < nt) ? lo_of[b + 1][s] : shi - slo;
             size += to - lo_of[b][s];
           }
@@ -140,7 +130,7 @@ SortStats parallel_sort(rt::Runtime& rt, rt::GlobalArray<double>& data,
       // contiguous scratch range -- the one all-to-all movement).
       std::size_t out = bucket_off[tid];
       for (unsigned s = 0; s < nt; ++s) {
-        const auto [slo, shi] = split(n, nt, s);
+        const auto [slo, shi] = rt::block_range(n, nt, s);
         const std::size_t from = lo_of[tid][s];
         const std::size_t to = (tid + 1 < nt) ? lo_of[tid + 1][s] : shi - slo;
         if (to > from) {

@@ -3,20 +3,10 @@
 #include <algorithm>
 #include <memory>
 
+#include "spp/rt/loops.h"
 #include "spp/rt/sync.h"
 
 namespace spp::lib {
-
-namespace {
-
-std::pair<std::size_t, std::size_t> split(std::size_t n, unsigned parts,
-                                          unsigned p) {
-  const std::size_t base = n / parts, rem = n % parts;
-  const std::size_t begin = p * base + std::min<std::size_t>(p, rem);
-  return {begin, begin + base + (p < rem ? 1 : 0)};
-}
-
-}  // namespace
 
 ScatterStats scatter_add(rt::Runtime& rt, rt::GlobalArray<double>& target,
                          const std::vector<std::int32_t>& idx,
@@ -40,14 +30,14 @@ ScatterStats scatter_add(rt::Runtime& rt, rt::GlobalArray<double>& target,
           const std::size_t base = tid * n;
           for (std::size_t c = 0; c < n; ++c) stage.raw(base + c) = 0;
           stage.touch_range(base, n, true);
-          const auto [kb, ke] = split(m, nt, tid);
+          const auto [kb, ke] = rt::block_range(m, nt, tid);
           for (std::size_t k = kb; k < ke; ++k) {
             stage.accumulate(base + static_cast<std::size_t>(idx[k]), val[k]);
             rt.work_flops(1);
           }
           barrier.wait();
           // Combine: target-range owners sum the slices.
-          const auto [cb, ce] = split(n, nt, tid);
+          const auto [cb, ce] = rt::block_range(n, nt, tid);
           for (std::size_t c = cb; c < ce; ++c) {
             double s = 0;
             for (unsigned t = 0; t < nt; ++t) s += stage.raw(t * n + c);
@@ -70,7 +60,7 @@ ScatterStats scatter_add(rt::Runtime& rt, rt::GlobalArray<double>& target,
       }
       rt.run([&] {
         rt.parallel(nthreads, placement, [&](unsigned tid, unsigned nt) {
-          const auto [kb, ke] = split(m, nt, tid);
+          const auto [kb, ke] = rt::block_range(m, nt, tid);
           for (std::size_t k = kb; k < ke; ++k) {
             const auto c = static_cast<std::size_t>(idx[k]);
             rt::CriticalSection cs(*locks[c / stripe]);
@@ -86,7 +76,7 @@ ScatterStats scatter_add(rt::Runtime& rt, rt::GlobalArray<double>& target,
       // (deterministic, conflict-free, read-amplified).
       rt.run([&] {
         rt.parallel(nthreads, placement, [&](unsigned tid, unsigned nt) {
-          const auto [cb, ce] = split(n, nt, tid);
+          const auto [cb, ce] = rt::block_range(n, nt, tid);
           for (std::size_t k = 0; k < m; ++k) {
             const auto c = static_cast<std::size_t>(idx[k]);
             rt.work_ops(2);

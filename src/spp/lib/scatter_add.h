@@ -14,8 +14,8 @@
 //                 amplification) -- the point-centric aggregation the
 //                 paper's FEM code uses.
 //
-// bench_scatter compares them; the FEM and PIC codes embody kOwner and
-// kPrivate respectively.
+// The `scatter_strategies` entry of sppsim-bench compares them; the FEM and
+// PIC codes embody kOwner and kPrivate respectively.
 #pragma once
 
 #include <cstdint>

@@ -62,11 +62,8 @@ void parallel_for(Runtime& rt, std::size_t n, unsigned nthreads,
   SelfScheduler sched(rt, n, options, nthreads);
   rt.parallel(nthreads, placement, [&](unsigned tid, unsigned) {
     if (options.schedule == Schedule::kStatic) {
-      std::size_t b, e;
       // Static: exactly one block per thread.
-      const std::size_t base = n / nthreads, rem = n % nthreads;
-      b = tid * base + std::min<std::size_t>(tid, rem);
-      e = b + base + (tid < rem ? 1 : 0);
+      const auto [b, e] = block_range(n, nthreads, tid);
       rt.work_ops(12);
       for (std::size_t i = b; i < e; ++i) body(i);
       return;

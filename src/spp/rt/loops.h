@@ -13,7 +13,7 @@
 //   * kGuided  -- decreasing chunk sizes (remaining/2P, floored), fewer
 //                 grabs than dynamic with similar balance.
 //
-// The ablation bench (bench_scheduling) shows the tradeoff the paper
+// The `loop_schedules` entry of sppsim-bench shows the tradeoff the paper
 // anticipated: static wins on uniform work, dynamic/guided win under
 // imbalance despite the fetch-and-add traffic.
 #pragma once
@@ -21,6 +21,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <utility>
 
 #include "spp/rt/runtime.h"
 
@@ -35,6 +36,17 @@ struct LoopOptions {
   /// Hypernode hosting the shared iteration counter.
   unsigned counter_home = 0;
 };
+
+/// The static schedule's block of part `p`: [0, n) split into `parts`
+/// contiguous ranges, the first n % parts of them one longer.  Every app and
+/// library kernel that divides work statically uses it.
+inline std::pair<std::size_t, std::size_t> block_range(std::size_t n,
+                                                       unsigned parts,
+                                                       unsigned p) {
+  const std::size_t base = n / parts, rem = n % parts;
+  const std::size_t begin = p * base + std::min<std::size_t>(p, rem);
+  return {begin, begin + base + (p < rem ? 1 : 0)};
+}
 
 /// Runs `body(i)` for every i in [0, n) across `nthreads` threads spawned
 /// with `placement`.  Returns after all iterations complete (fork-join).

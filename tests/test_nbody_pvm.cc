@@ -29,11 +29,14 @@ TEST(NbodyPvm, PhysicsAgreesWithSharedMemory) {
     NbodyPvm nb(rt, cfg, 8, Placement::kUniform);
     rt.run([&] { pvm_res = nb.run(); });
   }
-  // Same particles, same tree algorithm: kinetic energies agree to fp noise
-  // of the different summation orders.
-  EXPECT_NEAR(pvm_res.final.kinetic / shared_res.final.kinetic, 1.0, 1e-9);
-  EXPECT_NEAR(pvm_res.final.px, shared_res.final.px, 1e-9);
-  EXPECT_NEAR(pvm_res.final.pz, shared_res.final.pz, 1e-9);
+  // One Plummer load, one tree build and one walk: both codings evaluate the
+  // same force terms, bit for bit.  Only the diagnostics' summation order
+  // differs (per-task partial sums against one serial sum).
+  EXPECT_EQ(pvm_res.interactions, shared_res.interactions);
+  EXPECT_NEAR(pvm_res.final.kinetic / shared_res.final.kinetic, 1.0, 1e-12);
+  EXPECT_NEAR(pvm_res.final.px, shared_res.final.px, 1e-15);
+  EXPECT_NEAR(pvm_res.final.py, shared_res.final.py, 1e-15);
+  EXPECT_NEAR(pvm_res.final.pz, shared_res.final.pz, 1e-15);
 }
 
 TEST(NbodyPvm, MomentumStaysNearZero) {
