@@ -40,6 +40,7 @@ int main() {
   };
 
   const auto d0 = nb.diagnostics();
+  const double e0 = d0.kinetic + nb.potential();
   double total_ms = 0;
   for (int epoch = 0; epoch < 6; ++epoch) {
     nbody::NbodyResult res;
@@ -51,14 +52,13 @@ int main() {
   }
 
   const auto d1 = nb.diagnostics();
+  const double e1 = d1.kinetic + nb.potential();
   std::printf("\nconservation over the encounter:\n");
   std::printf("  momentum |p|: %.3e -> %.3e (should stay ~0)\n",
               std::sqrt(d0.px * d0.px + d0.py * d0.py + d0.pz * d0.pz),
               std::sqrt(d1.px * d1.px + d1.py * d1.py + d1.pz * d1.pz));
-  std::printf("  energy: %.4f -> %.4f (%.2f%% drift)\n",
-              d0.kinetic + d0.potential, d1.kinetic + d1.potential,
-              100.0 * ((d1.kinetic + d1.potential) /
-                           (d0.kinetic + d0.potential) - 1.0));
+  std::printf("  energy: %.4f -> %.4f (%.2f%% drift)\n", e0, e1,
+              100.0 * (e1 / e0 - 1.0));
   std::printf("  mass: %.6f (exact 1)\n", d1.mass);
   return 0;
 }

@@ -185,20 +185,23 @@ NbodyDiagnostics NbodyShared::diagnostics() const {
     d.pz += m * vz_->raw(i);
     d.mass += m;
   }
-  // Potential by direct sum only for small problems (O(N^2)).
-  if (n <= 16384) {
-    const double eps2 = cfg_.eps * cfg_.eps;
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = i + 1; j < n; ++j) {
-        const double dx = px_->raw(j) - px_->raw(i);
-        const double dy = py_->raw(j) - py_->raw(i);
-        const double dz = pz_->raw(j) - pz_->raw(i);
-        d.potential -= mass_->raw(i) * mass_->raw(j) /
-                       std::sqrt(dx * dx + dy * dy + dz * dz + eps2);
-      }
+  return d;
+}
+
+double NbodyShared::potential() const {
+  const std::size_t n = cfg_.n;
+  const double eps2 = cfg_.eps * cfg_.eps;
+  double u = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      const double dx = px_->raw(j) - px_->raw(i);
+      const double dy = py_->raw(j) - py_->raw(i);
+      const double dz = pz_->raw(j) - pz_->raw(i);
+      u -= mass_->raw(i) * mass_->raw(j) /
+           std::sqrt(dx * dx + dy * dy + dz * dz + eps2);
     }
   }
-  return d;
+  return u;
 }
 
 void NbodyShared::step(unsigned tid, unsigned nthreads) {

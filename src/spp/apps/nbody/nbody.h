@@ -121,9 +121,10 @@ struct Octree {
   void moments(Bodies b, std::int32_t node, Charges& charge);
 };
 
+/// The O(N) conserved sums.  The potential energy is O(N^2) and has its own
+/// call, NbodyShared::potential().
 struct NbodyDiagnostics {
   double kinetic = 0;
-  double potential = 0;
   double px = 0, py = 0, pz = 0;  ///< total momentum.
   double mass = 0;
 };
@@ -165,6 +166,9 @@ class NbodyShared {
   std::array<double, 3> tree_force_host(std::size_t i) const;
 
   NbodyDiagnostics diagnostics() const;
+  /// Softened gravitational potential energy by direct sum, O(N^2)
+  /// (verification; uncharged).  run() never calls it.
+  double potential() const;
 
   /// Position of particle `i` (uncharged host access).
   std::array<double, 3> position(std::size_t i) const {

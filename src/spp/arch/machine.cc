@@ -391,10 +391,7 @@ sim::Time Machine::remote_fill(unsigned cpu, PAddr pa, bool write,
                                 : LineState::kShared);
 
   // Home directory update: attach at the head of the SCI sharing list.
-  auto it = std::find(e.sci_list.begin(), e.sci_list.end(),
-                      static_cast<std::uint8_t>(my_node));
-  if (it != e.sci_list.end()) e.sci_list.erase(it);
-  e.sci_list.insert(e.sci_list.begin(), static_cast<std::uint8_t>(my_node));
+  e.sci_list.push_front(my_node);
   if (write || sole) {
     e.remote_dirty = true;
     e.owner_node = static_cast<std::uint8_t>(my_node);
@@ -435,7 +432,8 @@ sim::Time Machine::remote_upgrade(unsigned cpu, PAddr pa, sim::Time t) {
       sim::cycles(cm_.ring_if);
 
   // Grant: this node now holds the only, dirty copy.
-  e.sci_list.assign(1, static_cast<std::uint8_t>(my_node));
+  e.sci_list.clear();
+  e.sci_list.push_front(my_node);
   e.remote_dirty = true;
   e.owner_node = static_cast<std::uint8_t>(my_node);
 
@@ -466,13 +464,15 @@ sim::Time Machine::purge_remote(LineAddr line, HomeEntry& e,
   // weak ordering lets the writer continue once ownership is granted); the
   // writer's critical path pays the walk initiation plus a pipelined command
   // cost per sharer, while the walk itself occupies the ring links.
-  bool purged_any = false;
+  // The list is compacted in place: only `keep_node` stays.
+  SciList& list = e.sci_list;
   unsigned purged = 0;
+  unsigned kept = 0;
   sim::Time walk = t;
-  std::vector<std::uint8_t> kept;
-  for (const std::uint8_t node : e.sci_list) {
+  for (unsigned i = 0; i < list.size; ++i) {
+    const std::uint8_t node = list.node[i];
     if (node == keep_node) {
-      kept.push_back(node);
+      list.node[kept++] = node;
       continue;
     }
     walk = rings_.transit(ring, home_node, node, walk);
@@ -486,14 +486,13 @@ sim::Time Machine::purge_remote(LineAddr line, HomeEntry& e,
     }
     ++perf_.sci_purge_targets;
     ++purged;
-    purged_any = true;
   }
-  if (purged_any) {
+  if (purged > 0) {
     ++perf_.sci_purges;
     t += sim::cycles(cm_.sci_purge_init + cm_.sci_purge_issue * purged);
   }
-  e.sci_list = std::move(kept);
-  if (e.sci_list.empty()) e.remote_dirty = false;
+  list.size = static_cast<std::uint8_t>(kept);
+  if (list.empty()) e.remote_dirty = false;
   return t;
 }
 
@@ -525,11 +524,7 @@ sim::Time Machine::recall_remote_dirty(LineAddr line, HomeEntry& e,
     }
   }
   e.remote_dirty = false;
-  if (!owner_keeps_shared) {
-    e.sci_list.erase(std::remove(e.sci_list.begin(), e.sci_list.end(),
-                                 static_cast<std::uint8_t>(owner)),
-                     e.sci_list.end());
-  }
+  if (!owner_keeps_shared) e.sci_list.remove(owner);
   return t;
 }
 
@@ -597,9 +592,7 @@ void Machine::evict_gcache_entry(unsigned node, [[maybe_unused]] unsigned ring,
   FlatMap<LineAddr, HomeEntry>& dir = dir_for(victim);
   HomeEntry* e = dir.find(victim);
   if (e != nullptr) {
-    e->sci_list.erase(std::remove(e->sci_list.begin(), e->sci_list.end(),
-                                  static_cast<std::uint8_t>(node)),
-                      e->sci_list.end());
+    e->sci_list.remove(node);
     if (e->remote_dirty && e->owner_node == node) {
       e->remote_dirty = false;
       // Rollout writeback occupies the home bank off the critical path.
@@ -752,7 +745,7 @@ Machine::DirView Machine::dir_view(LineAddr line) const {
   v.owner_cpu = e->owner_cpu;
   v.remote_dirty = e->remote_dirty;
   v.owner_node = e->owner_node;
-  v.sci_list = e->sci_list;
+  v.sci_list.assign(e->sci_list.begin(), e->sci_list.end());
   return v;
 }
 

@@ -12,6 +12,9 @@
 // Thread safety: NONE by design; see DESIGN.md section 5.1.
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -136,14 +139,42 @@ class Machine {
   }
 
  private:
+  /// SCI sharing list: remote sharer nodes, head first.  Stored centrally
+  /// for simplicity; semantics match the distributed doubly-linked list.  A
+  /// node is listed at most once, so the ids fit inline and no list
+  /// operation allocates.
+  struct SciList {
+    std::array<std::uint8_t, kMaxNodes> node{};
+    std::uint8_t size = 0;
+
+    bool empty() const { return size == 0; }
+    const std::uint8_t* begin() const { return node.data(); }
+    const std::uint8_t* end() const { return node.data() + size; }
+    void clear() { size = 0; }
+    /// Removes `n` if listed, keeping the others in order.
+    void remove(unsigned n) {
+      std::uint8_t* const last = node.data() + size;
+      std::uint8_t* const kept =
+          std::remove(node.data(), last, static_cast<std::uint8_t>(n));
+      size = static_cast<std::uint8_t>(kept - node.data());
+    }
+    /// Attaches `n` at the head, moving it there if already listed.
+    void push_front(unsigned n) {
+      remove(n);
+      assert(size < kMaxNodes);
+      std::copy_backward(node.data(), node.data() + size,
+                         node.data() + size + 1);
+      node[0] = static_cast<std::uint8_t>(n);
+      ++size;
+    }
+  };
+
   struct HomeEntry {
     std::uint8_t cpu_sharers = 0;  ///< L1 sharers among the home node's CPUs.
     int owner_cpu = -1;            ///< local CPU holding Modified, or -1.
     bool remote_dirty = false;     ///< a remote node holds the only copy.
     std::uint8_t owner_node = 0;   ///< valid when remote_dirty.
-    /// SCI sharing list: remote sharer nodes, head first.  Stored centrally
-    /// for simplicity; semantics match the distributed doubly-linked list.
-    std::vector<std::uint8_t> sci_list;
+    SciList sci_list;
 
     bool empty() const {
       return cpu_sharers == 0 && owner_cpu < 0 && !remote_dirty &&

@@ -149,19 +149,18 @@ SThread* Conductor::spawn(std::function<void()> fn, unsigned cpu,
       new SThread(this, tid, cpu, start, std::move(fn)));
   SThread* raw = t.get();
   owned_.push_back(std::move(t));
-  ready_.insert(raw);
+  push_ready(raw);
   return raw;
 }
 
 void Conductor::loop() {
   while (!ready_.empty()) {
-    SThread* t = *ready_.begin();
-    ready_.erase(ready_.begin());
+    SThread* t = pop_ready();
     t->run_once();
     bump_progress();
     switch (t->state()) {
       case SThread::State::kReady:
-        ready_.insert(t);
+        push_ready(t);
         break;
       case SThread::State::kBlocked:
         ++blocked_;
@@ -204,9 +203,9 @@ void Conductor::yield(sim::Time slack) {
   me.last_yield_ = me.clock_;
   // Fast path: nobody ready is earlier than us (within the slack), so a
   // handoff would resume us immediately anyway.
-  if (ready_.empty() || (*ready_.begin())->clock() + slack > me.clock() ||
-      ((*ready_.begin())->clock() + slack == me.clock() &&
-       (*ready_.begin())->tid() > me.tid())) {
+  if (ready_.empty() || ready_.front()->clock() + slack > me.clock() ||
+      (ready_.front()->clock() + slack == me.clock() &&
+       ready_.front()->tid() > me.tid())) {
     return;
   }
   me.hand_back(SThread::State::kReady);
@@ -240,7 +239,7 @@ void Conductor::unblock(SThread* t, sim::Time at) {
   assert(t->state() == SThread::State::kBlocked);
   t->clock_ = std::max(t->clock_, at);
   t->state_ = SThread::State::kReady;
-  ready_.insert(t);
+  push_ready(t);
   --blocked_;
 }
 

@@ -21,13 +21,13 @@
 // SThread's fiber.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <exception>
 #include <functional>
 #include <memory>
-#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -240,14 +240,26 @@ class Conductor {
  private:
   friend class SThread;
 
-  struct Order {
+  /// The ready set's order, reversed for std::push_heap/pop_heap (which
+  /// keep the greatest element at the front): true when `a` runs after `b`.
+  /// Thread ids are unique, so no two ready threads tie.
+  struct RunsLater {
     bool operator()(const SThread* a, const SThread* b) const {
-      if (a->clock() != b->clock()) return a->clock() < b->clock();
-      return a->tid() < b->tid();
+      if (a->clock() != b->clock()) return a->clock() > b->clock();
+      return a->tid() > b->tid();
     }
   };
 
-  using ReadySet = std::set<SThread*, Order>;
+  void push_ready(SThread* t) {
+    ready_.push_back(t);
+    std::push_heap(ready_.begin(), ready_.end(), RunsLater{});
+  }
+  SThread* pop_ready() {
+    std::pop_heap(ready_.begin(), ready_.end(), RunsLater{});
+    SThread* t = ready_.back();
+    ready_.pop_back();
+    return t;
+  }
 
   /// The scheduling loop: runs the earliest ready thread until none is left.
   void loop();
@@ -276,7 +288,10 @@ class Conductor {
   Fiber main_ctx_;
 
   std::vector<std::unique_ptr<SThread>> owned_;  ///< indexed by tid.
-  ReadySet ready_;
+  /// Ready threads as a binary heap on (clock, tid): front() is the thread
+  /// that runs next.  Its storage is kept across dispatches, so a dispatch
+  /// allocates nothing.
+  std::vector<SThread*> ready_;
   std::size_t blocked_ = 0;  ///< threads in State::kBlocked.
 
   std::atomic<std::uint64_t> progress_{0};  ///< see progress().

@@ -9,9 +9,10 @@
 // from the line's real home can invalidate exactly the right caches.
 #pragma once
 
-#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "spp/arch/address.h"
@@ -41,12 +42,13 @@ class GCache {
 
   Entry& slot(arch::LineAddr line) {
     const std::uint64_t set = set_of(line);
-    if (set >= entries_.size()) grow(set);
-    return entries_[set];
+    const std::uint64_t c = set >> kChunkBits;
+    if (c >= chunks_.size() || chunks_[c] == nullptr) add_chunk(c);
+    return (*chunks_[c])[set & (kChunkSets - 1)];
   }
   const Entry& slot(arch::LineAddr line) const {
-    const std::uint64_t set = set_of(line);
-    return set < entries_.size() ? entries_[set] : kEmpty;
+    const Entry* e = find(set_of(line));
+    return e != nullptr ? *e : kEmpty;
   }
 
   bool present(arch::LineAddr line) const {
@@ -55,33 +57,43 @@ class GCache {
   }
 
   void drop(arch::LineAddr line) {
-    const std::uint64_t set = set_of(line);
-    if (set >= entries_.size()) return;
-    Entry& e = entries_[set];
-    if (e.line == line) e = Entry{};
+    Entry* e = find(set_of(line));
+    if (e != nullptr && e->line == line) *e = Entry{};
   }
 
   void clear() {
-    for (auto& e : entries_) e = Entry{};
+    for (auto& c : chunks_) {
+      if (c != nullptr) c->fill(Entry{});
+    }
   }
 
  private:
-  /// The entry array is sized on demand: `sets_` is the architected set
-  /// count (it fixes `set_of`'s modulus and therefore every conflict), but
-  /// the backing storage only ever covers the highest set actually touched.
-  /// Small runs touch a handful of sets, and eagerly materialising the full
-  /// 8 MB-per-gcache array dominated `Machine` construction wall time.
-  void grow(std::uint64_t set) {
-    std::uint64_t cap = entries_.empty() ? 64 : entries_.size();
-    while (cap <= set) cap *= 2;
-    entries_.resize(std::min(cap, sets_));
+  /// The entries live in 256-set (4 KB) chunks, each created the first time
+  /// one of its sets is written.  `sets_` is the architected set count (it
+  /// fixes `set_of`'s modulus and therefore every conflict), but a buffer
+  /// only holds the chunks its run touches.  PVM's per-task pool slices sit
+  /// about 5 MB into every FU window, so an array grown to cover the highest
+  /// set touched would fill most of the 4 MB of entries for one message.
+  static constexpr unsigned kChunkBits = 8;
+  static constexpr std::uint64_t kChunkSets = std::uint64_t{1} << kChunkBits;
+  using Chunk = std::array<Entry, kChunkSets>;
+
+  Entry* find(std::uint64_t set) const {
+    const std::uint64_t c = set >> kChunkBits;
+    if (c >= chunks_.size() || chunks_[c] == nullptr) return nullptr;
+    return &(*chunks_[c])[set & (kChunkSets - 1)];
+  }
+
+  void add_chunk(std::uint64_t c) {
+    if (chunks_.empty()) chunks_.resize((sets_ + kChunkSets - 1) >> kChunkBits);
+    chunks_[c] = std::make_unique<Chunk>();
   }
 
   static const Entry kEmpty;
 
   std::uint64_t sets_;
   unsigned num_fus_;
-  std::vector<Entry> entries_;
+  std::vector<std::unique_ptr<Chunk>> chunks_;
 };
 
 inline const GCache::Entry GCache::kEmpty{};

@@ -32,6 +32,7 @@
 #include <fstream>
 #include <string>
 #include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "spp/apps/fem/femgas.h"
@@ -455,8 +456,7 @@ std::vector<double> totals_of(const ppm::PpmResult& r) {
 }
 
 std::vector<double> final_of(const nbody::NbodyResult& r) {
-  return {r.final.kinetic, r.final.potential, r.final.px,
-          r.final.py,      r.final.pz,        r.final.mass};
+  return {r.final.kinetic, r.final.px, r.final.py, r.final.pz, r.final.mass};
 }
 std::vector<double> final_of(const fem::FemResult& r) {
   return {r.final.total_mass,   r.final.total_mom_x, r.final.total_mom_y,
@@ -484,6 +484,10 @@ AppRun run_app(const std::string& app, unsigned nodes,
     const auto r = a.run(spec);
     out.diag = final_of(r);
     out.totals = totals_of(r);
+    if constexpr (std::is_same_v<std::decay_t<decltype(a)>,
+                                 nbody::NbodyShared>) {
+      out.diag.push_back(a.potential());
+    }
   };
   runtime.run([&] {
     const unsigned threads = 8;

@@ -2,6 +2,9 @@
 // eviction bookkeeping, full-machine (16-node) configurations.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "spp/arch/machine.h"
 
 namespace spp::arch {
@@ -94,6 +97,40 @@ TEST(MultiNode, WriteSharedByManyNodesPurgesAll) {
   t = m.access(0, va, true, t);
   EXPECT_EQ(m.sharer_count(va), 1u);  // writer only
   EXPECT_EQ(m.perf().sci_purge_targets, 7u);
+  EXPECT_TRUE(m.check_line_invariants(va));
+}
+
+TEST(MultiNode, SciListHoldsEveryRemoteNodeOnAFullMachine) {
+  // One far-shared line homed on node 0 (far-shared page 0 lives on node
+  // 0), read by one CPU on each of the other 15 hypernodes in turn.
+  Machine m(Topology{.nodes = 16});
+  const VAddr va = m.vm().allocate(kPageBytes, MemClass::kFarShared, "line");
+  const LineAddr line = line_of(m.vm().translate(va, 0));
+  ASSERT_EQ(m.topo().node_of_fu(home_fu_of(line_base(line))), 0u);
+  sim::Time t = 0;
+  for (unsigned node = 1; node < 16; ++node) {
+    t = m.access(node * kCpusPerNode, va, false, t);
+  }
+  // Each reader attaches at the head: most recent first.
+  std::vector<std::uint8_t> want;
+  for (unsigned node = 15; node >= 1; --node) {
+    want.push_back(static_cast<std::uint8_t>(node));
+  }
+  EXPECT_EQ(m.dir_view(line).sci_list, want);
+  EXPECT_TRUE(m.check_line_invariants(va));
+
+  // A home-node write purges all 15.
+  t = m.access(0, va, true, t);
+  EXPECT_EQ(m.perf().sci_purge_targets, 15u);
+  EXPECT_TRUE(m.dir_view(line).sci_list.empty());
+  EXPECT_TRUE(m.check_line_invariants(va));
+
+  // A write from node 7 leaves it the only, dirty sharer.
+  (void)m.access(7 * kCpusPerNode, va, true, t);
+  const Machine::DirView v = m.dir_view(line);
+  EXPECT_EQ(v.sci_list, (std::vector<std::uint8_t>{7}));
+  EXPECT_TRUE(v.remote_dirty);
+  EXPECT_EQ(v.owner_node, 7u);
   EXPECT_TRUE(m.check_line_invariants(va));
 }
 

@@ -164,7 +164,7 @@ TEST_P(DirectoryFlatMap, ChurnAcrossNodesKeepsInvariants) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Hypernodes, DirectoryFlatMap,
-                         testing::Values(1u, 2u, 4u),
+                         testing::Values(1u, 2u, 4u, 16u),
                          testing::PrintToStringParamName());
 
 // ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@
 #include "spp/rt/runtime.h"
 #include "spp/rt/sync.h"
 #include "spp/rt/watchdog.h"
+#include "spp/sim/rng.h"
 
 namespace spp::rt {
 namespace {
@@ -83,35 +84,45 @@ TEST(Conductor, DeterministicTiming) {
 }
 
 // The conductor runs the earliest ready thread on every topology, not only
-// on one hypernode.  Two threads on different hypernodes align at 100 us and
-// yield after every 100 ns step, so the clocks they record, in the order the
-// steps execute, must never go backwards.
+// on one hypernode.  Sixteen threads on two hypernodes align at 1 ms, after
+// the last spawn; then each step records (clock, tid), advances by a seeded
+// 0, 50 or 100 ns and yields, so clocks tie often.  The conductor resumes
+// the least (clock, tid) ready thread, so the recorded pairs, in the order
+// the steps execute, must never go backwards.
 TEST(Conductor, MultiNodeDispatchFollowsGlobalClockOrder) {
   Runtime rt(Topology{.nodes = 2});
+  constexpr unsigned kThreads = 16;
   constexpr int kSteps = 40;
-  std::vector<std::pair<unsigned, sim::Time>> steps;  // (thread, clock)
+  std::vector<std::pair<sim::Time, unsigned>> steps;  // (clock, tid)
+  std::vector<unsigned> per_node(2, 0);
   rt.run([&] {
-    rt.parallel(2, Placement::kUniform, [&](unsigned i, unsigned) {
-      ASSERT_EQ(rt.topo().node_of_cpu(rt.cpu()), i);
+    rt.parallel(kThreads, Placement::kUniform, [&](unsigned i, unsigned) {
+      ++per_node[rt.topo().node_of_cpu(rt.cpu())];
       SThread& me = Conductor::self();
-      me.set_clock(100 * sim::kMicrosecond);
+      sim::Rng rng(1000 + i);
+      ASSERT_LT(me.clock(), sim::kMillisecond);
+      me.set_clock(sim::kMillisecond);
+      rt.conductor().yield();
       for (int k = 0; k < kSteps; ++k) {
-        me.advance(100 * sim::kNanosecond);
-        steps.emplace_back(i, me.clock());
+        steps.emplace_back(me.clock(), me.tid());
+        me.advance(50 * sim::kNanosecond * rng.below(3));
         rt.conductor().yield();
       }
     });
   });
-  ASSERT_EQ(steps.size(), 2u * kSteps);
-  unsigned inversions = 0;
+  EXPECT_EQ(per_node, (std::vector<unsigned>{kThreads / 2, kThreads / 2}));
+  ASSERT_EQ(steps.size(), kThreads * kSteps);
+  unsigned inversions = 0, ties = 0;
   for (std::size_t k = 1; k < steps.size(); ++k) {
-    if (steps[k].second < steps[k - 1].second) ++inversions;
+    if (steps[k] < steps[k - 1]) ++inversions;
+    if (steps[k].first == steps[k - 1].first &&
+        steps[k].second != steps[k - 1].second) {
+      ++ties;
+    }
   }
   EXPECT_EQ(inversions, 0u);
-  // Equal clocks break ties by tid, so the two threads strictly alternate.
-  for (std::size_t k = 0; k < steps.size(); ++k) {
-    EXPECT_EQ(steps[k].first, k % 2) << "step " << k;
-  }
+  EXPECT_GT(ties, kThreads) << "the advances must make clocks tie across "
+                               "threads for the tid order to be tested";
 }
 
 std::uint64_t nbody_digest() {
