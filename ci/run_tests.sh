@@ -6,8 +6,9 @@
 # gate.  Every leg's ctest includes explore_survive (sppsim-explore
 # survive, docs/RECOVERY.md): all six apps must survive a mid-run CPU
 # fail-stop by migration alone, with no checkpoint, the spp::check oracles
-# clean and the fault-free answer.  The sanitized leg also runs it as the
-# survivable-run smoke, with chaos, under asan.
+# clean and the fault-free answer.  The sanitized leg's ctest is therefore
+# its survivable-run smoke; it adds the lossy-fabric chaos smoke under asan.
+# --survive-only runs no ctest, so it runs survive itself.
 #
 # The sanitized ctest and its smokes run with UBSAN_OPTIONS=halt_on_error=1,
 # so any UBSan report fails the leg (UBSan recovers and carries on by
@@ -79,6 +80,11 @@ survive_smoke() {
   local builddir="$1"
   echo "=== tier-1: survivable-run smoke ($builddir) ==="
   "$builddir/tools/sppsim-explore" survive --nodes 2 --threads 8
+}
+
+chaos_smoke() {
+  local builddir="$1"
+  echo "=== tier-1: lossy-fabric chaos smoke ($builddir) ==="
   "$builddir/tools/sppsim-explore" chaos --nodes 2 --rounds 64
 }
 
@@ -135,14 +141,15 @@ if [[ "$MODE" == "all" || "$MODE" == "--sanitize-only" ]]; then
   run_suite build-asan \
     -DSPP_SANITIZE=address,undefined \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
-  survive_smoke build-asan
+  chaos_smoke build-asan
   kill_resume_smoke build-asan
   chaos_disk_smoke build-asan
   unset UBSAN_OPTIONS
 fi
 
-# The three smokes without the sanitized ctest, for local use
-# (docs/RECOVERY.md); CI runs them in --sanitize-only.
+# The smokes without the sanitized ctest, for local use
+# (docs/RECOVERY.md); CI runs them in --sanitize-only, survive as ctest's
+# explore_survive.
 if [[ "$MODE" == "--survive-only" ]]; then
   cmake -B build-asan -S . \
     -DSPP_SANITIZE=address,undefined \
@@ -150,6 +157,7 @@ if [[ "$MODE" == "--survive-only" ]]; then
   cmake --build build-asan -j "$JOBS" --target sppsim-explore
   export UBSAN_OPTIONS="$UBSAN_HALT"
   survive_smoke build-asan
+  chaos_smoke build-asan
   kill_resume_smoke build-asan
   chaos_disk_smoke build-asan
   unset UBSAN_OPTIONS

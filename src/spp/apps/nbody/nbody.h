@@ -142,13 +142,13 @@ struct NbodyResult {
 /// Shared-memory tree code on the simulated machine.
 class NbodyShared {
  public:
+  /// Allocates the bodies and loads a Plummer sphere (virial-ish
+  /// velocities; fill_plummer).
   NbodyShared(rt::Runtime& rt, const NbodyConfig& cfg, unsigned nthreads,
               rt::Placement placement);
 
-  /// Loads a Plummer sphere (virial-ish velocities; fill_plummer).
-  void load_plummer();
-  /// Loads two Plummer spheres on a collision course (galaxy_collision
-  /// example).
+  /// Loads two Plummer spheres on a collision course instead
+  /// (galaxy_collision example).
   void load_collision(double separation, double approach_speed);
 
   /// Runs cfg.steps time steps (docs/RECOVERY.md).  Without `spec` the
@@ -177,6 +177,8 @@ class NbodyShared {
 
  private:
   struct Charges;  ///< this coding's tree charges (nbody.cc).
+  /// Loads a Plummer sphere (fill_plummer).
+  void load_plummer();
   Bodies bodies() const {
     return {&px_->raw(0), &py_->raw(0), &pz_->raw(0), &mass_->raw(0)};
   }

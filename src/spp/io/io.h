@@ -17,11 +17,11 @@
 //     operation counts, seeded by the same sim::Rng discipline spp::fault
 //     uses for the simulated machine.
 //
-// Zero-cost discipline (the spp::fault `faults_armed_` pattern): with no
-// plan armed every wrapper is the raw syscall plus one pointer test; no
-// timing, digest, or on-disk byte changes.  spp-lint's posix-file-io check
-// (docs/STATIC_ANALYSIS.md) enforces that src/spp/io/ stays the only module
-// calling raw POSIX file APIs, so nothing can bypass the seam.
+// Zero-cost discipline: with no plan armed every wrapper is the raw
+// syscall plus one pointer test; no timing, digest, or on-disk byte
+// changes.  spp-lint's posix-file-io check (docs/STATIC_ANALYSIS.md)
+// enforces that src/spp/io/ stays the only module calling raw POSIX file
+// APIs, so nothing can bypass the seam.
 //
 // Threading: arm_faults and the wrappers are called from the one simulated
 // main thread that performs checkpoint I/O (the conductor admits one

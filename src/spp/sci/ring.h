@@ -12,8 +12,8 @@
 // extra ring hops (off-ramp + on-ramp) plus a crossbar crossing, so a
 // rerouted packet is always strictly slower than the healthy path.  A
 // degraded link multiplies both its hop latency and its occupancy.  With
-// every link alive and undegraded, the arithmetic below is identical to the
-// fault-free fabric: the chaos layer is pay-for-what-you-use.
+// every link alive and undegraded, transit() charges exactly the healthy
+// hops: no simulated time moves until a fault plan touches a link.
 #pragma once
 
 #include <array>
@@ -43,7 +43,6 @@ class RingFabric {
   // --- fault controls (spp::fault::FaultInjector) ---------------------------
   void set_link_alive(unsigned ring, unsigned node, bool alive) {
     lane_at(ring, node).alive = alive;
-    faults_armed_ = true;
   }
   /// Latency/occupancy multiplier for a link running below rate; 1 = healthy.
   void set_link_degrade(unsigned ring, unsigned node, std::uint32_t factor) {
@@ -51,7 +50,6 @@ class RingFabric {
       throw std::invalid_argument("sci: degrade factor must be >= 1");
     }
     lane_at(ring, node).degrade = factor;
-    faults_armed_ = true;
   }
   bool link_alive(unsigned ring, unsigned node) const {
     return lanes_.at(ring).at(node).alive;
@@ -63,21 +61,6 @@ class RingFabric {
   /// throws if every ring's link out of some node on the path is dead.
   sim::Time transit(unsigned ring, unsigned from, unsigned to, sim::Time t) {
     const unsigned hops = topo_.ring_hops(from, to);
-    // Fast path while no fault control has ever fired (the common case):
-    // every link is alive with degrade == 1, so the general loop below
-    // reduces to this arithmetic exactly -- same acquire holds, same hop
-    // charges -- minus the per-hop health probes and reroute bookkeeping.
-    if (!faults_armed_) {
-      unsigned node = from;
-      for (unsigned h = 0; h < hops; ++h) {
-        Lane& lane = lanes_[ring][node];
-        t = lane.link.acquire(t, sim::cycles(cm_.ring_link_hold));
-        t += sim::cycles(cm_.ring_hop);
-        node = (node + 1) % topo_.nodes;
-      }
-      ++packets_;
-      return t;
-    }
     unsigned node = from;
     unsigned cur = ring;
     bool rerouted = false;
@@ -105,10 +88,10 @@ class RingFabric {
   }
 
   /// Clears every link's contention history and the fabric's local packet
-  /// tallies while keeping health state (alive/degrade, faults_armed_)
-  /// intact.  Part of Machine::power_cycle(): a resumed process must see the
-  /// same cold interconnect an epoch boundary left behind, but link health
-  /// is machine configuration, not transient state.
+  /// tallies while keeping health state (alive/degrade) intact.  Part of
+  /// Machine::power_cycle(): a resumed process must see the same cold
+  /// interconnect an epoch boundary left behind, but link health is machine
+  /// configuration, not transient state.
   void reset_contention() {
     for (auto& ring : lanes_) {
       for (Lane& lane : ring) lane.link = sim::Resource{};
@@ -160,11 +143,6 @@ class RingFabric {
   arch::CostModel cm_;
   /// lanes_[ring][i] = the link leaving node i on that ring.
   std::array<std::vector<Lane>, arch::kNumRings> lanes_;
-  /// Latched by any fault control, never cleared: transit() keeps the
-  /// per-hop health probing off the fast path until a plan actually touches
-  /// a link (even one restoring health -- correct either way, since both
-  /// paths compute identical times on a healthy fabric).
-  bool faults_armed_ = false;
   arch::PerfCounters* perf_ = nullptr;
   std::uint64_t packets_ = 0;
   std::uint64_t rerouted_packets_ = 0;

@@ -32,15 +32,10 @@
 #include <fstream>
 #include <string>
 #include <tuple>
-#include <type_traits>
 #include <vector>
 
+#include "spp/apps/catalog.h"
 #include "spp/apps/fem/femgas.h"
-#include "spp/apps/nbody/nbody.h"
-#include "spp/apps/nbody/nbody_pvm.h"
-#include "spp/apps/pic/pic.h"
-#include "spp/apps/pic/pic_pvm.h"
-#include "spp/apps/ppm/ppm.h"
 #include "spp/arch/topology.h"
 #include "spp/ckpt/disk.h"
 #include "spp/ckpt/durable.h"
@@ -428,115 +423,34 @@ TEST(CkptDurable, ResumeWithNoValidEpochIsAnError) {
 // Kill and resume, every application
 // ---------------------------------------------------------------------------
 
-/// What one application run leaves behind: the machine digest, its final
-/// diagnostics (plus the field-energy history for the PIC codes), and the
-/// totals its result reports.
+/// What one application run leaves behind: the machine digest and the
+/// catalogue's outcome (final diagnostics and result totals).
 struct AppRun {
   std::uint64_t digest = 0;
   std::vector<double> diag;
   std::vector<double> totals;
 };
 
-std::vector<double> totals_of(const nbody::NbodyResult& r) {
-  return {static_cast<double>(r.sim_time), static_cast<double>(r.force_time),
-          static_cast<double>(r.interactions), r.flops, r.initial.kinetic};
-}
-std::vector<double> totals_of(const fem::FemResult& r) {
-  return {static_cast<double>(r.sim_time), r.flops, r.initial.total_energy};
-}
-std::vector<double> totals_of(const pic::PicResult& r) {
-  std::vector<double> t{static_cast<double>(r.sim_time), r.flops,
-                        r.initial.kinetic_energy, r.initial.field_energy,
-                        r.initial.total_charge, r.initial.momentum_z};
-  for (const sim::Time p : r.phase_time) t.push_back(static_cast<double>(p));
-  return t;
-}
-std::vector<double> totals_of(const ppm::PpmResult& r) {
-  return {static_cast<double>(r.sim_time), r.flops, r.initial.energy};
-}
-
-std::vector<double> final_of(const nbody::NbodyResult& r) {
-  return {r.final.kinetic, r.final.px, r.final.py, r.final.pz, r.final.mass};
-}
-std::vector<double> final_of(const fem::FemResult& r) {
-  return {r.final.total_mass,   r.final.total_mom_x, r.final.total_mom_y,
-          r.final.total_energy, r.final.min_density, r.final.min_pressure};
-}
-std::vector<double> final_of(const pic::PicResult& r) {
-  std::vector<double> d{r.final.kinetic_energy, r.final.field_energy,
-                        r.final.total_charge, r.final.momentum_z};
-  d.insert(d.end(), r.field_energy_history.begin(),
-           r.field_energy_history.end());
-  return d;
-}
-std::vector<double> final_of(const ppm::PpmResult& r) {
-  return {r.final.mass,   r.final.mom_x,   r.final.mom_y,
-          r.final.energy, r.final.min_rho, r.final.min_p};
-}
-
-/// Runs `app` at `sppsim-explore run`'s sizes (8 uniform threads) in a fresh
-/// Runtime, durably when `spec` is enabled.
+/// Runs catalogue entry `app` (8 uniform threads) in a fresh Runtime,
+/// durably when `spec` is enabled.
 AppRun run_app(const std::string& app, unsigned nodes,
                const DurableSpec& spec) {
+  const apps::App& entry = *apps::find(app);
   rt::Runtime runtime(Topology{.nodes = nodes});
   AppRun out;
-  const auto go = [&](auto& a) {
-    const auto r = a.run(spec);
-    out.diag = final_of(r);
-    out.totals = totals_of(r);
-    if constexpr (std::is_same_v<std::decay_t<decltype(a)>,
-                                 nbody::NbodyShared>) {
-      out.diag.push_back(a.potential());
-    }
-  };
   runtime.run([&] {
-    const unsigned threads = 8;
-    const auto pl = rt::Placement::kUniform;
-    if (app == "nbody" || app == "nbody-pvm") {
-      nbody::NbodyConfig cfg;
-      cfg.n = 256;
-      cfg.steps = 4;
-      if (app == "nbody") {
-        nbody::NbodyShared a(runtime, cfg, threads, pl);
-        a.load_plummer();
-        go(a);
-      } else {
-        nbody::NbodyPvm a(runtime, cfg, threads, pl);
-        go(a);
-      }
-    } else if (app == "pic" || app == "pic-pvm") {
-      pic::PicConfig cfg;
-      cfg.nx = cfg.ny = cfg.nz = 8;
-      cfg.steps = 6;
-      if (app == "pic") {
-        pic::PicShared a(runtime, cfg, threads, pl);
-        go(a);
-      } else {
-        pic::PicPvm a(runtime, cfg, threads, pl);
-        go(a);
-      }
-    } else if (app == "fem") {
-      fem::FemConfig cfg;
-      cfg.nx = 24;
-      cfg.ny = 12;
-      cfg.steps = 6;
-      fem::FemGas a(runtime, cfg, threads, pl);
-      a.init_blast(2.0, 3.0);
-      go(a);
-    } else {
-      ppm::PpmConfig cfg;
-      cfg.nx = 24;
-      cfg.ny = 48;
-      cfg.tiles_x = 2;
-      cfg.tiles_y = 4;
-      cfg.steps = 4;
-      ppm::PpmTiled a(runtime, cfg, threads, pl);
-      a.init_sod_x();
-      go(a);
-    }
+    apps::Outcome o = entry.run(runtime, 8, entry.steps, spec);
+    out.diag = std::move(o.diag);
+    out.totals = std::move(o.totals);
   });
   out.digest = runtime.machine().perf().digest(runtime.elapsed());
   return out;
+}
+
+std::vector<std::string> app_names() {
+  std::vector<std::string> names;
+  for (const apps::App& a : apps::catalog()) names.emplace_back(a.name);
+  return names;
 }
 
 class CkptKillResume
@@ -596,8 +510,7 @@ TEST_P(CkptKillResume, ResumeMatchesUninterruptedAndPlainRuns) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllApps, CkptKillResume,
-    ::testing::Combine(::testing::Values("nbody", "fem", "pic", "ppm",
-                                         "nbody-pvm", "pic-pvm"),
+    ::testing::Combine(::testing::ValuesIn(app_names()),
                        ::testing::Values(1u, 2u)),
     [](const auto& p) {
       std::string name = std::get<0>(p.param);

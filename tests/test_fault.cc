@@ -4,8 +4,8 @@
 //   * PVM ping-pong completes under message loss/duplication/delay, with
 //     every retry visible in the machine counters;
 //   * a CPU fail-stop mid-run migrates work to surviving CPUs and every
-//     app still reaches its fault-free answer, with no checkpoint or
-//     rollback (docs/RECOVERY.md);
+//     app of the catalogue still reaches its fault-free answer, with no
+//     checkpoint (docs/RECOVERY.md);
 //   * dead ring links reroute onto surviving rings and charge strictly more
 //     than the healthy path;
 //   * a zero-fault plan changes NOTHING: attaching an empty injector leaves
@@ -16,14 +16,11 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <vector>
 
-#include "spp/apps/fem/femgas.h"
+#include "spp/apps/catalog.h"
 #include "spp/apps/nbody/nbody.h"
-#include "spp/apps/nbody/nbody_pvm.h"
-#include "spp/apps/pic/pic.h"
-#include "spp/apps/pic/pic_pvm.h"
-#include "spp/apps/ppm/ppm.h"
 #include "spp/arch/cost_model.h"
 #include "spp/arch/machine.h"
 #include "spp/arch/topology.h"
@@ -552,157 +549,72 @@ struct AppRun {
   std::vector<double> diagnostics;
   sim::Time elapsed = 0;
   std::uint64_t checkpoints = 0;
-  std::uint64_t rollbacks = 0;
-  std::uint64_t tasks_failed = 0;
   std::uint64_t cpu_recoveries = 0;
 };
 
-template <typename RunApp>
-AppRun run_app(RunApp&& body, sim::Time fail_at, unsigned victim_cpu) {
+/// Runs `app` with 4 threads on one hypernode, fail-stopping `victim_cpu` at
+/// `fail_at` (0 = no fault).
+AppRun run_app(const apps::App& app, sim::Time fail_at, unsigned victim_cpu) {
   rt::Runtime runtime(Topology{.nodes = 1});
   FaultPlan plan;
   if (fail_at != 0) plan.cpu_fail(fail_at, victim_cpu);
   FaultInjector inj(std::move(plan));
   inj.attach(runtime);
   AppRun out;
-  runtime.run([&] { out.diagnostics = body(runtime); });
+  runtime.run(
+      [&] { out.diagnostics = app.run(runtime, 4, app.steps, {}).diag; });
   const arch::PerfCounters& p = runtime.machine().perf();
   out.elapsed = runtime.elapsed();
   out.checkpoints = p.checkpoints_taken;
-  out.rollbacks = p.rollbacks;
-  out.tasks_failed = p.tasks_failed;
   out.cpu_recoveries = p.cpu_recoveries;
   return out;
 }
 
+std::vector<std::string> app_names() {
+  std::vector<std::string> names;
+  for (const apps::App& app : apps::catalog()) names.emplace_back(app.name);
+  return names;
+}
+
+class FaultCpuRecovers : public ::testing::TestWithParam<std::string> {};
+
 /// Fail-stops task/thread 2's CPU at half the fault-free schedule and
-/// requires the fault-free diagnostics within relative `tol` (0 = bit-exact)
-/// from a run that migrated and never checkpointed or rolled back.
-template <typename RunApp>
-void expect_recovers(RunApp&& body, double tol) {
-  const AppRun base = run_app(body, 0, 0);
+/// requires the fault-free diagnostics from a run that migrated and never
+/// checkpointed: bit-exact for the shared-memory codes, within 1e-12
+/// relative for the PVM codes, whose combines add partial sums in arrival
+/// order, which the migration can perturb.
+TEST_P(FaultCpuRecovers, ByMigrationAlone) {
+  const apps::App& app = *apps::find(GetParam());
+  const AppRun base = run_app(app, 0, 0);
   ASSERT_GT(base.elapsed, 0u);
 
   rt::Runtime probe(Topology{.nodes = 1});
   const unsigned victim = probe.place_cpu(2, 4, rt::Placement::kUniform);
-  const AppRun faulted = run_app(body, base.elapsed / 2, victim);
+  const AppRun faulted = run_app(app, base.elapsed / 2, victim);
 
   EXPECT_GE(faulted.cpu_recoveries, 1u)
       << "the victim's thread must migrate to a surviving CPU";
   EXPECT_EQ(faulted.checkpoints, 0u);
-  EXPECT_EQ(faulted.rollbacks, 0u);
-  EXPECT_EQ(faulted.tasks_failed, 0u);
   ASSERT_EQ(faulted.diagnostics.size(), base.diagnostics.size());
   for (std::size_t i = 0; i < base.diagnostics.size(); ++i) {
     const double want = base.diagnostics[i];
     const double got = faulted.diagnostics[i];
-    if (tol == 0.0) {
+    if (!app.pvm) {
       EXPECT_EQ(got, want) << "diagnostic " << i << " must be bit-exact";
     } else {
-      EXPECT_LE(std::fabs(got - want), tol * std::max(1.0, std::fabs(want)))
+      EXPECT_LE(std::fabs(got - want), 1e-12 * std::max(1.0, std::fabs(want)))
           << "diagnostic " << i;
     }
   }
 }
 
-TEST(FaultCpu, FemGasRecoversBitExact) {
-  expect_recovers(
-      [](rt::Runtime& rt) {
-        fem::FemConfig cfg;
-        cfg.nx = 16;
-        cfg.ny = 8;
-        cfg.steps = 6;
-        fem::FemGas app(rt, cfg, 4, rt::Placement::kUniform);
-        app.init_blast(2.0, 3.0);
-        const fem::FemResult r = app.run();
-        return std::vector<double>{r.final.total_mass, r.final.total_mom_x,
-                                   r.final.total_mom_y, r.final.total_energy,
-                                   r.final.min_density, r.final.min_pressure};
-      },
-      /*tol=*/0.0);
-}
-
-TEST(FaultCpu, NbodyRecoversBitExact) {
-  expect_recovers(
-      [](rt::Runtime& rt) {
-        nbody::NbodyConfig cfg;
-        cfg.n = 128;
-        cfg.steps = 4;
-        nbody::NbodyShared app(rt, cfg, 4, rt::Placement::kUniform);
-        app.load_plummer();
-        const nbody::NbodyResult r = app.run();
-        return std::vector<double>{r.final.kinetic, r.final.px, r.final.py,
-                                   r.final.pz};
-      },
-      /*tol=*/0.0);
-}
-
-TEST(FaultCpu, PicRecoversBitExact) {
-  expect_recovers(
-      [](rt::Runtime& rt) {
-        pic::PicConfig cfg;
-        cfg.nx = cfg.ny = cfg.nz = 8;
-        cfg.steps = 6;
-        pic::PicShared app(rt, cfg, 4, rt::Placement::kUniform);
-        const pic::PicResult r = app.run();
-        std::vector<double> d{r.final.kinetic_energy, r.final.field_energy,
-                              r.final.total_charge, r.final.momentum_z};
-        d.insert(d.end(), r.field_energy_history.begin(),
-                 r.field_energy_history.end());
-        return d;
-      },
-      /*tol=*/0.0);
-}
-
-TEST(FaultCpu, PpmRecoversBitExact) {
-  expect_recovers(
-      [](rt::Runtime& rt) {
-        ppm::PpmConfig cfg;
-        cfg.nx = 24;
-        cfg.ny = 48;
-        cfg.tiles_x = 2;
-        cfg.tiles_y = 4;
-        cfg.steps = 4;
-        ppm::PpmTiled app(rt, cfg, 4, rt::Placement::kUniform);
-        app.init_sod_x();
-        const ppm::PpmResult r = app.run();
-        return std::vector<double>{r.final.mass, r.final.mom_x, r.final.mom_y,
-                                   r.final.energy, r.final.min_rho,
-                                   r.final.min_p};
-      },
-      /*tol=*/0.0);
-}
-
-// The PVM combines add partial sums in arrival order, which the migration
-// can perturb: a relative tolerance far below any physical change.
-TEST(FaultCpu, PicPvmRecoversWithinTolerance) {
-  expect_recovers(
-      [](rt::Runtime& rt) {
-        pic::PicConfig cfg;
-        cfg.nx = cfg.ny = cfg.nz = 8;
-        cfg.steps = 4;
-        pic::PicPvm app(rt, cfg, 4, rt::Placement::kUniform);
-        const pic::PicResult r = app.run();
-        return std::vector<double>{r.final.kinetic_energy,
-                                   r.final.field_energy, r.final.total_charge,
-                                   r.final.momentum_z};
-      },
-      /*tol=*/1e-12);
-}
-
-TEST(FaultCpu, NbodyPvmRecoversWithinTolerance) {
-  expect_recovers(
-      [](rt::Runtime& rt) {
-        nbody::NbodyConfig cfg;
-        cfg.n = 128;
-        cfg.steps = 3;
-        nbody::NbodyPvm app(rt, cfg, 4, rt::Placement::kUniform);
-        const nbody::NbodyResult r = app.run();
-        return std::vector<double>{r.final.kinetic, r.final.px, r.final.py,
-                                   r.final.pz};
-      },
-      /*tol=*/1e-12);
-}
+INSTANTIATE_TEST_SUITE_P(AllApps, FaultCpuRecovers,
+                         ::testing::ValuesIn(app_names()),
+                         [](const auto& p) {
+                           std::string name = p.param;
+                           std::replace(name.begin(), name.end(), '-', '_');
+                           return name;
+                         });
 
 // ---------------------------------------------------------------------------
 // Whole-machine determinism under faults

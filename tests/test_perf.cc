@@ -16,10 +16,7 @@
 
 #include <gtest/gtest.h>
 
-#include "spp/apps/fem/femgas.h"
-#include "spp/apps/nbody/nbody.h"
-#include "spp/apps/pic/pic.h"
-#include "spp/apps/ppm/ppm.h"
+#include "spp/apps/catalog.h"
 #include "spp/arch/flat_map.h"
 #include "spp/arch/machine.h"
 #include "spp/ckpt/disk.h"
@@ -220,19 +217,6 @@ class NoopMemObserver : public arch::MemObserver {
   void on_access(const arch::MemEvent&) override {}
 };
 
-/// Runs one of the shared-memory apps at its test size on two hypernodes,
-/// with `observer` attached when it is set.
-template <typename App, typename Config, typename Init>
-RunDigest app_run(arch::MemObserver* observer, const Config& cfg, Init init) {
-  rt::Runtime runtime(Topology{.nodes = 2});
-  runtime.machine().set_observer(observer);
-  App app(runtime, cfg, 8, rt::Placement::kUniform);
-  init(app);
-  runtime.run([&] { (void)app.run(); });
-  return {runtime.elapsed(),
-          runtime.machine().perf().digest(runtime.elapsed())};
-}
-
 TEST(HitPath, InlineMatchesOutOfLineOnRealApps) {
   NoopMemObserver noop;
   const auto expect_same = [&](const char* name, const auto& run) {
@@ -241,40 +225,17 @@ TEST(HitPath, InlineMatchesOutOfLineOnRealApps) {
     EXPECT_EQ(inline_path.elapsed, out_of_line.elapsed) << name;
     EXPECT_EQ(inline_path.digest, out_of_line.digest) << name;
   };
-  const auto no_init = [](auto&) {};
 
   expect_same("psort", [](arch::MemObserver* obs) { return small_app(obs); });
-  expect_same("pic", [&](arch::MemObserver* obs) {
-    pic::PicConfig cfg;
-    cfg.nx = cfg.ny = cfg.nz = 8;
-    cfg.steps = 5;
-    cfg.dt = 0.05;
-    return app_run<pic::PicShared>(obs, cfg, no_init);
-  });
-  expect_same("fem", [](arch::MemObserver* obs) {
-    fem::FemConfig cfg;
-    cfg.nx = 24;
-    cfg.ny = 16;
-    cfg.steps = 5;
-    return app_run<fem::FemGas>(
-        obs, cfg, [](fem::FemGas& app) { app.init_blast(2.0, 3.0); });
-  });
-  expect_same("nbody", [&](arch::MemObserver* obs) {
-    nbody::NbodyConfig cfg;
-    cfg.n = 192;
-    cfg.steps = 2;
-    return app_run<nbody::NbodyShared>(obs, cfg, no_init);
-  });
-  expect_same("ppm", [](arch::MemObserver* obs) {
-    ppm::PpmConfig cfg;
-    cfg.nx = 24;
-    cfg.ny = 24;
-    cfg.tiles_x = 4;
-    cfg.tiles_y = 4;
-    cfg.steps = 3;
-    return app_run<ppm::PpmTiled>(
-        obs, cfg, [](ppm::PpmTiled& app) { app.init_blast(3.0, 4.0); });
-  });
+  for (const apps::App& app : apps::catalog()) {
+    expect_same(app.name, [&](arch::MemObserver* obs) {
+      rt::Runtime runtime(Topology{.nodes = 2});
+      runtime.machine().set_observer(obs);
+      runtime.run([&] { (void)app.run(runtime, 8, app.steps, {}); });
+      return RunDigest{runtime.elapsed(),
+                       runtime.machine().perf().digest(runtime.elapsed())};
+    });
+  }
 }
 
 TEST(Conductor, RepeatRunsDigestIdentically) {

@@ -59,12 +59,7 @@
 #include <type_traits>
 #include <vector>
 
-#include "spp/apps/fem/femgas.h"
-#include "spp/apps/nbody/nbody.h"
-#include "spp/apps/nbody/nbody_pvm.h"
-#include "spp/apps/pic/pic.h"
-#include "spp/apps/pic/pic_pvm.h"
-#include "spp/apps/ppm/ppm.h"
+#include "spp/apps/catalog.h"
 #include "spp/arch/machine.h"
 #include "spp/check/check.h"
 #include "spp/ckpt/durable.h"
@@ -216,12 +211,7 @@ struct Args {
       }
       if (!ok) return false;
     }
-    static const char* kApps[] = {"nbody", "fem",       "pic",
-                                  "ppm",   "nbody-pvm", "pic-pvm"};
-    if (a.cmd == "run" &&
-        std::find_if(std::begin(kApps), std::end(kApps), [&](const char* c) {
-          return a.app == c;
-        }) == std::end(kApps)) {
+    if (a.cmd == "run" && apps::find(a.app) == nullptr) {
       std::fprintf(stderr, "sppsim-explore: unknown app '%s'\n", a.app.c_str());
       return false;
     }
@@ -419,14 +409,14 @@ int cmd_survive(const Args& a) {
     return std::fabs(got - want) <= tol * std::max(1.0, std::fabs(want));
   };
 
-  const auto scenario = [&](const char* name, double tol, auto&& run_app) {
+  for (const apps::App& app : apps::catalog()) {
     // Fault-free baseline: the ground-truth answer.
     std::vector<double> base;
     sim::Time elapsed = 0;
     {
       rt::Runtime runtime(arch::Topology{.nodes = a.nodes}, cost_for(a));
       runtime.run([&] {
-        base = run_app(runtime);
+        base = app.run(runtime, a.threads, app.steps, {}).diag;
         elapsed = runtime.now();
       });
     }
@@ -442,9 +432,11 @@ int cmd_survive(const Args& a) {
     inj.attach(runtime);
     check::Checker checker(runtime);
     std::vector<double> got;
-    runtime.run([&] { got = run_app(runtime); });
+    runtime.run(
+        [&] { got = app.run(runtime, a.threads, app.steps, {}).diag; });
 
     const auto& tot = runtime.machine().perf();
+    const double tol = app.pvm ? 1e-12 : 0.0;
     std::string why;
     if (!checker.clean()) why += " oracle";
     if (tot.cpu_recoveries == 0) why += " no-migration";
@@ -460,7 +452,7 @@ int cmd_survive(const Args& a) {
       }
     }
     std::printf("  %-12s cpu %2u down  %2llu migrations  %llu ckpts  %s%s\n",
-                name, victim,
+                app.name, victim,
                 static_cast<unsigned long long>(tot.cpu_recoveries),
                 static_cast<unsigned long long>(tot.checkpoints_taken),
                 why.empty() ? "recovered" : "FAILED:", why.c_str());
@@ -468,77 +460,7 @@ int cmd_survive(const Args& a) {
       if (!checker.clean()) checker.report(stdout);
       ++failures;
     }
-  };
-
-  scenario("femgas", 0.0, [&](rt::Runtime& rt) {
-    fem::FemConfig cfg;
-    cfg.nx = 24;
-    cfg.ny = 12;
-    cfg.steps = 6;
-    fem::FemGas app(rt, cfg, a.threads, rt::Placement::kUniform);
-    app.init_blast(2.0, 3.0);
-    const auto r = app.run();
-    return std::vector<double>{r.final.total_mass, r.final.total_mom_x,
-                               r.final.total_mom_y, r.final.total_energy,
-                               r.final.min_density, r.final.min_pressure};
-  });
-  scenario("ppm", 0.0, [&](rt::Runtime& rt) {
-    ppm::PpmConfig cfg;
-    cfg.nx = 24;
-    cfg.ny = 48;
-    cfg.tiles_x = 2;
-    cfg.tiles_y = 4;
-    cfg.steps = 4;
-    ppm::PpmTiled app(rt, cfg, a.threads, rt::Placement::kUniform);
-    app.init_sod_x();
-    const auto r = app.run();
-    return std::vector<double>{r.final.mass, r.final.mom_x, r.final.mom_y,
-                               r.final.energy, r.final.min_rho,
-                               r.final.min_p};
-  });
-  scenario("pic", 0.0, [&](rt::Runtime& rt) {
-    pic::PicConfig cfg;
-    cfg.nx = cfg.ny = cfg.nz = 8;
-    cfg.steps = 6;
-    pic::PicShared app(rt, cfg, a.threads, rt::Placement::kUniform);
-    const auto r = app.run();
-    std::vector<double> d{r.final.kinetic_energy, r.final.field_energy,
-                          r.final.total_charge, r.final.momentum_z};
-    d.insert(d.end(), r.field_energy_history.begin(),
-             r.field_energy_history.end());
-    return d;
-  });
-  scenario("nbody", 0.0, [&](rt::Runtime& rt) {
-    nbody::NbodyConfig cfg;
-    cfg.n = 256;
-    cfg.steps = 4;
-    nbody::NbodyShared app(rt, cfg, a.threads, rt::Placement::kUniform);
-    app.load_plummer();
-    const auto r = app.run();
-    return std::vector<double>{r.final.kinetic, r.final.px, r.final.py,
-                               r.final.pz};
-  });
-  scenario("pic-pvm", 1e-12, [&](rt::Runtime& rt) {
-    pic::PicConfig cfg;
-    cfg.nx = cfg.ny = cfg.nz = 8;
-    cfg.steps = 6;
-    pic::PicPvm app(rt, cfg, a.threads, rt::Placement::kUniform);
-    const auto r = app.run();
-    std::vector<double> d{r.final.kinetic_energy, r.final.field_energy,
-                          r.final.total_charge, r.final.momentum_z};
-    d.insert(d.end(), r.field_energy_history.begin(),
-             r.field_energy_history.end());
-    return d;
-  });
-  scenario("nbody-pvm", 1e-12, [&](rt::Runtime& rt) {
-    nbody::NbodyConfig cfg;
-    cfg.n = 256;
-    cfg.steps = 4;
-    nbody::NbodyPvm app(rt, cfg, a.threads, rt::Placement::kUniform);
-    const auto r = app.run();
-    return std::vector<double>{r.final.kinetic, r.final.px, r.final.py,
-                               r.final.pz};
-  });
+  }
 
   // --- host-kill sweep: SIGKILL the whole process mid-run, then --resume ---
   // The durable-checkpoint layer (spp::ckpt::Disk, docs/RECOVERY.md): a
@@ -548,12 +470,13 @@ int cmd_survive(const Args& a) {
   std::printf("\nhost-kill sweep: durable run, SIGKILL after 2 epoch "
               "commits, then --resume\n\n");
 
-  const auto host_kill = [&](const char* name, auto&& durable_run) {
+  for (const char* name : {"nbody", "nbody-pvm"}) {
+    const apps::App& app = *apps::find(name);
     char tmpl[] = "/tmp/sppsim-survive-XXXXXX";
     if (mkdtemp(tmpl) == nullptr) {
       std::printf("  %-12s FAILED: mkdtemp\n", name);
       ++failures;
-      return;
+      continue;
     }
     const std::string base = tmpl;
 
@@ -565,7 +488,7 @@ int cmd_survive(const Args& a) {
       spec.interval = 2;
       spec.resume = resume;
       spec.test_kill_after_writes = kill_after;
-      runtime.run([&] { durable_run(runtime, spec); });
+      runtime.run([&] { (void)app.run(runtime, a.threads, app.steps, spec); });
       return runtime.machine().perf().digest(runtime.elapsed());
     };
 
@@ -596,23 +519,7 @@ int cmd_survive(const Args& a) {
     if (!why.empty()) ++failures;
     std::error_code ec;
     std::filesystem::remove_all(base, ec);
-  };
-
-  host_kill("nbody", [&](rt::Runtime& rt, const ckpt::DurableSpec& spec) {
-    nbody::NbodyConfig cfg;
-    cfg.n = 256;
-    cfg.steps = 4;
-    nbody::NbodyShared app(rt, cfg, a.threads, rt::Placement::kUniform);
-    app.load_plummer();
-    (void)app.run(spec);
-  });
-  host_kill("nbody-pvm", [&](rt::Runtime& rt, const ckpt::DurableSpec& spec) {
-    nbody::NbodyConfig cfg;
-    cfg.n = 256;
-    cfg.steps = 4;
-    nbody::NbodyPvm app(rt, cfg, a.threads, rt::Placement::kUniform);
-    (void)app.run(spec);
-  });
+  }
 
   if (failures != 0) {
     std::printf("\nsurvive: %u scenario(s) FAILED\n", failures);
@@ -643,7 +550,8 @@ int cmd_chaos_disk(const Args& a) {
     std::uint64_t epochs_skipped = 0;
   };
 
-  // One durable nbody run: 256 bodies, 4 steps, one epoch per step.
+  // One durable run of the catalogue's nbody, one epoch per step.
+  const apps::App& nbody = *apps::find("nbody");
   const auto run_once = [&](const std::string& dir, bool resume,
                             unsigned kill_after,
                             const ckpt::RecoveryPolicy& policy) -> RunResult {
@@ -654,14 +562,8 @@ int cmd_chaos_disk(const Args& a) {
     spec.resume = resume;
     spec.test_kill_after_writes = kill_after;
     spec.policy = policy;
-    runtime.run([&] {
-      nbody::NbodyConfig cfg;
-      cfg.n = 256;
-      cfg.steps = 4;
-      nbody::NbodyShared app(runtime, cfg, a.threads, rt::Placement::kUniform);
-      app.load_plummer();
-      (void)app.run(spec);
-    });
+    runtime.run(
+        [&] { (void)nbody.run(runtime, a.threads, nbody.steps, spec); });
     const arch::PerfCounters& p = runtime.machine().perf();
     return RunResult{p.digest(runtime.elapsed()),
                      p.io_commit_failures > 0 || p.io_memory_only_epochs > 0,
@@ -793,8 +695,8 @@ int cmd_chaos_disk(const Args& a) {
   return rt::kExitOk;
 }
 
-/// Runs every microbenchmark shape and all four applications at small
-/// configurations under full checking (coherence oracle + race detector +
+/// Runs every microbenchmark shape and all six applications of the
+/// catalogue under full checking (coherence oracle + race detector +
 /// wait-for deadlock analysis); exits nonzero if any scenario is not clean.
 int cmd_check(const Args& a) {
   unsigned failures = 0;
@@ -864,41 +766,12 @@ int cmd_check(const Args& a) {
     });
   });
 
-  // --- the four applications at small configurations ------------------------
-  scenario("nbody", [&](rt::Runtime& rt) {
-    nbody::NbodyConfig cfg;
-    cfg.n = 256;
-    cfg.steps = 1;
-    nbody::NbodyShared nb(rt, cfg, a.threads, rt::Placement::kUniform);
-    (void)nb.run();
-  });
-  scenario("femgas", [&](rt::Runtime& rt) {
-    fem::FemConfig cfg;
-    cfg.nx = 16;
-    cfg.ny = 8;
-    cfg.steps = 2;
-    fem::FemGas femgas(rt, cfg, a.threads, rt::Placement::kUniform);
-    femgas.init_uniform(1.0, 0.3, -0.1, 1.0);
-    (void)femgas.run();
-  });
-  scenario("pic", [&](rt::Runtime& rt) {
-    pic::PicConfig cfg;
-    cfg.nx = cfg.ny = cfg.nz = 8;
-    cfg.steps = 2;
-    pic::PicShared pic(rt, cfg, a.threads, rt::Placement::kUniform);
-    (void)pic.run();
-  });
-  scenario("ppm", [&](rt::Runtime& rt) {
-    ppm::PpmConfig cfg;
-    cfg.nx = 24;
-    cfg.ny = 48;
-    cfg.tiles_x = 2;
-    cfg.tiles_y = 4;
-    cfg.steps = 2;
-    ppm::PpmTiled ppm(rt, cfg, a.threads, rt::Placement::kUniform);
-    ppm.init_sod_x();
-    (void)ppm.run();
-  });
+  // --- the six applications ------------------------------------------------
+  for (const apps::App& app : apps::catalog()) {
+    scenario(app.name, [&](rt::Runtime& rt) {
+      (void)app.run(rt, a.threads, app.steps, {});
+    });
+  }
 
   if (failures != 0) {
     std::printf("\ncheck: %u scenario(s) NOT clean\n", failures);
@@ -937,65 +810,12 @@ int cmd_run(const Args& a) {
     dog = std::make_unique<rt::Watchdog>(runtime.conductor(), a.watchdog);
   }
 
-  const unsigned T = a.threads;
-  const auto pl = rt::Placement::kUniform;
+  const apps::App& app = *apps::find(a.app);  // validated at parse time.
+  const unsigned steps = a.steps != 0 ? a.steps : app.steps;
   runtime.run([&] {
-    if (a.app == "nbody") {
-      nbody::NbodyConfig cfg;
-      cfg.n = 256;
-      cfg.steps = a.steps ? a.steps : 4;
-      nbody::NbodyShared app(runtime, cfg, T, pl);
-      app.load_plummer();
-      const auto r = app.run(spec);
-      std::printf("nbody: %zu bodies, %u steps, %.1f MFLOPS\n", cfg.n,
-                  cfg.steps, r.mflops);
-    } else if (a.app == "fem") {
-      fem::FemConfig cfg;
-      cfg.nx = 24;
-      cfg.ny = 12;
-      cfg.steps = a.steps ? a.steps : 6;
-      fem::FemGas app(runtime, cfg, T, pl);
-      app.init_blast(2.0, 3.0);
-      const auto r = app.run(spec);
-      std::printf("fem: %ux%u blast, %u steps, %.1f MFLOPS\n", cfg.nx, cfg.ny,
-                  cfg.steps, r.mflops);
-    } else if (a.app == "pic") {
-      pic::PicConfig cfg;
-      cfg.nx = cfg.ny = cfg.nz = 8;
-      cfg.steps = a.steps ? a.steps : 6;
-      pic::PicShared app(runtime, cfg, T, pl);
-      const auto r = app.run(spec);
-      std::printf("pic: %zu^3 mesh, %u steps, %.1f MFLOPS\n", cfg.nx,
-                  cfg.steps, r.mflops);
-    } else if (a.app == "ppm") {
-      ppm::PpmConfig cfg;
-      cfg.nx = 24;
-      cfg.ny = 48;
-      cfg.tiles_x = 2;
-      cfg.tiles_y = 4;
-      cfg.steps = a.steps ? a.steps : 4;
-      ppm::PpmTiled app(runtime, cfg, T, pl);
-      app.init_sod_x();
-      const auto r = app.run(spec);
-      std::printf("ppm: %zux%zu sod, %u steps, %.1f MFLOPS\n", cfg.nx, cfg.ny,
-                  cfg.steps, r.mflops);
-    } else if (a.app == "nbody-pvm") {
-      nbody::NbodyConfig cfg;
-      cfg.n = 256;
-      cfg.steps = a.steps ? a.steps : 4;
-      nbody::NbodyPvm app(runtime, cfg, T, pl);
-      const auto r = app.run(spec);
-      std::printf("nbody-pvm: %zu bodies, %u steps, %.1f MFLOPS\n", cfg.n,
-                  cfg.steps, r.mflops);
-    } else {  // pic-pvm (names validated at parse time)
-      pic::PicConfig cfg;
-      cfg.nx = cfg.ny = cfg.nz = 8;
-      cfg.steps = a.steps ? a.steps : 6;
-      pic::PicPvm app(runtime, cfg, T, pl);
-      const auto r = app.run(spec);
-      std::printf("pic-pvm: %zu^3 mesh, %u steps, %.1f MFLOPS\n", cfg.nx,
-                  cfg.steps, r.mflops);
-    }
+    const apps::Outcome o = app.run(runtime, a.threads, steps, spec);
+    std::printf("%s: %s, %u steps, %.1f MFLOPS\n", app.name, app.size, steps,
+                o.mflops);
   });
   dog.reset();
 
