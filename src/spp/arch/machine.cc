@@ -29,13 +29,13 @@ Machine::Machine(Topology topo, CostModel cm)
   for (unsigned i = 0; i < topo_.nodes * kNumRings; ++i) {
     gcaches_.emplace_back(cm_.gcache_bytes, topo.num_fus());
   }
-  directory_.resize(topo_.nodes);
+  dir_pages_.resize(topo_.num_fus());
 }
 
 void Machine::power_cycle() {
   for (L1Cache& l1 : l1_) l1.clear();
   for (sci::GCache& g : gcaches_) g.clear();
-  for (auto& dir : directory_) dir.clear();
+  std::fill(dir_slab_.begin(), dir_slab_.end(), HomeEntry{});
   for (FuState& fu : fus_) {
     fu.port.reset();
     fu.dir.reset();
@@ -44,6 +44,17 @@ void Machine::power_cycle() {
   }
   std::fill(tlb_.begin(), tlb_.end(), TlbEntry{});
   rings_.reset_contention();
+}
+
+Machine::HomeEntry& Machine::add_dir_page(LineAddr line) {
+  std::vector<std::uint32_t>& pages = dir_pages_[home_fu_of(line_base(line))];
+  const std::uint64_t page =
+      compact_line(line, topo_.num_fus()) >> kDirPageBits;
+  if (page >= pages.size()) pages.resize(page + 1, kNoDirChunk);
+  const std::size_t first = dir_slab_.size();
+  pages[page] = static_cast<std::uint32_t>(first / kDirPageLines);
+  dir_slab_.resize(first + kDirPageLines);
+  return dir_slab_[first + (line & (kDirPageLines - 1))];
 }
 
 // ---------------------------------------------------------------------------
@@ -552,12 +563,9 @@ void Machine::evict_l1_entry(unsigned cpu, L1Cache::Entry& entry,
   }
 
   if (home_node == my_node) {
-    FlatMap<LineAddr, HomeEntry>& dir = directory_[home_node];
-    HomeEntry* e = dir.find(victim);
-    if (e != nullptr) {
+    if (HomeEntry* e = find_home_entry(victim)) {
       if (e->owner_cpu == static_cast<int>(cpu)) e->owner_cpu = -1;
       e->cpu_sharers &= static_cast<std::uint8_t>(~bit(cpu_in_node));
-      if (e->empty()) dir.erase(victim);
     }
   } else {
     const unsigned ring = topo_.ring_of_fu(home_fu);
@@ -589,16 +597,13 @@ void Machine::evict_gcache_entry(unsigned node, [[maybe_unused]] unsigned ring,
   ++perf_.gcache_evictions;
   invalidate_gcache_backed_l1(node, ge);
 
-  FlatMap<LineAddr, HomeEntry>& dir = dir_for(victim);
-  HomeEntry* e = dir.find(victim);
-  if (e != nullptr) {
+  if (HomeEntry* e = find_home_entry(victim)) {
     e->sci_list.remove(node);
     if (e->remote_dirty && e->owner_node == node) {
       e->remote_dirty = false;
       // Rollout writeback occupies the home bank off the critical path.
       bank_for(line_base(victim)).acquire(now, sim::cycles(cm_.bank_hold));
     }
-    if (e->empty()) dir.erase(victim);
   }
   ge = sci::GCache::Entry{};
 }
@@ -738,8 +743,8 @@ unsigned Machine::sharer_count(VAddr va) const {
 
 Machine::DirView Machine::dir_view(LineAddr line) const {
   DirView v;
-  const HomeEntry* e = dir_for(line).find(line);
-  if (e == nullptr) return v;
+  const HomeEntry* e = find_home_entry(line);
+  if (e == nullptr || e->empty()) return v;
   v.present = true;
   v.cpu_sharers = e->cpu_sharers;
   v.owner_cpu = e->owner_cpu;

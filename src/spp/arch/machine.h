@@ -17,12 +17,12 @@
 #include <cassert>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "spp/arch/address.h"
 #include "spp/arch/cache.h"
 #include "spp/arch/cost_model.h"
-#include "spp/arch/flat_map.h"
 #include "spp/arch/observer.h"
 #include "spp/arch/perf.h"
 #include "spp/arch/topology.h"
@@ -121,8 +121,9 @@ class Machine {
   /// by its node's gcache.
   bool check_line_invariants(VAddr va) const;
 
-  /// Read-only copy of the home directory entry for `line` (empty-state view
-  /// when the line has no entry).  For checkers and tests.
+  /// Read-only copy of the home directory entry for `line`.  `present` is
+  /// false when the entry is empty (no sharer, owner or remote state), and
+  /// the other fields then hold the empty state.  For checkers and tests.
   struct DirView {
     bool present = false;
     std::uint8_t cpu_sharers = 0;
@@ -190,15 +191,37 @@ class Machine {
     std::vector<sim::Resource> banks;
   };
 
-  /// The home directory map owning `line` (indexed by the line's home
-  /// node).
-  FlatMap<LineAddr, HomeEntry>& dir_for(LineAddr line) {
-    return directory_[topo_.node_of_fu(home_fu_of(line_base(line)))];
+  /// Lines per directory page: one 4 KB page of an FU window.
+  static constexpr unsigned kDirPageBits = kPageBits - kLineBits;
+  static constexpr std::uint64_t kDirPageLines = std::uint64_t{1}
+                                                 << kDirPageBits;
+  /// A dir_pages_ slot whose page has no chunk in dir_slab_ yet.
+  static constexpr std::uint32_t kNoDirChunk = 0xFFFFFFFFu;
+
+  /// The home directory entry of `line` if its page has a chunk, else
+  /// nullptr (an untouched page holds only empty entries).  Never
+  /// allocates.
+  const HomeEntry* find_home_entry(LineAddr line) const {
+    const std::vector<std::uint32_t>& pages =
+        dir_pages_[home_fu_of(line_base(line))];
+    const std::uint64_t page =
+        compact_line(line, topo_.num_fus()) >> kDirPageBits;
+    if (page >= pages.size() || pages[page] == kNoDirChunk) return nullptr;
+    return &dir_slab_[pages[page] * kDirPageLines +
+                      (line & (kDirPageLines - 1))];
   }
-  const FlatMap<LineAddr, HomeEntry>& dir_for(LineAddr line) const {
-    return directory_[topo_.node_of_fu(home_fu_of(line_base(line)))];
+  HomeEntry* find_home_entry(LineAddr line) {
+    return const_cast<HomeEntry*>(std::as_const(*this).find_home_entry(line));
   }
-  HomeEntry& home_entry(LineAddr line) { return dir_for(line)[line]; }
+  /// The home directory entry of `line`, giving its page a chunk on first
+  /// touch.  That may reallocate dir_slab_, so no HomeEntry& is held across
+  /// a call.
+  HomeEntry& home_entry(LineAddr line) {
+    HomeEntry* e = find_home_entry(line);
+    return e != nullptr ? *e : add_dir_page(line);
+  }
+  /// Gives the page of `line` a chunk of empty entries; returns the line's.
+  HomeEntry& add_dir_page(LineAddr line);
 
   sim::Resource& bank_for(PAddr pa) {
     FuState& fu = fus_[home_fu_of(pa)];
@@ -304,12 +327,16 @@ class Machine {
   std::vector<L1Cache> l1_;
   std::vector<FuState> fus_;
   std::vector<sci::GCache> gcaches_;  ///< [node * 4 + ring]
-  /// Home directory: open-addressing flat maps (docs/PERFORMANCE.md) -- one
-  /// cache-friendly probe per access() instead of an unordered_map node
-  /// chase, and no per-line heap allocation.  One map per home node; each
-  /// starts empty and doubles as lines arrive, like the L1 and gcache
-  /// arrays, so a machine that touches few lines pays for few.
-  std::vector<FlatMap<LineAddr, HomeEntry>> directory_;
+  /// Home directory, direct-mapped like the hardware's (docs/PERFORMANCE.md):
+  /// every line's entry sits at a fixed slot of its home FU's page, so a
+  /// lookup neither hashes nor probes.  dir_pages_[fu][p] is the chunk of
+  /// dir_slab_ holding page p of FU fu's window, kNoDirChunk until
+  /// home_entry() first touches a line of it; a chunk is kDirPageLines
+  /// entries, and an empty entry is an absent one.  The chunks share one
+  /// slab, grown geometrically, instead of a heap block each, so a machine
+  /// that touches few pages makes few allocations.
+  std::vector<std::vector<std::uint32_t>> dir_pages_;
+  std::vector<HomeEntry> dir_slab_;
   /// Per-CPU page TLBs (tlb_slot()).  Each CPU only ever touches its own
   /// 4 KB slice.
   std::vector<TlbEntry> tlb_;

@@ -1,7 +1,7 @@
 // Heap-allocation budgets of the simulator's hot paths (docs/PERFORMANCE.md):
-// a cross-node miss materialises only the global-cache state it touches, a
-// warm SCI sharing list is updated without the heap, and a warm conductor
-// dispatches without it.
+// a cross-node miss materialises only the global-cache and directory state
+// it touches, a warm home miss and a warm SCI sharing list are handled
+// without the heap, and a warm conductor dispatches without it.
 //
 // This executable replaces the global operator new/delete with counting
 // versions (over malloc/free), which is why these tests live apart from the
@@ -142,6 +142,50 @@ TEST(Alloc, CrossNodeMissAtAFarSetAllocatesOnlyWhatItTouches) {
   EXPECT_LT(used.bytes, 64u << 10) << used.news << " operator new calls";
   EXPECT_EQ(m.perf().cpu[cpu].miss_remote, 1u);
   EXPECT_TRUE(m.check_line_invariants(va));
+}
+
+// Two pages of a near-shared region lie 1 MB apart in FU 0's window, so in
+// every L1 each line of one conflicts with its twin in the other.  The
+// first pass gives both pages their directory chunks and grows the L1s.
+// In the second, the fills, evictions (six per line), recalls and
+// upgrades update directory entries in place, emptying and refilling
+// some, without the heap.
+TEST(Alloc, WarmHomeMissChurnDoesNotAllocate) {
+  arch::Machine m(Topology{.nodes = 1});
+  constexpr std::uint64_t kApart = 1ull << 20;  // one L1 of lines.
+  constexpr unsigned kLines = kPageBytes / kLineBytes;
+  const arch::VAddr base = m.vm().allocate(kApart + kPageBytes,
+                                           MemClass::kNearShared, "pages", 0);
+  ASSERT_EQ(arch::home_fu_of(m.vm().translate(base + kApart, 0)), 0u);
+  ASSERT_EQ(arch::home_fu_of(m.vm().translate(base, 0)), 0u);
+  // CPUs 0 and 1 are on FU 0, CPU 2 on FU 1.  The comments give the
+  // second pass, which starts from the first's end state.
+  sim::Time t = 0;
+  const auto pass = [&] {
+    for (unsigned k = 0; k < kLines; ++k) {
+      const arch::VAddr a = base + k * kLineBytes;
+      const arch::VAddr b = a + kApart;
+      t = m.access(0, a, false, t);  // evicts b, recalls CPU 1's dirty a.
+      t = m.access(0, b, false, t);  // evicts a.
+      t = m.access(1, b, false, t);  // evicts a: its entry empties.
+      t = m.access(0, a, true, t);   // evicts b.
+      t = m.access(2, a, false, t);  // evicts b, recalls CPU 0's dirty a.
+      t = m.access(1, a, true, t);   // evicts b, invalidates CPUs 0 and 2.
+      t = m.access(2, b, true, t);   // b owned by CPU 2.
+      t = m.access(0, b, false, t);  // recalls CPU 2's dirty b.
+    }
+  };
+  pass();
+  const std::uint64_t evictions = m.perf().l1_evictions;
+  const Allocs before = allocs_now();
+  pass();
+  const Allocs used = allocs_since(before);
+  EXPECT_EQ(used.news, 0u) << used.bytes << " bytes";
+  EXPECT_EQ(m.perf().l1_evictions - evictions, 6u * kLines);
+  for (unsigned k = 0; k < kLines; ++k) {
+    ASSERT_TRUE(m.check_line_invariants(base + k * kLineBytes));
+    ASSERT_TRUE(m.check_line_invariants(base + kApart + k * kLineBytes));
+  }
 }
 
 // Remote reads put nodes on a line's SCI sharing list and writes purge

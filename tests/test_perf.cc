@@ -1,5 +1,5 @@
 // Regression tests for the wall-clock fast paths (docs/PERFORMANCE.md):
-// the FlatMap backing the home directory, the inline L1-hit path's
+// the paged home directory, the inline L1-hit path's
 // bit-exactness against the out-of-line protocol walk, and the pvm message
 // buffer pre-sizing.  None of these may change simulated time or counters;
 // the digest comparisons here are the oracle that they do not.  The oracle
@@ -11,13 +11,12 @@
 #include <fstream>
 #include <iterator>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "spp/apps/catalog.h"
-#include "spp/arch/flat_map.h"
 #include "spp/arch/machine.h"
 #include "spp/ckpt/disk.h"
 #include "spp/lib/psort.h"
@@ -31,97 +30,115 @@
 namespace spp {
 namespace {
 
-using arch::FlatMap;
 using arch::Topology;
 
 // ---------------------------------------------------------------------------
-// FlatMap vs std::unordered_map under churn
+// The paged home directory: one entry per line, at a fixed slot of its home
+// FU's page
 // ---------------------------------------------------------------------------
 
-TEST(FlatMap, MatchesUnorderedMapUnderChurn) {
-  // The directory workload: dense churn of insert / update / erase / lookup
-  // over a bounded key space (lines wrap around the caches).  Every lookup
-  // must agree with the reference map, including after the backward-shift
-  // deletions that make open addressing tricky.
-  FlatMap<std::uint64_t, std::uint64_t> fm;
-  std::unordered_map<std::uint64_t, std::uint64_t> ref;
-  std::uint64_t x = 88172645463325252ull;  // xorshift64 state.
-  const auto next = [&x]() {
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    return x;
-  };
-  for (int op = 0; op < 200000; ++op) {
-    const std::uint64_t key = next() % 2048;
-    switch (next() % 4) {
-      case 0:
-      case 1: {  // insert or update.
-        const std::uint64_t v = next();
-        fm[key] = v;
-        ref[key] = v;
-        break;
-      }
-      case 2: {  // erase.
-        fm.erase(key);
-        ref.erase(key);
-        break;
-      }
-      default: {  // lookup.
-        const std::uint64_t* got = fm.find(key);
-        const auto it = ref.find(key);
-        if (it == ref.end()) {
-          ASSERT_EQ(got, nullptr) << "key " << key << " at op " << op;
-        } else {
-          ASSERT_NE(got, nullptr) << "key " << key << " at op " << op;
-          ASSERT_EQ(*got, it->second) << "key " << key << " at op " << op;
-        }
-        break;
-      }
+// Two private instances of one region sit at the same offset of two FU
+// windows.  Their lines share a page index and a slot within the page, so
+// only the home FU tells their directory entries apart: each write must
+// leave its own writer as owner in its own entry.
+TEST(Directory, SameWindowOffsetOnTwoFusKeepsTwoEntries) {
+  const auto expect_own_owners = [](arch::Machine& m, arch::VAddr va,
+                                    unsigned cpu_a, unsigned cpu_b) {
+    const arch::PAddr pa = m.vm().translate(va, cpu_a);
+    const arch::PAddr pb = m.vm().translate(va, cpu_b);
+    ASSERT_NE(arch::home_fu_of(pa), arch::home_fu_of(pb));
+    ASSERT_EQ(arch::fu_offset_of(pa), arch::fu_offset_of(pb));
+    sim::Time t = m.access(cpu_a, va, /*write=*/true, 0);
+    t = m.access(cpu_b, va, /*write=*/true, t);
+    const std::pair<arch::PAddr, unsigned> writers[] = {{pa, cpu_a},
+                                                        {pb, cpu_b}};
+    for (const auto& [written, cpu] : writers) {
+      const auto dv = m.dir_view(arch::line_of(written));
+      EXPECT_TRUE(dv.present) << "cpu" << cpu;
+      EXPECT_EQ(dv.owner_cpu, static_cast<int>(cpu));
+      EXPECT_EQ(dv.cpu_sharers, 1u << (cpu % arch::kCpusPerNode));
+      EXPECT_EQ(m.l1_state(cpu, va), arch::LineState::kModified)
+          << "cpu" << cpu;
     }
-    ASSERT_EQ(fm.size(), ref.size()) << "at op " << op;
+  };
+  {
+    // ThreadPrivate: CPU 0's instance is in FU 0, CPU 2's in FU 1.
+    arch::Machine m(Topology{.nodes = 1});
+    const arch::VAddr va = m.vm().allocate(
+        arch::kPageBytes, arch::MemClass::kThreadPrivate, "private");
+    expect_own_owners(m, va + 5 * arch::kLineBytes, 0, 2);
   }
-  // Full-content sweep both ways.
-  std::size_t walked = 0;
-  fm.for_each([&](const std::uint64_t& k, const std::uint64_t& v) {
-    ++walked;
-    const auto it = ref.find(k);
-    ASSERT_NE(it, ref.end()) << "key " << k;
-    EXPECT_EQ(v, it->second) << "key " << k;
-  });
-  EXPECT_EQ(walked, ref.size());
+  {
+    // NodePrivate: node 0's instance of the page is in FU 0, node 1's in
+    // FU 4.
+    arch::Machine m(Topology{.nodes = 2});
+    const arch::VAddr va = m.vm().allocate(
+        arch::kPageBytes, arch::MemClass::kNodePrivate, "per-node");
+    expect_own_owners(m, va + 5 * arch::kLineBytes, 0, arch::kCpusPerNode);
+  }
 }
 
-TEST(FlatMap, SurvivesGrowthFromEmptyAndClear) {
-  FlatMap<std::uint64_t, int> fm;
-  EXPECT_EQ(fm.find(7), nullptr);
-  EXPECT_TRUE(fm.empty());
-  for (std::uint64_t k = 0; k < 10000; ++k) fm[k] = static_cast<int>(k);
-  EXPECT_EQ(fm.size(), 10000u);
-  for (std::uint64_t k = 0; k < 10000; ++k) {
-    ASSERT_NE(fm.find(k), nullptr);
-    ASSERT_EQ(*fm.find(k), static_cast<int>(k));
-  }
-  fm.clear();
-  EXPECT_TRUE(fm.empty());
-  EXPECT_EQ(fm.find(0), nullptr);
-  fm[3] = 4;
-  EXPECT_EQ(fm.size(), 1u);
+// power_cycle empties every directory entry: none outlives the cycle, and
+// the same accesses replayed afterwards take exactly as long and count
+// exactly the same as on a fresh machine.  A stale owner or sharer left in
+// an entry would add a recall or an invalidation to the replay.
+TEST(Directory, PowerCycleEmptiesEveryEntry) {
+  constexpr unsigned kLines = 3 * 8 * 128;  // three pages in each of 8 FUs.
+  const auto setup = [](arch::Machine& m) {
+    return m.vm().allocate(kLines * arch::kLineBytes,
+                           arch::MemClass::kFarShared, "lines");
+  };
+  // Home and remote readers and writers, so entries hold sharers, owners,
+  // remote-dirty state and SCI lists.
+  const auto replay = [](arch::Machine& m, arch::VAddr base) {
+    sim::Time t = 0;
+    for (unsigned k = 0; k < kLines; ++k) {
+      const arch::VAddr va = base + k * arch::kLineBytes;
+      t = m.access(k % 16, va, /*write=*/k % 3 == 0, t);
+      t = m.access((k * 5 + 3) % 16, va, /*write=*/false, t);
+    }
+    return t;
+  };
+  const auto live_entries = [](const arch::Machine& m, arch::VAddr base) {
+    unsigned n = 0;
+    for (unsigned k = 0; k < kLines; ++k) {
+      const arch::PAddr pa = m.vm().translate(base + k * arch::kLineBytes, 0);
+      if (m.dir_view(arch::line_of(pa)).present) ++n;
+    }
+    return n;
+  };
+
+  arch::Machine fresh(Topology{.nodes = 2});
+  const arch::VAddr base = setup(fresh);
+  const sim::Time want = replay(fresh, base);
+  const unsigned live = live_entries(fresh, base);
+  ASSERT_GT(live, kLines / 2);
+
+  arch::Machine m(Topology{.nodes = 2});
+  ASSERT_EQ(setup(m), base);
+  ASSERT_EQ(replay(m, base), want);
+  m.power_cycle();
+  EXPECT_EQ(live_entries(m, base), 0u);
+
+  m.reset_stats();
+  EXPECT_EQ(replay(m, base), want);
+  EXPECT_EQ(m.perf().digest(want), fresh.perf().digest(want));
+  EXPECT_EQ(live_entries(m, base), live);
 }
 
 // ---------------------------------------------------------------------------
 // Directory churn at machine level, cross-checked against dir_view
 // ---------------------------------------------------------------------------
 
-class DirectoryFlatMap : public testing::TestWithParam<unsigned> {};
+class Directory : public testing::TestWithParam<unsigned> {};
 
-TEST_P(DirectoryFlatMap, ChurnAcrossNodesKeepsInvariants) {
+TEST_P(Directory, ChurnAcrossNodesKeepsInvariants) {
   // Drive enough distinct lines through enough CPUs on `GetParam()`
-  // hypernodes that the directory sees sustained insert / erase / evict
-  // churn (a deliberately tiny gcache makes SCI entries recycle constantly
-  // on more than one node), then verify the protocol invariants and
-  // directory view for a sweep of lines.  Every directory map starts empty,
-  // so each one grows and rehashes in the middle of that churn.
+  // hypernodes that the directory sees sustained fill / evict churn (a
+  // deliberately tiny gcache makes SCI entries recycle constantly on more
+  // than one node), then verify the protocol invariants and directory view
+  // for a sweep of lines.  The directory starts with no pages, so its slab
+  // grows, and moves every entry it holds, in the middle of that churn.
   const unsigned nodes = GetParam();
   arch::CostModel cm;
   cm.gcache_bytes = 64 * arch::kLineBytes;
@@ -160,7 +177,7 @@ TEST_P(DirectoryFlatMap, ChurnAcrossNodesKeepsInvariants) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Hypernodes, DirectoryFlatMap,
+INSTANTIATE_TEST_SUITE_P(Hypernodes, Directory,
                          testing::Values(1u, 2u, 4u, 16u),
                          testing::PrintToStringParamName());
 
